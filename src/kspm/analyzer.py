@@ -17,7 +17,7 @@ from math import inf, isqrt, log2, sqrt
 
 from . import dds
 from .errors import InsufficientData
-from .model import HeightConfig, check_grains, check_p, heights_from_slopes
+from .model import HeightConfig, check_grains, check_p, heights_from_slopes, trimmed
 from .stabilizer import Avalanche, FixedPoint, IncrementalStabilizer, trace_leftmost
 
 WAVE = "wave"
@@ -26,11 +26,7 @@ ZERO = "zero"
 
 def support(slopes) -> int:
     """Number of columns up to and including the last nonzero slope."""
-    seq = tuple(slopes)
-    w = len(seq)
-    while w and seq[w - 1] == 0:
-        w -= 1
-    return w
+    return len(trimmed(slopes))
 
 
 @dataclass(frozen=True)
@@ -65,9 +61,8 @@ def parse_waves(p, slopes, grammar: str = "strict") -> WaveDecomposition:
     check_p(p)
     if grammar not in ("strict", "loose"):
         raise ValueError(f"grammar must be 'strict' or 'loose', got {grammar!r}")
-    seq = tuple(slopes)
-    w = support(seq)
-    seq = seq[:w]
+    seq = trimmed(slopes)
+    w = len(seq)
     ok = [False] * (w + 1)
     zeros = [0] * (w + 1)
     ok[w] = True

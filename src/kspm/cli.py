@@ -25,7 +25,7 @@ import os
 import sys
 from math import log2, sqrt
 
-from . import analyzer, dds, spectral
+from . import __version__, analyzer, dds, spectral
 from .errors import CapacityError, KSPMError
 from .model import grain_count, heights_from_slopes
 from .stabilizer import (
@@ -35,11 +35,8 @@ from .stabilizer import (
     stabilize,
 )
 
-VERSION = "0.1.0"
-
-
 def _meta(command: str, config: dict) -> dict:
-    return {"tool": "kspm", "version": VERSION, "command": command, "config": config}
+    return {"tool": "kspm", "version": __version__, "command": command, "config": config}
 
 
 def _emit(args, text: str) -> None:
@@ -404,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sandpile fixed points with a tunable kick range: "
         "simulation, exact shot-vector dynamics, spectra and wave patterns.",
     )
-    parser.add_argument("--version", action="version", version=f"kspm {VERSION}")
+    parser.add_argument("--version", action="version", version=f"kspm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import Divergence, NonIntegral
-from .model import SlopeConfig, check_grains, check_p
+from .model import SlopeConfig, check_grains, check_p, trimmed
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,6 @@ def y_step(p: int, y: tuple[int, ...], b: int) -> tuple[int, ...]:
     return y[1:] + (q,)
 
 
-def initial_averaging(p: int, n: int, a0: int) -> tuple[int, ...]:
-    """Difference vector at column 0, ``(-n, 0, ..., 0, a0)`` collapsed for p = 1."""
-    return to_averaging(initial_window(p, n, a0))
-
-
 def determine_slope_from_mean(p: int, y) -> SlopeDetermination:
     """Read the slope mod ``p`` from a difference vector's sum."""
     check_p(p)
@@ -145,30 +140,51 @@ def uniform_index(ys) -> int:
     raise ValueError("no uniform vector in the given trajectory")
 
 
+def _walk(p, n, a0, slope_at, limit, overrun, support=0):
+    """Yield ``(i, window, b_i)`` from column 0 until the window closes.
+
+    ``slope_at(i, window)`` gives the slope that advances the window past
+    column ``i``.  The walk ends at the closing window, the first all-zero
+    window past column ``p``, which certifies nothing fires further out;
+    it is yielded with slope 0 and ``slope_at`` is not asked for it.
+    Passing column ``limit`` unclosed raises ``overrun``.  Closing left of
+    column ``support``, where the caller still holds a nonzero slope,
+    raises :class:`NonIntegral`.
+    """
+    window = initial_window(p, n, a0)
+    i = 0
+    while not (i > p and not any(window)):
+        b = slope_at(i, window)
+        yield i, window, b
+        # x_step without its shape check, which costs a call per column
+        window = window[1:] + (next_shot(p, window[0], window[-1], b),)
+        i += 1
+        if i > limit:
+            raise overrun(f"no all-zero window within {limit} columns")
+    if i < support:
+        raise NonIntegral(
+            f"window closed at column {i} but slopes run to column {support - 1}"
+        )
+    yield i, window, 0
+
+
 def iter_windows(p: int, slopes, a0: int, n: int):
     """Yield ``(i, window, b_i)`` along the true trajectory of a fixed point.
 
     ``slopes`` are the stabilized slopes for ``n`` grains and ``a0`` the
     shot count of column 0.  Iteration stops after the first all-zero
     window past position ``p``, which certifies nothing fires further out.
+    Raises :class:`NonIntegral` when the inputs are not a fixed point: a
+    shot value fails to divide, the window closes before the last nonzero
+    slope, or it does not close within ``2p + 2`` columns past it.
     """
     check_p(p)
     check_grains(n)
-    seq = tuple(slopes)
+    seq = trimmed(slopes)
     w = len(seq)
-    while w and seq[w - 1] == 0:
-        w -= 1
-    window = initial_window(p, n, a0)
-    i = 0
-    while True:
-        b = seq[i] if i < w else 0
-        yield i, window, b
-        if i > p and not any(window):
-            return
-        window = x_step(p, window, b)
-        i += 1
-        if i > w + 2 * p + 2:
-            raise NonIntegral("trajectory failed to close; inputs inconsistent")
+    return _walk(
+        p, n, a0, lambda i, _: seq[i] if i < w else 0, w + 2 * p + 2, NonIntegral, w
+    )
 
 
 @dataclass(frozen=True)
@@ -202,27 +218,29 @@ def trajectory_report(p, slopes, a0, n, check=True) -> TrajectoryReport:
     envelope never widens, the new entry lands inside the old open/closed
     envelope, and the envelope width strictly shrinks within ``p`` steps.
     """
-    check_p(p)
-    check_grains(n)
-    seq = tuple(slopes)
-    w = len(seq)
-    while w and seq[w - 1] == 0:
-        w -= 1
-
-    window = initial_window(p, n, a0)
-    y = to_averaging(window)
     violations: list[str] = []
     spreads: list[int] = []
     nonuniform: list[int] = []
     uniform_at = -1
     uniform_val = 0
     ambiguous = 0
-    spread0 = max(y) - min(y) if p > 1 else 0
-
-    i = 0
-    while True:
-        closed = i > p and not any(window)
-        b = seq[i] if i < w else 0
+    for i, window, b in iter_windows(p, slopes, a0, n):
+        if i == 0:
+            y = to_averaging(window)
+        else:
+            # differencing the window incrementally; y_step is the audit
+            y_prev, y = y, y[1:] + (window[-1] - window[-2],)
+            if check:
+                if y_step(p, y_prev, b_prev) != y:
+                    violations.append(f"i={i - 1}: averaging step does not commute")
+                if mn != mx:
+                    new = y[-1]
+                    if not (mn < new <= mx):
+                        violations.append(
+                            f"i={i - 1}: new entry {new} outside envelope ({mn}, {mx}]"
+                        )
+                    if min(y) < mn or max(y) > mx:
+                        violations.append(f"i={i - 1}: envelope widened")
         mn, mx = min(y), max(y)
         spreads.append(mx - mn)
         if mn == mx:
@@ -231,7 +249,7 @@ def trajectory_report(p, slopes, a0, n, check=True) -> TrajectoryReport:
                 uniform_val = mn
         elif check:
             nonuniform.append(i)
-        if not closed and (window[0] - window[-1]) % p == 0:
+        if (window[0] - window[-1]) % p == 0:
             ambiguous += 1
 
         if check:
@@ -245,26 +263,7 @@ def trajectory_report(p, slopes, a0, n, check=True) -> TrajectoryReport:
                     )
             elif b not in (0, p):
                 violations.append(f"i={i}: ambiguous residue but true slope {b}")
-        if closed:
-            break
-
-        window2 = x_step(p, window, b)
-        y2 = y_step(p, y, b)
-        if check:
-            if to_averaging(window2) != y2:
-                violations.append(f"i={i}: averaging step does not commute")
-            if mn != mx:
-                new = y2[-1]
-                if not (mn < new <= mx):
-                    violations.append(
-                        f"i={i}: new entry {new} outside envelope ({mn}, {mx}]"
-                    )
-                if min(y2) < mn or max(y2) > mx:
-                    violations.append(f"i={i}: envelope widened")
-        window, y = window2, y2
-        i += 1
-        if i > w + 2 * p + 2:
-            raise NonIntegral("trajectory failed to close; inputs inconsistent")
+        b_prev = b
 
     if check:
         last = len(spreads) - 1
@@ -274,10 +273,6 @@ def trajectory_report(p, slopes, a0, n, check=True) -> TrajectoryReport:
                 violations.append(
                     f"i={j}: envelope width did not shrink within {p} steps"
                 )
-    if uniform_at < 0:
-        # the final all-zero window always yields a constant difference vector
-        uniform_at = i
-        uniform_val = 0
 
     return TrajectoryReport(
         p=p,
@@ -285,8 +280,9 @@ def trajectory_report(p, slopes, a0, n, check=True) -> TrajectoryReport:
         steps=i,
         uniform_index=uniform_at,
         uniform_value=uniform_val,
-        ambiguous_count=ambiguous,
-        spread0=spread0,
+        # the closing window has residue 0 but reads no slope
+        ambiguous_count=ambiguous - 1,
+        spread0=spreads[0],
         checked=check,
         violations=tuple(violations),
     )
@@ -349,34 +345,29 @@ def reconstruct_fixed_point(p: int, n: int, a0: int, resolver) -> Reconstruction
     check_grains(n)
     if not isinstance(a0, int) or isinstance(a0, bool) or a0 < 0:
         raise ValueError(f"a0 must be a non-negative integer, got {a0!r}")
-    bound = (p + 1) * (isqrt(n) + 1) + p + 2
-    window = initial_window(p, n, a0)
-    slopes: list[int] = []
-    shots: list[int] = [a0]
     consulted: list[int] = []
-    i = 0
-    while not (i > p and not any(window)):
+
+    def slope_at(i, window):
         r = (window[0] - window[-1]) % p
-        if r == 0:
-            consulted.append(i)
-            b = resolver(i)
-            if b not in (0, p):
-                raise ValueError(f"resolver returned {b!r}; must be 0 or {p}")
-        else:
-            b = r
-        window = x_step(p, window, b)
+        if r:
+            return r
+        consulted.append(i)
+        b = resolver(i)
+        if b not in (0, p):
+            raise ValueError(f"resolver returned {b!r}; must be 0 or {p}")
+        return b
+
+    bound = (p + 1) * (isqrt(n) + 1) + p + 2
+    slopes: list[int] = []
+    shots: list[int] = []
+    for i, window, b in _walk(p, n, a0, slope_at, bound, Divergence):
         slopes.append(b)
         shots.append(window[-1])
-        i += 1
-        if i > bound:
-            raise Divergence(f"no all-zero window within the support bound {bound}")
-    while shots and shots[-1] == 0:
-        shots.pop()
     return Reconstruction(
         p=p,
         n_grains=n,
         slopes=SlopeConfig(slopes),
-        shot=tuple(shots),
+        shot=trimmed(shots),
         ambiguous_positions=tuple(consulted),
         authoritative=bool(getattr(resolver, "authoritative", False)),
         steps=i,

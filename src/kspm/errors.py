@@ -24,7 +24,7 @@ class Divergence(KSPMError):
 
 
 class NoConvergence(KSPMError):
-    """The polynomial root finder hit its iteration cap before converging."""
+    """An iterative series hit its term cap before converging."""
 
 
 class RecurrenceMismatch(KSPMError):

@@ -33,11 +33,13 @@ def check_grains(n: int) -> int:
     return n
 
 
-def _trimmed(values) -> tuple[int, ...]:
-    seq = list(values)
-    while seq and seq[-1] == 0:
-        seq.pop()
-    return tuple(seq)
+def trimmed(values) -> tuple[int, ...]:
+    """``values`` as a tuple without its trailing zeros."""
+    seq = tuple(values)
+    w = len(seq)
+    while w and seq[w - 1] == 0:
+        w -= 1
+    return seq[:w]
 
 
 def check_p(p: int) -> int:
@@ -64,7 +66,7 @@ class SlopeConfig:
                 raise ValueError(f"slopes must be integers, got {v!r}")
             if v < 0:
                 raise ValueError(f"slopes must be non-negative, got {v}")
-        object.__setattr__(self, "slopes", _trimmed(vals))
+        object.__setattr__(self, "slopes", trimmed(vals))
 
     @property
     def support(self) -> int:
@@ -92,7 +94,7 @@ class HeightConfig:
     heights: tuple[int, ...]
 
     def __init__(self, heights=()):
-        vals = _trimmed(heights)
+        vals = trimmed(heights)
         prev = None
         for v in vals:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
@@ -177,7 +179,7 @@ def slopes_from_heights(h) -> SlopeConfig:
 
     Accepts a :class:`HeightConfig` or any plain sequence of heights.
     """
-    vals = _trimmed(h)
+    vals = trimmed(h)
     out = []
     for i, v in enumerate(vals):
         nxt = vals[i + 1] if i + 1 < len(vals) else 0

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, log2
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -261,12 +262,6 @@ def shot_step_matrix(p: int) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def shot_kick(p: int) -> tuple[Fraction, ...]:
-    """Slope coupling of the window advance: ``1/p`` in the last slot."""
-    check_p(p)
-    return (Fraction(0),) * p + (Fraction(1, p),)
-
-
 def cumulative_basis(p: int) -> ExactMatrix:
     """Lower-triangular all-ones change of basis (partial sums)."""
     check_p(p)
@@ -356,44 +351,6 @@ def _sorted_roots(roots) -> tuple[complex, ...]:
     return tuple(sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12))))
 
 
-def find_roots(
-    poly: RationalPolynomial, max_iter: int = 1000, step_tol: float = 1e-13
-) -> tuple[complex, ...]:
-    """All complex roots by simultaneous (Aberth) iteration.
-
-    Converges when the largest correction drops below ``step_tol``;
-    hitting the iteration cap raises :class:`NoConvergence`.  Residuals
-    are the caller's acceptance gate, not the step count.
-    """
-    coeffs = np.array(poly.float_coeffs_desc(), dtype=complex)
-    d = poly.degree
-    if d <= 0:
-        return ()
-    lead = coeffs[0]
-    radius = 1.0 + float(np.max(np.abs(coeffs / lead)))
-    angles = 2.0 * np.pi * (np.arange(d) + 0.25) / d + 0.4
-    z = 0.7 * radius * np.exp(1j * angles)
-    deriv = np.polyder(coeffs)
-    for _ in range(max_iter):
-        pv = np.polyval(coeffs, z)
-        dv = np.polyval(deriv, z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        w = pv / dv
-        corr = np.empty_like(z)
-        for k in range(d):
-            diff = z[k] - np.delete(z, k)
-            diff = np.where(diff == 0, 1e-300, diff)
-            s = np.sum(1.0 / diff)
-            denom = 1.0 - w[k] * s
-            if denom == 0:
-                denom = 1e-300
-            corr[k] = w[k] / denom
-        z = z - corr
-        if np.max(np.abs(corr)) < step_tol:
-            return tuple(complex(v) for v in z)
-    raise NoConvergence(f"root finder did not settle in {max_iter} iterations")
-
-
 def _root_quality(poly: RationalPolynomial, roots) -> RootSet:
     roots = _sorted_roots(roots)
     residuals = tuple(abs(poly(complex(z))) for z in roots)
@@ -404,11 +361,17 @@ def _root_quality(poly: RationalPolynomial, roots) -> RootSet:
     return RootSet(roots=roots, residuals=residuals, min_separation=sep)
 
 
-def roots_R(p: int, max_iter: int = 1000) -> RootSet:
-    """Roots of :func:`poly_R`, all of modulus at most ``(p-1)/p``."""
+def roots_R(p: int) -> RootSet:
+    """Roots of :func:`poly_R`, all of modulus at most ``(p-1)/p``.
+
+    Found as companion-matrix eigenvalues by ``numpy.roots``; the
+    residuals and the separation are the caller's acceptance gate.
+    """
     check_p(p)
     poly = poly_R(p)
-    return _root_quality(poly, find_roots(poly, max_iter=max_iter))
+    return _root_quality(
+        poly, [complex(z) for z in np.roots(poly.float_coeffs_desc())]
+    )
 
 
 def eigvals_O(p: int) -> RootSet:
@@ -459,14 +422,26 @@ def perturbation_bound(p: int, tol: float = 1e-15, cap: int = 100000) -> float:
     raise NoConvergence("perturbation series did not converge")
 
 
+def _integral(values, scale: int) -> list[int]:
+    """``scale * v`` for each rational ``v``, which must come out integral."""
+    out = []
+    for v in values:
+        q = Fraction(v) * scale
+        if q.denominator != 1:
+            raise RecurrenceMismatch(f"{scale} * {v} is not an integer")
+        out.append(q.numerator)
+    return out
+
+
 @dataclass(frozen=True)
 class ZTrajectoryReport:
     """Centered difference vector along a real fixed-point trajectory.
 
-    The recurrence is replayed exactly in rational arithmetic and
-    compared entry by entry with directly centered data; a mismatch
-    raises :class:`RecurrenceMismatch` (it would mean an implementation
-    bug, not bad data).  Norm summaries are floats.
+    The recurrence is replayed exactly, on the centered vectors scaled
+    by ``p`` into integers, and compared entry by entry with directly
+    centered data; a mismatch raises :class:`RecurrenceMismatch` (it
+    would mean an implementation bug, not bad data).  Norm summaries are
+    floats.
     """
 
     p: int
@@ -503,50 +478,48 @@ def z_trajectory(
     check_p(p)
     check_grains(n)
     omat = centered_matrix(p)
-    kick = centered_kick(p)
-    dmat = mean_centering(p)
     bound = perturbation_bound(p)
     o_float = omat.to_float()
     o_inf = float(np.max(np.abs(o_float).sum(axis=1)))
     spec_rad = float(np.max(np.abs(np.linalg.eigvals(o_float))))
+    # Z = p * z = p * y - sum(y) is integral, and Z' = O Z + b * kick, so
+    # p^2 Z' = (p^2 O) Z + p b (p kick) holds exactly in integers
+    pp = p * p
+    o_int = [_integral(row, pp) for row in omat.rows]
+    kick_int = _integral(centered_kick(p), p)
 
     norms: list[float] = []
     n0_z = -1
     n0_s = -1
-    spread0 = 0
-    z_prev: tuple[Fraction, ...] | None = None
-    b_prev = 0
-    steps = 0
     for i, window, b in dds.iter_windows(p, slopes, a0, n):
         y = dds.to_averaging(window)
-        if i == 0 and p > 1:
-            spread0 = max(y) - min(y)
-        z = dmat @ y
-        if z_prev is not None:
-            predicted = tuple(
-                zz + Fraction(b_prev, p) * kk
-                for zz, kk in zip(omat @ z_prev, kick)
-            )
-            if predicted != z:
-                raise RecurrenceMismatch(
-                    f"centered recurrence mismatch at column {i}"
-                )
-        nrm = max((abs(float(v)) for v in z), default=0.0)
+        total = sum(y)
+        zs = [p * v - total for v in y]
+        if i:
+            pb = p * b_prev
+            for z, row, k in zip(zs, o_int, kick_int):
+                if pp * z != sum(map(mul, row, zs_prev)) + pb * k:
+                    raise RecurrenceMismatch(
+                        f"centered recurrence mismatch at column {i}"
+                    )
+        spread = max(y) - min(y)
+        if i == 0:
+            spread0 = spread
+        nrm = max(map(abs, zs)) / p
         norms.append(nrm)
         if n0_z < 0 and nrm <= bound:
             n0_z = i
-        if n0_s < 0 and (max(y) - min(y)) <= 2 * bound:
+        if n0_s < 0 and spread <= 2 * bound:
             n0_s = i
-        z_prev = z
+        zs_prev = zs
         b_prev = b
-        steps = i
     within = None
     if c is not None and d is not None and n >= 2:
         within = n0_z <= c * log2(n) + d
     return ZTrajectoryReport(
         p=p,
         n_grains=n,
-        steps=steps,
+        steps=i,
         perturbation_bound=bound,
         o_inf_norm=o_inf,
         spectral_radius=spec_rad,

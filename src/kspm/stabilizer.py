@@ -22,7 +22,7 @@ from heapq import heappop, heappush
 from math import isqrt
 
 from .errors import CapacityError
-from .model import MAX_GRAINS, SlopeConfig, check_grains, check_p
+from .model import MAX_GRAINS, SlopeConfig, check_grains, check_p, trimmed
 
 
 def _capacity(p: int, n: int) -> int:
@@ -134,18 +134,6 @@ def _drain(p, slopes, shot, heap, order=None, on_fire=None):
             on_fire(i)
 
 
-def _support_of(slopes) -> int:
-    w = len(slopes)
-    while w and slopes[w - 1] == 0:
-        w -= 1
-    return w
-
-
-def _trim(seq) -> tuple[int, ...]:
-    w = _support_of(seq)
-    return tuple(seq[:w])
-
-
 def _run_leftmost(p: int, n: int, on_fire=None):
     cap = _capacity(p, n)
     slopes = [0] * cap
@@ -245,14 +233,14 @@ class IncrementalStabilizer:
         return FixedPoint(
             p=self.p,
             n_grains=self.grains,
-            slopes=SlopeConfig(_trim(self._slopes)),
-            shot=_trim(self._shot),
+            slopes=SlopeConfig(trimmed(self._slopes)),
+            shot=trimmed(self._shot),
             strategy=strategy,
         )
 
     @property
     def support(self) -> int:
-        return _support_of(self._slopes)
+        return len(trimmed(self._slopes))
 
 
 def stabilize(p: int, n: int, strategy: str = "leftmost", seed: int = 0) -> FixedPoint:
@@ -279,8 +267,8 @@ def stabilize(p: int, n: int, strategy: str = "leftmost", seed: int = 0) -> Fixe
     return FixedPoint(
         p=p,
         n_grains=n,
-        slopes=SlopeConfig(_trim(slopes)),
-        shot=_trim(shot),
+        slopes=SlopeConfig(trimmed(slopes)),
+        shot=trimmed(shot),
         strategy=label,
     )
 
@@ -328,7 +316,7 @@ def trace_leftmost(p: int, n: int, on_fire) -> FixedPoint:
     return FixedPoint(
         p=p,
         n_grains=n,
-        slopes=SlopeConfig(_trim(slopes)),
-        shot=_trim(shot),
+        slopes=SlopeConfig(trimmed(slopes)),
+        shot=trimmed(shot),
         strategy="leftmost",
     )

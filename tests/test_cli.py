@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from conftest import GOLDEN_P2_N24_SHOT, GOLDEN_P2_N24_SLOPES
+import kspm
 from kspm import cli
 from kspm.stabilizer import leftmost_avalanche, stabilize
 
@@ -254,7 +255,7 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
-    assert "kspm" in capsys.readouterr().out
+    assert capsys.readouterr().out.strip() == f"kspm {kspm.__version__}"
 
 
 def test_module_entrypoint_smoke():

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import GOLDEN_P2_N24_SHOT, GOLDEN_P2_N24_SLOPES
-from kspm import dds
+from kspm import dds, spectral
 from kspm.errors import Divergence, NonIntegral
 from kspm.stabilizer import stabilize
 
@@ -140,6 +140,17 @@ def test_window_walk_reproduces_golden_shot():
     for i, window, _ in dds.iter_windows(2, fp.slopes, 8, 24):
         seen[i] = window[-1]
     assert tuple(seen[i] for i in range(3)) == GOLDEN_P2_N24_SHOT
+
+
+def test_walk_rejects_slopes_past_the_closing_window():
+    # the window closes at column 5 and never reaches the 1 at column 10
+    slopes = (2, 1, 2, 1, 2, 0, 0, 0, 0, 0, 1)
+    with pytest.raises(NonIntegral):
+        list(dds.iter_windows(2, slopes, 8, 24))
+    with pytest.raises(NonIntegral):
+        dds.trajectory_report(2, slopes, 8, 24, check=True)
+    with pytest.raises(NonIntegral):
+        spectral.z_trajectory(2, 24, slopes, 8)
 
 
 @pytest.mark.parametrize("p,n", [(2, 24), (4, 2000), (1, 77), (3, 301), (6, 50)])

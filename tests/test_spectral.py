@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from kspm import spectral
-from kspm.errors import NoConvergence, RecurrenceMismatch
+from kspm.errors import NoConvergence, NonIntegral, RecurrenceMismatch
 from kspm.spectral import ExactMatrix, RationalPolynomial
 from kspm.stabilizer import stabilize
 
@@ -192,6 +192,12 @@ def test_averaging_kick_layout():
 # ------------------------------------------------------------ root finding
 
 
+def test_roots_p1_none():
+    rs = spectral.roots_R(1)  # poly_R(1) is the constant 1
+    assert rs.roots == ()
+    assert rs.max_modulus == 0.0
+
+
 def test_roots_p2_closed_form():
     rs = spectral.roots_R(2)
     assert len(rs.roots) == 1
@@ -211,8 +217,9 @@ def test_roots_p3_closed_form():
 
 @pytest.mark.parametrize("p", list(range(2, 31)))
 def test_roots_match_numpy_and_stay_inside_disc(p):
+    """``roots_R`` uses ``numpy.roots``; sympy's ``nroots`` is the reference."""
     rs = spectral.roots_R(p)
-    ref = np.roots(spectral.poly_R(p).float_coeffs_desc())
+    ref = sym_poly(spectral.poly_R(p)).nroots()
     assert spectral.pair_distance(rs.roots, [complex(z) for z in ref]) < 1e-8
     assert rs.max_modulus <= (p - 1) / p + 1e-9
     assert max(rs.residuals) < 1e-9
@@ -228,22 +235,16 @@ def test_eigvals_of_centered_matrix(p):
     assert max(eig.residuals) < 1e-6
 
 
-def test_find_roots_respects_iteration_cap():
-    with pytest.raises(NoConvergence):
-        spectral.find_roots(spectral.poly_R(10), max_iter=1)
-
-
-def test_find_roots_degenerate_inputs():
-    assert spectral.find_roots(RationalPolynomial([3])) == ()
-    lin = spectral.find_roots(RationalPolynomial([-2, 1]))
-    assert abs(lin[0] - 2) < 1e-12
-
-
 def test_pair_distance_greedy():
     assert spectral.pair_distance([1 + 0j, 2j], [2j, 1 + 0j]) < 1e-15
     assert spectral.pair_distance([0j], [1 + 0j]) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         spectral.pair_distance([0j], [0j, 1j])
+
+
+def test_perturbation_bound_respects_term_cap():
+    with pytest.raises(NoConvergence):
+        spectral.perturbation_bound(4, cap=1)
 
 
 def test_perturbation_bound_small_p():
@@ -298,6 +299,21 @@ def test_z_trajectory_p1_trivial():
 def test_z_trajectory_detects_tampered_slopes():
     fp = stabilize(3, 200)
     slopes = list(fp.slopes.slopes)
-    slopes[2] += 3  # keeps every division exact but breaks the replay
-    with pytest.raises((RecurrenceMismatch, Exception)):
+    slopes[2] += 3  # keeps every division exact, so the walk fails to close
+    with pytest.raises(NonIntegral):
         spectral.z_trajectory(3, 200, tuple(slopes), fp.shot_at(0))
+
+
+def test_z_trajectory_replay_detects_a_wrong_kick(monkeypatch):
+    fp = stabilize(3, 200)
+    kick = spectral.centered_kick(3)
+    monkeypatch.setattr(spectral, "centered_kick", lambda p: tuple(2 * k for k in kick))
+    with pytest.raises(RecurrenceMismatch, match="at column"):
+        spectral.z_trajectory(3, 200, fp.slopes.slopes, fp.shot_at(0))
+
+
+def test_z_trajectory_rejects_a_kick_that_does_not_scale_to_integers(monkeypatch):
+    fp = stabilize(3, 200)
+    monkeypatch.setattr(spectral, "centered_kick", lambda p: (F(1, 2 * p),) * p)
+    with pytest.raises(RecurrenceMismatch, match="not an integer"):
+        spectral.z_trajectory(3, 200, fp.slopes.slopes, fp.shot_at(0))
