@@ -12,13 +12,20 @@ it into scan rows with logarithmic fits.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass
 from math import inf, isqrt, log2, sqrt
 
 from . import dds
 from .errors import InsufficientData
 from .model import HeightConfig, check_grains, check_p, heights_from_slopes, trimmed
-from .stabilizer import Avalanche, FixedPoint, IncrementalStabilizer, trace_leftmost
+from .stabilizer import (
+    Avalanche,
+    FixedPoint,
+    IncrementalStabilizer,
+    check_columns,
+    trace_leftmost,
+)
 
 WAVE = "wave"
 ZERO = "zero"
@@ -189,7 +196,7 @@ def check_plateaus_along_leftmost(p: int, n: int) -> PlateauTrajectoryReport:
     """
     check_p(p)
     check_grains(n)
-    heights = [0] * ((p + 1) * (isqrt(n) + 2) + 4 * p + 8)
+    heights = [0] * check_columns((p + 1) * (isqrt(n) + 2) + 4 * p + 8)
     heights[0] = n
     bound = p + 1
     state = {"max": 1, "firings": 0, "bad_at": None}
@@ -396,8 +403,13 @@ def _scan_direct_parallel(p, targets, timing, threads) -> list[ScanRow]:
         ctx = mp.get_context("fork")
         with ctx.Pool(threads) as pool:
             return pool.map(_direct_row_args, [(p, n, timing) for n in targets])
-    except (OSError, ValueError):
-        # some sandboxes forbid subprocess semaphores; fall back to serial
+    except (OSError, ValueError) as exc:
+        # some sandboxes forbid subprocess semaphores
+        warnings.warn(
+            f"parallel scan unavailable ({exc!r}); running serially",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         return [_direct_row(p, n, timing) for n in targets]
 
 

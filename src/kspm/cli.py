@@ -23,10 +23,11 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from math import log2, sqrt
 
 from . import __version__, analyzer, dds, spectral
-from .errors import CapacityError, KSPMError
+from .errors import CapacityError, Divergence, KSPMError, NonIntegral, RecurrenceMismatch
 from .model import grain_count, heights_from_slopes
 from .stabilizer import (
     IncrementalStabilizer,
@@ -310,6 +311,14 @@ def _verification_checks(p: int, n: int, seed: int) -> list[dict]:
     def add(name: str, ok: bool, detail: str = "") -> None:
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
 
+    @contextmanager
+    def replaying(name: str):
+        # a recurrence that fails to replay is a violation, not a crash
+        try:
+            yield
+        except (NonIntegral, Divergence, RecurrenceMismatch) as exc:
+            add(name, False, str(exc))
+
     direct = stabilize(p, n, "leftmost")
     incremental = stabilize(p, n, "incremental")
     randomized = stabilize(p, n, "random", seed=seed)
@@ -334,20 +343,23 @@ def _verification_checks(p: int, n: int, seed: int) -> list[dict]:
             ok_shot = False
             break
     add("shot_balance", ok_shot, "slopes match the shot-vector balance at every column")
-    recon = dds.reconstruct_fixed_point(
-        p, n, direct.shot_at(0), dds.GroundTruthResolver(direct.slopes.slopes)
-    )
-    add(
-        "reconstruction",
-        recon.slopes == direct.slopes and recon.shot == direct.shot,
-        "window recurrence rebuilds the fixed point from (N, a0)",
-    )
-    rep = dds.trajectory_report(p, direct.slopes, direct.shot_at(0), n, check=True)
-    add(
-        "trajectory_invariants",
-        not rep.violations,
-        "; ".join(rep.violations) or "determinations, commutation and envelopes hold",
-    )
+    with replaying("reconstruction"):
+        recon = dds.reconstruct_fixed_point(
+            p, n, direct.shot_at(0), dds.GroundTruthResolver(direct.slopes.slopes)
+        )
+        add(
+            "reconstruction",
+            recon.slopes == direct.slopes and recon.shot == direct.shot,
+            "window recurrence rebuilds the fixed point from (N, a0)",
+        )
+    with replaying("trajectory_invariants"):
+        rep = dds.trajectory_report(p, direct.slopes, direct.shot_at(0), n, check=True)
+        add(
+            "trajectory_invariants",
+            not rep.violations,
+            "; ".join(rep.violations)
+            or "determinations, commutation and envelopes hold",
+        )
     strict = analyzer.parse_waves(p, direct.slopes, "strict")
     add(
         "wave_tail",
@@ -359,12 +371,13 @@ def _verification_checks(p: int, n: int, seed: int) -> list[dict]:
     add("support_bounds", sup.within_bounds, f"w={sup.width} inside exact bounds")
     plateau = analyzer.max_plateau(heights_from_slopes(direct.slopes))
     add("plateau_bound", plateau <= p + 1, f"longest plateau {plateau} <= {p + 1}")
-    zrep = spectral.z_trajectory(p, n, direct.slopes, direct.shot_at(0))
-    add(
-        "centered_recurrence",
-        zrep.recurrence_exact and zrep.spread0_identity_ok,
-        "exact centered recurrence and initial spread identity",
-    )
+    with replaying("centered_recurrence"):
+        zrep = spectral.z_trajectory(p, n, direct.slopes, direct.shot_at(0))
+        add(
+            "centered_recurrence",
+            zrep.spread0_identity_ok,
+            "exact centered recurrence and initial spread identity",
+        )
     return checks
 
 
@@ -493,10 +506,11 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         parser.error("--tol must be positive")
     if args.command == "scan":
         if args.threads is None:
+            env = os.environ.get("KSPM_THREADS", "1")
             try:
-                args.threads = int(os.environ.get("KSPM_THREADS", "1"))
+                args.threads = int(env)
             except ValueError:
-                args.threads = 1
+                parser.error(f"KSPM_THREADS must be an integer, got {env!r}")
         if args.threads < 1:
             parser.error("--threads must be at least 1")
         if args.stride > args.n_max:

@@ -9,15 +9,17 @@ positive ascending coefficients.  Those roots stay strictly inside the
 unit disk (modulus at most ``(p-1)/p``), which is why the difference
 vector freezes after logarithmically many columns.
 
-Matrices and characteristic polynomials use ``fractions.Fraction`` end
-to end; floating point only enters for root finding, eigenvalues and
-norm summaries.
+Matrices and characteristic polynomials use ``fractions.Fraction``; the
+centered contraction comes from its closed form in integers, checked
+against the product definition in tests.  Floating point only enters
+for root finding, eigenvalues and norm summaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import inf, log2
 from operator import mul
 from typing import Sequence
@@ -319,14 +321,35 @@ def mean_centering(p: int) -> ExactMatrix:
     )
 
 
+def _centered_scaled(p: int) -> tuple[list[list[int]], list[int]]:
+    """``p**2`` times the centered contraction, and ``p`` times its kick.
+
+    Centering subtracts each column's mean: ``([j >= 1] + 1/p) / p`` from
+    the averaging matrix and ``1/p`` from the averaging kick.
+    """
+    check_p(p)
+    pp = p * p
+    matrix = [
+        [(pp * (j == i + 1) if i < p - 1 else p) - p * (j >= 1) - 1 for j in range(p)]
+        for i in range(p)
+    ]
+    return matrix, [p * (i == p - 1) - 1 for i in range(p)]
+
+
+def _centered_floats(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The centered contraction and its kick, rounded once to floats."""
+    matrix, kick = _centered_scaled(p)
+    return np.array(matrix, dtype=float) / (p * p), np.array(kick, dtype=float) / p
+
+
 def centered_matrix(p: int) -> ExactMatrix:
     """The contraction governing the centered difference vector."""
-    return mean_centering(p) @ averaging_matrix(p)
+    return ExactMatrix(_centered_scaled(p)[0]).scaled(Fraction(1, p * p))
 
 
 def centered_kick(p: int) -> tuple[Fraction, ...]:
     """Centered slope coupling."""
-    return mean_centering(p) @ averaging_kick(p)
+    return tuple(Fraction(v, p) for v in _centered_scaled(p)[1])
 
 
 @dataclass(frozen=True)
@@ -347,17 +370,10 @@ class RootSet:
         return max((abs(z) for z in self.roots), default=0.0)
 
 
-def _sorted_roots(roots) -> tuple[complex, ...]:
-    return tuple(sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12))))
-
-
 def _root_quality(poly: RationalPolynomial, roots) -> RootSet:
-    roots = _sorted_roots(roots)
+    roots = tuple(sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12))))
     residuals = tuple(abs(poly(complex(z))) for z in roots)
-    sep = inf
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            sep = min(sep, abs(roots[i] - roots[j]))
+    sep = min((abs(a - b) for a, b in combinations(roots, 2)), default=inf)
     return RootSet(roots=roots, residuals=residuals, min_separation=sep)
 
 
@@ -381,8 +397,7 @@ def eigvals_O(p: int) -> RootSet:
     the numerically computed eigenvalues, so they check the spectrum
     identity and the eigenvalue accuracy at once.
     """
-    check_p(p)
-    eigs = np.linalg.eigvals(centered_matrix(p).to_float())
+    eigs = np.linalg.eigvals(_centered_floats(p)[0])
     xr = RationalPolynomial([Fraction(0)] + list(poly_R(p).coeffs))
     return _root_quality(xr, [complex(v) for v in eigs])
 
@@ -409,28 +424,15 @@ def perturbation_bound(p: int, tol: float = 1e-15, cap: int = 100000) -> float:
     The matrix's own infinity norm may exceed 1, so the bound is taken
     over powers, which decay at the spectral radius ``<= (p-1)/p``.
     """
-    check_p(p)
-    o = centered_matrix(p).to_float()
-    v = np.array([float(c) for c in centered_kick(p)])
+    o, v = _centered_floats(p)
     total = 0.0
     for _ in range(cap):
-        t = float(np.max(np.abs(v))) if v.size else 0.0
+        t = float(np.max(np.abs(v)))
         total += t
         if t < tol * max(1.0, total):
             return total
         v = o @ v
     raise NoConvergence("perturbation series did not converge")
-
-
-def _integral(values, scale: int) -> list[int]:
-    """``scale * v`` for each rational ``v``, which must come out integral."""
-    out = []
-    for v in values:
-        q = Fraction(v) * scale
-        if q.denominator != 1:
-            raise RecurrenceMismatch(f"{scale} * {v} is not an integer")
-        out.append(q.numerator)
-    return out
 
 
 @dataclass(frozen=True)
@@ -455,7 +457,6 @@ class ZTrajectoryReport:
     n0_spread: int
     spread0: int
     spread0_identity_ok: bool
-    recurrence_exact: bool
     within_log_bound: bool | None
 
 
@@ -477,16 +478,14 @@ def z_trajectory(
     """
     check_p(p)
     check_grains(n)
-    omat = centered_matrix(p)
     bound = perturbation_bound(p)
-    o_float = omat.to_float()
+    o_float = _centered_floats(p)[0]
     o_inf = float(np.max(np.abs(o_float).sum(axis=1)))
     spec_rad = float(np.max(np.abs(np.linalg.eigvals(o_float))))
     # Z = p * z = p * y - sum(y) is integral, and Z' = O Z + b * kick, so
     # p^2 Z' = (p^2 O) Z + p b (p kick) holds exactly in integers
     pp = p * p
-    o_int = [_integral(row, pp) for row in omat.rows]
-    kick_int = _integral(centered_kick(p), p)
+    o_int, kick_int = _centered_scaled(p)
 
     norms: list[float] = []
     n0_z = -1
@@ -528,6 +527,5 @@ def z_trajectory(
         n0_spread=n0_s,
         spread0=spread0,
         spread0_identity_ok=(p == 1) or (spread0 == n + a0),
-        recurrence_exact=True,
         within_log_bound=within,
     )

@@ -25,9 +25,20 @@ from .errors import CapacityError
 from .model import MAX_GRAINS, SlopeConfig, check_grains, check_p, trimmed
 
 
+#: Most columns any engine or audit allocates up front.
+MAX_COLUMNS = 2**24
+
+
+def check_columns(count: int) -> int:
+    """Refuse, before allocating, column arrays longer than ``MAX_COLUMNS``."""
+    if count > MAX_COLUMNS:
+        raise CapacityError(f"{count} columns exceed the {MAX_COLUMNS}-column limit")
+    return count
+
+
 def _capacity(p: int, n: int) -> int:
     # support bound (p+1)*(sqrt(N)+1) plus room for the kick range
-    return (p + 1) * (isqrt(n) + 1) + 2 * p + 4
+    return check_columns((p + 1) * (isqrt(n) + 1) + 2 * p + 4)
 
 
 @dataclass(frozen=True)

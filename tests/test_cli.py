@@ -3,12 +3,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import GOLDEN_P2_N24_SHOT, GOLDEN_P2_N24_SLOPES
 import kspm
-from kspm import cli
+from kspm import cli, spectral
+from kspm.errors import RecurrenceMismatch
 from kspm.stabilizer import leftmost_avalanche, stabilize
 
 
@@ -220,6 +222,22 @@ def test_verify_reports_first_violation(monkeypatch, capsys):
     assert "middle" in err
 
 
+def test_verify_reports_a_failed_replay_as_a_violation(monkeypatch, capsys):
+    def broken_replay(*args, **kwargs):
+        raise RecurrenceMismatch("centered recurrence mismatch at column 3")
+
+    monkeypatch.setattr(spectral, "z_trajectory", broken_replay)
+    rc, out, err = run_cli(capsys, "verify", "--p", "3", "--n", "200")
+    assert rc == 5
+    assert "centered_recurrence" in err
+    check = json.loads(out)["result"]["checks"][-1]
+    assert check == {
+        "name": "centered_recurrence",
+        "ok": False,
+        "detail": "centered recurrence mismatch at column 3",
+    }
+
+
 # --------------------------------------------------------- usage and limits
 
 
@@ -245,10 +263,24 @@ def test_usage_errors_exit_2(argv, capsys):
     capsys.readouterr()
 
 
+def test_bad_kspm_threads_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("KSPM_THREADS", "four")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--p", "2", "--n-max", "10"])
+    assert exc.value.code == 2
+    assert "KSPM_THREADS" in capsys.readouterr().err
+
+
 def test_capacity_limit_exit_3(capsys):
     rc, _, err = run_cli(capsys, "stabilize", "--p", "2", "--n", str(2**62 + 1))
     assert rc == 3
     assert "resource limit" in err
+
+
+def test_huge_p_is_refused_with_exit_3(capsys):
+    rc, out, err = run_cli(capsys, "stabilize", "--p", "1000000000", "--n", "5")
+    assert rc == 3 and out == ""
+    assert "columns exceed" in err
 
 
 def test_version_flag(capsys):
@@ -259,11 +291,13 @@ def test_version_flag(capsys):
 
 
 def test_module_entrypoint_smoke():
+    # run from the directory holding the imported package, so ``-m`` finds it
     proc = subprocess.run(
         [sys.executable, "-m", "kspm", "stabilize", "--p", "2", "--n", "24"],
         capture_output=True,
         text=True,
         timeout=60,
+        cwd=Path(kspm.__file__).parents[1],
     )
     assert proc.returncode == 0
     assert tuple(json.loads(proc.stdout)["result"]["slopes"]) == GOLDEN_P2_N24_SLOPES

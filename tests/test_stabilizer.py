@@ -223,6 +223,12 @@ def test_stabilize_argument_validation():
         stabilize(2, 2**62 + 1)
 
 
+@pytest.mark.parametrize("strategy", ["leftmost", "random", "incremental"])
+def test_huge_p_is_refused_before_allocating(strategy):
+    with pytest.raises(CapacityError, match="columns exceed"):
+        stabilize(10**9, 5, strategy)
+
+
 def test_trace_leftmost_counts_firings():
     seen = []
     fp = trace_leftmost(2, 24, seen.append)
