@@ -29,12 +29,7 @@ from math import log2, sqrt
 from . import __version__, analyzer, dds, spectral
 from .errors import CapacityError, Divergence, KSPMError, NonIntegral, RecurrenceMismatch
 from .model import grain_count, heights_from_slopes
-from .stabilizer import (
-    IncrementalStabilizer,
-    holes,
-    leftmost_avalanche,
-    stabilize,
-)
+from .stabilizer import IncrementalStabilizer, check_columns, holes, stabilize
 
 def _meta(command: str, config: dict) -> dict:
     return {"tool": "kspm", "version": __version__, "command": command, "config": config}
@@ -257,6 +252,8 @@ def _spectral_row(p: int, tol: float) -> dict:
 
 
 def cmd_spectral(args) -> int:
+    # every row builds p-by-p matrices; refuse the largest before any row
+    check_columns(args.p_max * args.p_max)
     rows = [_spectral_row(p, args.tol) for p in range(args.p_min, args.p_max + 1)]
     all_ok = all(r["ok"] for r in rows)
     config = {"p_min": args.p_min, "p_max": args.p_max, "tol": args.tol}
@@ -284,8 +281,7 @@ def cmd_spectral(args) -> int:
 def cmd_avalanche(args) -> int:
     inc = IncrementalStabilizer(args.p, expect=args.k)
     inc.advance_to(args.k - 1)
-    prev = inc.snapshot()
-    av = leftmost_avalanche(prev)
+    av = inc.advance(record=True)
     doc = {
         "meta": _meta("avalanche", {"p": args.p, "k": args.k}),
         "result": {
@@ -306,6 +302,8 @@ def cmd_avalanche(args) -> int:
 
 
 def _verification_checks(p: int, n: int, seed: int) -> list[dict]:
+    # the centered recurrence needs a p-by-p matrix; refuse it before any engine runs
+    check_columns(p * p)
     checks: list[dict] = []
 
     def add(name: str, ok: bool, detail: str = "") -> None:

@@ -29,6 +29,7 @@ import numpy as np
 from . import dds
 from .errors import NoConvergence, RecurrenceMismatch
 from .model import check_grains, check_p
+from .stabilizer import check_columns
 
 
 class RationalPolynomial:
@@ -325,10 +326,11 @@ def _centered_scaled(p: int) -> tuple[list[list[int]], list[int]]:
     """``p**2`` times the centered contraction, and ``p`` times its kick.
 
     Centering subtracts each column's mean: ``([j >= 1] + 1/p) / p`` from
-    the averaging matrix and ``1/p`` from the averaging kick.
+    the averaging matrix and ``1/p`` from the averaging kick.  Refuses,
+    before building it, a matrix of more than ``MAX_COLUMNS`` entries.
     """
     check_p(p)
-    pp = p * p
+    pp = check_columns(p * p)
     matrix = [
         [(pp * (j == i + 1) if i < p - 1 else p) - p * (j >= 1) - 1 for j in range(p)]
         for i in range(p)
@@ -381,9 +383,11 @@ def roots_R(p: int) -> RootSet:
     """Roots of :func:`poly_R`, all of modulus at most ``(p-1)/p``.
 
     Found as companion-matrix eigenvalues by ``numpy.roots``; the
-    residuals and the separation are the caller's acceptance gate.
+    residuals and the separation are the caller's acceptance gate.  A
+    companion matrix of more than ``MAX_COLUMNS`` entries is refused.
     """
     check_p(p)
+    check_columns(p * p)
     poly = poly_R(p)
     return _root_quality(
         poly, [complex(z) for z in np.roots(poly.float_coeffs_desc())]

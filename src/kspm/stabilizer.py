@@ -2,8 +2,9 @@
 
 Three ways to reach the unique fixed point of ``N`` grains:
 
-* ``leftmost`` -- always fire the smallest fireable column (a heap-backed
-  worklist; stale entries are skipped on pop).
+* ``leftmost`` -- always fire the smallest fireable column, found by a
+  pointer that walks left only onto a column the last firing pushed
+  over the threshold.
 * ``random`` -- fire a uniformly random fireable column, driven by a
   seeded Mersenne Twister so runs are reproducible.
 * ``incremental`` -- add one grain at a time and settle the resulting
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from math import isqrt
 
 from .errors import CapacityError
@@ -105,54 +105,58 @@ def holes(fired) -> tuple[int, ...]:
     return tuple(sorted(i - 1 for i in s if i > 0 and i - 1 not in s))
 
 
-def _drain(p, slopes, shot, heap, order=None, on_fire=None):
-    """Settle every entry in ``heap`` with the leftmost rule.
+def _settle(p, slopes, shot, on_fire=None):
+    """Fire the leftmost fireable column until every column is stable.
+
+    Only column 0 may start above ``p``.  Every column left of the
+    pointer ``i`` is stable, so after a firing at ``i`` only ``i - 1`` can
+    become the leftmost fireable column: the walk steps there when it
+    crosses ``p``, fires ``i`` again while it can, and otherwise steps
+    right.  ``top`` is the rightmost column a kick pushed over ``p``, so
+    the walk ends once ``i`` passes it, after O(firings + width) steps.
 
     ``slopes``/``shot`` are plain lists, mutated in place and grown when a
-    kick would land past the end.  ``order`` collects fired columns when
-    given; ``on_fire`` is called after each firing with the fired column.
+    kick would land past the end; ``on_fire(i)`` is called after each
+    firing with the fired column.
     """
     pp1 = p + 1
     size = len(slopes)
-    while heap:
-        i = heappop(heap)
-        if slopes[i] <= p:
+    i = top = 0
+    while i <= top:
+        v = slopes[i]
+        if v <= p:
+            i += 1
             continue
         k = i + p
-        if k + 1 >= size:
-            grow = k + 2 - size + 64
+        if k >= size:
+            grow = k + 1 - size + 64
             slopes.extend([0] * grow)
             shot.extend([0] * grow)
-            size = len(slopes)
-        v0 = slopes[i] - pp1
-        slopes[i] = v0
+            size += grow
+        slopes[i] = v - pp1
         shot[i] += 1
-        if order is not None:
-            order.append(i)
+        left = 0
         if i:
-            j = i - 1
-            v = slopes[j] + p
-            slopes[j] = v
-            if v > p:
-                heappush(heap, j)
+            left = slopes[i - 1] + p
+            slopes[i - 1] = left
         v = slopes[k] + 1
         slopes[k] = v
-        if v > p:
-            heappush(heap, k)
-        if v0 > p:
-            heappush(heap, i)
+        if v == pp1 and k > top:
+            top = k
         if on_fire is not None:
             on_fire(i)
+        if left > p:
+            i -= 1
 
 
-def _run_leftmost(p: int, n: int, on_fire=None):
-    cap = _capacity(p, n)
-    slopes = [0] * cap
-    shot = [0] * cap
-    slopes[0] = n
-    if n > p:
-        _drain(p, slopes, shot, [0], on_fire=on_fire)
-    return slopes, shot
+def _fixed_point(p: int, n: int, slopes, shot, strategy: str) -> FixedPoint:
+    return FixedPoint(
+        p=p,
+        n_grains=n,
+        slopes=SlopeConfig(trimmed(slopes)),
+        shot=trimmed(shot),
+        strategy=strategy,
+    )
 
 
 def _run_random(p: int, n: int, seed: int):
@@ -226,7 +230,7 @@ class IncrementalStabilizer:
         slopes[0] += 1
         order = [] if (record or self.track_density) else None
         if slopes[0] > p:
-            _drain(p, slopes, self._shot, [0], order=order)
+            _settle(p, slopes, self._shot, None if order is None else order.append)
         if order is not None and self.track_density:
             d = density_column(order)
             if d > self.density_max:
@@ -241,13 +245,7 @@ class IncrementalStabilizer:
             self.advance()
 
     def snapshot(self, strategy: str = "incremental") -> FixedPoint:
-        return FixedPoint(
-            p=self.p,
-            n_grains=self.grains,
-            slopes=SlopeConfig(trimmed(self._slopes)),
-            shot=trimmed(self._shot),
-            strategy=strategy,
-        )
+        return _fixed_point(self.p, self.grains, self._slopes, self._shot, strategy)
 
     @property
     def support(self) -> int:
@@ -264,24 +262,15 @@ def stabilize(p: int, n: int, strategy: str = "leftmost", seed: int = 0) -> Fixe
     check_p(p)
     check_grains(n)
     if strategy == "leftmost":
-        slopes, shot = _run_leftmost(p, n)
-        label = "leftmost"
-    elif strategy == "random":
+        return trace_leftmost(p, n)
+    if strategy == "random":
         slopes, shot = _run_random(p, n, seed)
-        label = f"random(mt19937:{seed})"
-    elif strategy == "incremental":
+        return _fixed_point(p, n, slopes, shot, f"random(mt19937:{seed})")
+    if strategy == "incremental":
         inc = IncrementalStabilizer(p, expect=n)
         inc.advance_to(n)
         return inc.snapshot()
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return FixedPoint(
-        p=p,
-        n_grains=n,
-        slopes=SlopeConfig(trimmed(slopes)),
-        shot=trimmed(shot),
-        strategy=label,
-    )
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def stabilize_incremental(p: int, n: int) -> tuple[FixedPoint, list[Avalanche]]:
@@ -302,11 +291,9 @@ def leftmost_avalanche(prev: FixedPoint) -> Avalanche:
     p = prev.p
     cap = _capacity(p, prev.n_grains + 1)
     slopes = list(prev.slopes.slopes) + [0] * (cap - prev.slopes.support)
-    shot = [0] * len(slopes)
     slopes[0] += 1
     order: list[int] = []
-    if slopes[0] > p:
-        _drain(p, slopes, shot, [0], order=order)
+    _settle(p, slopes, [0] * len(slopes), order.append)
     return Avalanche.from_order(prev.n_grains + 1, order)
 
 
@@ -319,15 +306,13 @@ def global_density_column(p: int, n: int) -> int:
     return inc.density_max
 
 
-def trace_leftmost(p: int, n: int, on_fire) -> FixedPoint:
-    """Leftmost stabilization calling ``on_fire(i)`` after every firing."""
+def trace_leftmost(p: int, n: int, on_fire=None) -> FixedPoint:
+    """Leftmost stabilization calling ``on_fire(i)``, if given, after each firing."""
     check_p(p)
     check_grains(n)
-    slopes, shot = _run_leftmost(p, n, on_fire=on_fire)
-    return FixedPoint(
-        p=p,
-        n_grains=n,
-        slopes=SlopeConfig(trimmed(slopes)),
-        shot=trimmed(shot),
-        strategy="leftmost",
-    )
+    cap = _capacity(p, n)
+    slopes = [0] * cap
+    slopes[0] = n
+    shot = [0] * cap
+    _settle(p, slopes, shot, on_fire)
+    return _fixed_point(p, n, slopes, shot, "leftmost")

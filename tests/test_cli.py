@@ -283,6 +283,22 @@ def test_huge_p_is_refused_with_exit_3(capsys):
     assert "columns exceed" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--p", "100000", "--n", "5"),
+        ("verify", "--p", "4097", "--n", "5"),
+        ("spectral", "--p-min", "100000", "--p-max", "100000"),
+        ("spectral", "--p-min", "2", "--p-max", "4097"),
+    ],
+)
+def test_spectral_side_refuses_huge_p_with_exit_3(capsys, argv):
+    # refused up front: no engine run, no spectral row, no p-by-p matrix
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 3 and out == ""
+    assert "columns exceed" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from kspm import spectral
-from kspm.errors import NoConvergence, NonIntegral, RecurrenceMismatch
+from kspm.errors import CapacityError, NoConvergence, NonIntegral, RecurrenceMismatch
 from kspm.spectral import ExactMatrix, RationalPolynomial
 from kspm.stabilizer import stabilize
 
@@ -248,6 +248,16 @@ def test_eigvals_of_centered_matrix(p):
     want = [0j] + list(spectral.roots_R(p).roots)
     assert spectral.pair_distance(eig.roots, want) < 1e-8
     assert max(eig.residuals) < 1e-6
+
+
+@pytest.mark.parametrize("p", [4097, 100000])
+@pytest.mark.parametrize(
+    "build", [spectral._centered_scaled, spectral.centered_matrix, spectral.roots_R]
+)
+def test_huge_p_matrices_are_refused_before_allocating(build, p):
+    # p * p entries past MAX_COLUMNS = 4096**2 must not reach a list or numpy
+    with pytest.raises(CapacityError, match="columns exceed"):
+        build(p)
 
 
 def test_pair_distance_greedy():

@@ -1,7 +1,7 @@
 """Stabilization engines against slow model-level oracles."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -24,15 +24,20 @@ from kspm.stabilizer import (
 
 
 def naive_leftmost(p, n):
-    """Reference stabilizer built only on the value-semantic fire op."""
+    """Reference stabilizer built only on the value-semantic fire op.
+
+    Returns the fixed point, the shot vector and the firing order.
+    """
     c = SlopeConfig((n,)) if n else SlopeConfig(())
     shot = {}
+    order = []
     while not is_stable(p, c):
         i = min(j for j in range(c.support) if fireable(p, c, j))
         shot[i] = shot.get(i, 0) + 1
+        order.append(i)
         c = fire(p, c, i)
     width = max(shot) + 1 if shot else 0
-    return c, tuple(shot.get(i, 0) for i in range(width))
+    return c, tuple(shot.get(i, 0) for i in range(width)), order
 
 
 def test_golden_small():
@@ -51,9 +56,12 @@ def test_golden_large():
 def test_engine_matches_naive_oracle(p):
     for n in range(0, 41):
         fp = stabilize(p, n)
-        slopes, shot = naive_leftmost(p, n)
+        slopes, shot, want_order = naive_leftmost(p, n)
         assert fp.slopes == slopes, (p, n)
         assert fp.shot == shot, (p, n)
+        order = []
+        assert trace_leftmost(p, n, order.append) == fp
+        assert order == want_order, (p, n)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -83,6 +91,25 @@ def test_random_strategy_reaches_same_fixed_point(p, seed):
         assert a.slopes == b.slopes
         assert a.shot == b.shot
         assert b.strategy == f"random(mt19937:{seed})"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=0, max_value=2**32),
+)
+@example(1, 0, 0)
+@example(1, 1, 3)
+@example(1, 400, 5)
+@example(6, 6, 7)
+def test_three_strategies_agree(p, n, seed):
+    """Leftmost, incremental and random reach one fixed point and odometer."""
+    a = stabilize(p, n, "leftmost")
+    b = stabilize(p, n, "incremental")
+    c = stabilize(p, n, "random", seed=seed)
+    assert a.slopes == b.slopes == c.slopes
+    assert a.shot == b.shot == c.shot
 
 
 def test_random_strategy_is_reproducible():
