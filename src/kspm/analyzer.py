@@ -12,7 +12,6 @@ it into scan rows with logarithmic fits.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from math import inf, isqrt, log2, sqrt
 
@@ -54,7 +53,6 @@ class WaveDecomposition:
     blocks: tuple[str, ...]
     zero_positions: tuple[int, ...]
     interior_zero_count: int
-    accepted: bool
 
 
 def parse_waves(p, slopes, grammar: str = "strict") -> WaveDecomposition:
@@ -112,7 +110,6 @@ def parse_waves(p, slopes, grammar: str = "strict") -> WaveDecomposition:
         blocks=tuple(blocks),
         zero_positions=tuple(zpos),
         interior_zero_count=len(zpos),
-        accepted=True,
     )
 
 
@@ -346,14 +343,14 @@ def scan_rows(
     n_values,
     incremental: bool = True,
     timing: bool = False,
-    threads: int = 1,
 ) -> list[ScanRow]:
     """Stabilize at each sampled grain count and summarize the result.
 
-    Incremental scans share one growing pile across samples and track
-    avalanche density columns on the way.  Direct scans stabilize each
-    sample from scratch and may spread the work over ``threads``
-    processes; rows come back in sample order either way.
+    Both modes share one growing pile across samples; rows come back in
+    sample order.  Incremental scans replay every avalanche and track
+    density columns on the way.  Direct scans settle each sample's new
+    grains at once, which firing's abelian property makes the same fixed
+    point, and leave ``density_column`` as ``None``.
     """
     check_p(p)
     targets = sorted(set(n_values))
@@ -361,56 +358,21 @@ def scan_rows(
         raise ValueError("no grain counts to scan")
     for n in targets:
         check_grains(n)
+    inc = IncrementalStabilizer(p, expect=targets[-1], track_density=incremental)
     rows: list[ScanRow] = []
-    if incremental:
-        inc = IncrementalStabilizer(p, expect=targets[-1], track_density=True)
-        for n in targets:
-            t0 = time.perf_counter() if timing else 0.0
+    for n in targets:
+        t0 = time.perf_counter() if timing else 0.0
+        if incremental:
             inc.advance_to(n)
-            fp = inc.snapshot()
-            row = _row_from_fixed_point(
-                fp,
-                inc.density_max,
-                int((time.perf_counter() - t0) * 1e6) if timing else 0,
-            )
-            rows.append(row)
-        return rows
-    if threads > 1:
-        rows = _scan_direct_parallel(p, targets, timing, threads)
-    else:
-        rows = [_direct_row(p, n, timing) for n in targets]
-    return rows
-
-
-def _direct_row(p: int, n: int, timing: bool) -> ScanRow:
-    from .stabilizer import stabilize
-
-    t0 = time.perf_counter() if timing else 0.0
-    fp = stabilize(p, n)
-    return _row_from_fixed_point(
-        fp, None, int((time.perf_counter() - t0) * 1e6) if timing else 0
-    )
-
-
-def _direct_row_args(args) -> ScanRow:
-    return _direct_row(*args)
-
-
-def _scan_direct_parallel(p, targets, timing, threads) -> list[ScanRow]:
-    import multiprocessing as mp
-
-    try:
-        ctx = mp.get_context("fork")
-        with ctx.Pool(threads) as pool:
-            return pool.map(_direct_row_args, [(p, n, timing) for n in targets])
-    except (OSError, ValueError) as exc:
-        # some sandboxes forbid subprocess semaphores
-        warnings.warn(
-            f"parallel scan unavailable ({exc!r}); running serially",
-            RuntimeWarning,
-            stacklevel=2,
+        else:
+            inc.jump_to(n)
+        row = _row_from_fixed_point(
+            inc.snapshot(),
+            inc.density_max if incremental else None,
+            int((time.perf_counter() - t0) * 1e6) if timing else 0,
         )
-        return [_direct_row(p, n, timing) for n in targets]
+        rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,7 @@ Exit codes: 0 success, 2 bad arguments, 3 resource or overflow limits,
 
 Output is JSON (default) or CSV, written to stdout or ``--output``.
 Documents are byte-stable across runs: timing fields are zero unless
-``--timing`` is given.  ``KSPM_THREADS`` sets the default worker count
-for direct-mode scans.
+``--timing`` is given.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from contextlib import contextmanager
 from math import log2, sqrt
@@ -144,15 +142,11 @@ def _fit_dict(rows, field: str):
 
 
 def cmd_scan(args) -> int:
-    targets = list(range(args.stride, args.n_max + 1, args.stride))
-    if not targets:
-        raise _UsageError("stride produced no sample points")
     rows = analyzer.scan_rows(
         args.p,
-        targets,
+        range(args.stride, args.n_max + 1, args.stride),
         incremental=(args.mode == "incremental"),
         timing=args.timing,
-        threads=args.threads,
     )
     fits = {
         "n_strict": _fit_dict(rows, "n_strict"),
@@ -165,7 +159,6 @@ def cmd_scan(args) -> int:
         "n_max": args.n_max,
         "stride": args.stride,
         "mode": args.mode,
-        "threads": args.threads,
         "timing": args.timing,
     }
     if args.emit_plot_data:
@@ -280,7 +273,7 @@ def cmd_spectral(args) -> int:
 
 def cmd_avalanche(args) -> int:
     inc = IncrementalStabilizer(args.p, expect=args.k)
-    inc.advance_to(args.k - 1)
+    inc.jump_to(args.k - 1)
     av = inc.advance(record=True)
     doc = {
         "meta": _meta("avalanche", {"p": args.p, "k": args.k}),
@@ -402,10 +395,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-class _UsageError(Exception):
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kspm",
@@ -441,13 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("incremental", "direct"),
         default="incremental",
-        help="shared growing pile vs fresh stabilization per sample",
-    )
-    sp.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker processes for direct mode (default: KSPM_THREADS or 1)",
+        help="replay every avalanche (density columns) vs settle each sample's "
+        "new grains at once",
     )
     sp.add_argument(
         "--timing",
@@ -502,17 +486,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         parser.error("--p-max must be at least --p-min")
     if getattr(args, "tol", 1.0) <= 0:
         parser.error("--tol must be positive")
-    if args.command == "scan":
-        if args.threads is None:
-            env = os.environ.get("KSPM_THREADS", "1")
-            try:
-                args.threads = int(env)
-            except ValueError:
-                parser.error(f"KSPM_THREADS must be an integer, got {env!r}")
-        if args.threads < 1:
-            parser.error("--threads must be at least 1")
-        if args.stride > args.n_max:
-            parser.error("--stride exceeds --n-max; no sample points")
+    if args.command == "scan" and args.stride > args.n_max:
+        parser.error("--stride exceeds --n-max; no sample points")
 
 
 def main(argv=None) -> int:
@@ -521,8 +496,6 @@ def main(argv=None) -> int:
     _validate(parser, args)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        parser.error(str(exc))
     except (CapacityError, OverflowError, MemoryError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3

@@ -27,6 +27,8 @@ from .model import MAX_GRAINS, SlopeConfig, check_grains, check_p, trimmed
 
 #: Most columns any engine or audit allocates up front.
 MAX_COLUMNS = 2**24
+#: Most firings any run may need, by the work bound in ``_capacity``.
+MAX_FIRINGS = 2**40
 
 
 def check_columns(count: int) -> int:
@@ -37,8 +39,21 @@ def check_columns(count: int) -> int:
 
 
 def _capacity(p: int, n: int) -> int:
-    # support bound (p+1)*(sqrt(N)+1) plus room for the kick range
-    return check_columns((p + 1) * (isqrt(n) + 1) + 2 * p + 4)
+    """Columns to allocate for ``n`` grains; refuse runs past either limit.
+
+    The support is at most ``(p+1)*(isqrt(n)+1) + p + 1`` columns.  Each
+    firing moves ``p`` grains right by ``1..p`` columns, so ``p(p+1)``
+    times the firings is twice the grains' first moment, at most ``n``
+    times the last column.
+    """
+    root = (p + 1) * (isqrt(n) + 1)
+    columns = check_columns(root + 2 * p + 4)
+    bound = 2 * n * (root + p) // (p * (p + 1))
+    if bound > MAX_FIRINGS:
+        raise CapacityError(
+            f"{n} grains may need {bound} firings, over the {MAX_FIRINGS}-firing limit"
+        )
+    return columns
 
 
 @dataclass(frozen=True)
@@ -202,7 +217,7 @@ def _run_random(p: int, n: int, seed: int):
 
 
 class IncrementalStabilizer:
-    """Grain-by-grain stabilization sharing state across avalanches.
+    """Stabilization of a growing pile, grain by grain or many at once.
 
     The running configuration is always the fixed point of the grains
     added so far, so the cumulative work over all avalanches equals one
@@ -241,8 +256,24 @@ class IncrementalStabilizer:
 
     def advance_to(self, target: int) -> None:
         check_grains(target)
+        _capacity(self.p, target)
         while self.grains < target:
             self.advance()
+
+    def jump_to(self, target: int) -> None:
+        """Add all ``target - grains`` grains to column 0 at once and settle them.
+
+        Firing is abelian, so this reaches the same fixed point and shot
+        vector as :meth:`advance_to` without replaying each avalanche.
+        """
+        if self.track_density:
+            raise ValueError("jump_to skips the avalanches density tracking needs")
+        check_grains(target)
+        _capacity(self.p, target)
+        if target > self.grains:
+            self._slopes[0] += target - self.grains
+            self.grains = target
+            _settle(self.p, self._slopes, self._shot)
 
     def snapshot(self, strategy: str = "incremental") -> FixedPoint:
         return _fixed_point(self.p, self.grains, self._slopes, self._shot, strategy)

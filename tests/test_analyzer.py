@@ -1,6 +1,7 @@
 """Wave grammar, support bounds, plateaus, zero movement, scans and fits."""
 
-import multiprocessing
+import dataclasses
+import itertools
 import re
 
 import pytest
@@ -17,7 +18,13 @@ from conftest import (
 from kspm import analyzer
 from kspm.errors import CapacityError, InsufficientData
 from kspm.analyzer import ScanRow
-from kspm.stabilizer import IncrementalStabilizer, leftmost_avalanche, stabilize, trace_leftmost
+from kspm.stabilizer import (
+    IncrementalStabilizer,
+    leftmost_avalanche,
+    stabilize,
+    stabilize_incremental,
+    trace_leftmost,
+)
 
 
 def regex_oracle(p, slopes, grammar):
@@ -249,44 +256,28 @@ def test_climbing_zero_not_applicable_for_short_avalanche():
 # ------------------------------------------------------------------- scans
 
 
-def test_scan_rows_incremental_matches_direct():
-    targets = list(range(10, 400, 37))
-    inc = analyzer.scan_rows(3, targets, incremental=True)
-    direct = analyzer.scan_rows(3, targets, incremental=False)
-    assert [r.n_grains for r in inc] == sorted(targets)
-    for a, b in zip(inc, direct):
-        assert (a.n_grains, a.width, a.n_strict, a.n_loose) == (
-            b.n_grains,
-            b.width,
-            b.n_strict,
-            b.n_loose,
-        )
-        assert (a.uniform_index, a.interior_zeros, a.ambiguous_count) == (
-            b.uniform_index,
-            b.interior_zeros,
-            b.ambiguous_count,
-        )
-        assert a.density_column is not None
-        assert b.density_column is None  # direct scans do not replay avalanches
+def from_scratch_rows(p, targets):
+    """Oracle rows: each sample stabilized on its own, density replayed once."""
+    _, avalanches = stabilize_incremental(p, max(targets))
+    running = list(itertools.accumulate((a.density_column for a in avalanches), max))
+    return [
+        analyzer._row_from_fixed_point(stabilize(p, n), running[n - 1], 0)
+        for n in targets
+    ]
 
 
-def test_scan_rows_parallel_determinism():
-    targets = [50, 100, 150, 200]
-    one = analyzer.scan_rows(2, targets, incremental=False, threads=1)
-    two = analyzer.scan_rows(2, targets, incremental=False, threads=2)
-    assert one == two
-
-
-def test_scan_rows_parallel_fallback_warns(monkeypatch):
-    def no_processes(method=None):
-        raise OSError("no semaphores here")
-
-    targets = [50, 100, 150, 200]
-    serial = analyzer.scan_rows(2, targets, incremental=False, threads=1)
-    monkeypatch.setattr(multiprocessing, "get_context", no_processes)
-    with pytest.warns(RuntimeWarning, match="no semaphores here"):
-        rows = analyzer.scan_rows(2, targets, incremental=False, threads=2)
-    assert rows == serial
+@pytest.mark.parametrize("p", range(1, 7))
+@pytest.mark.parametrize(
+    "targets",
+    [range(1, 151), range(7, 701, 7), range(37, 1500, 37), [523]],
+    ids=["stride1", "stride7", "stride37", "one-sample"],
+)
+def test_scan_rows_both_modes_match_from_scratch(p, targets):
+    want = from_scratch_rows(p, targets)
+    assert analyzer.scan_rows(p, targets, incremental=True) == want
+    # direct scans do not replay avalanches, so they have no density column
+    direct = analyzer.scan_rows(p, targets, incremental=False)
+    assert direct == [dataclasses.replace(r, density_column=None) for r in want]
 
 
 def test_scan_rows_rejects_empty():

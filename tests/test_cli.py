@@ -248,7 +248,7 @@ def test_verify_reports_a_failed_replay_as_a_violation(monkeypatch, capsys):
         ["stabilize", "--p", "2", "--n", "-1"],
         ["scan", "--p", "2", "--n-max", "10", "--stride", "11"],
         ["scan", "--p", "2", "--n-max", "0"],
-        ["scan", "--p", "2", "--n-max", "10", "--threads", "0"],
+        ["scan", "--p", "2", "--n-max", "10", "--threads", "2"],
         ["spectral", "--p-max", "1", "--p-min", "2"],
         ["spectral", "--p-max", "4", "--tol", "0"],
         ["avalanche", "--p", "2", "--k", "0"],
@@ -263,18 +263,17 @@ def test_usage_errors_exit_2(argv, capsys):
     capsys.readouterr()
 
 
-def test_bad_kspm_threads_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("KSPM_THREADS", "four")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["scan", "--p", "2", "--n-max", "10"])
-    assert exc.value.code == 2
-    assert "KSPM_THREADS" in capsys.readouterr().err
-
-
 def test_capacity_limit_exit_3(capsys):
     rc, _, err = run_cli(capsys, "stabilize", "--p", "2", "--n", str(2**62 + 1))
     assert rc == 3
     assert "resource limit" in err
+
+
+def test_huge_avalanche_index_is_refused_with_exit_3(capsys):
+    # about 1e18 firings: refused before any allocation or settling
+    rc, out, err = run_cli(capsys, "avalanche", "--p", "2", "--k", str(10**12))
+    assert rc == 3 and out == ""
+    assert "firing limit" in err
 
 
 def test_huge_p_is_refused_with_exit_3(capsys):

@@ -1,5 +1,7 @@
 """Stabilization engines against slow model-level oracles."""
 
+from math import isqrt
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,8 +12,17 @@ from conftest import (
     GOLDEN_P4_N2000_SLOPES,
 )
 from kspm.errors import CapacityError
-from kspm.model import SlopeConfig, fire, fireable, grain_count, is_stable
+from kspm.model import (
+    MAX_GRAINS,
+    SlopeConfig,
+    fire,
+    fireable,
+    grain_count,
+    heights_from_slopes,
+    is_stable,
+)
 from kspm.stabilizer import (
+    MAX_FIRINGS,
     IncrementalStabilizer,
     density_column,
     global_density_column,
@@ -216,6 +227,25 @@ def test_track_density_flag():
     assert inc.density_max == max(a.density_column for a in avs)
 
 
+@pytest.mark.parametrize("p", range(1, 7))
+def test_jump_to_matches_advance_to(p):
+    jumped = IncrementalStabilizer(p)
+    stepped = IncrementalStabilizer(p)
+    for n in (0, 5, 5, 37, 38, 200, 999, 3, 1500):
+        jumped.jump_to(n)
+        stepped.advance_to(n)
+        a, b = jumped.snapshot(), stepped.snapshot()
+        assert (a.n_grains, a.slopes, a.shot) == (b.n_grains, b.slopes, b.shot)
+    assert a.n_grains == 1500  # a smaller target leaves the pile alone
+
+
+def test_jump_to_refuses_density_tracking():
+    inc = IncrementalStabilizer(2, expect=50, track_density=True)
+    with pytest.raises(ValueError, match="density"):
+        inc.jump_to(50)
+    assert inc.grains == 0
+
+
 @pytest.mark.parametrize("p,n", [(1, 77), (2, 24), (3, 260), (5, 1001)])
 def test_shot_balance_at_every_column(p, n):
     """Slopes must satisfy the mass balance against the shot vector,
@@ -254,6 +284,40 @@ def test_stabilize_argument_validation():
 def test_huge_p_is_refused_before_allocating(strategy):
     with pytest.raises(CapacityError, match="columns exceed"):
         stabilize(10**9, 5, strategy)
+
+
+def firing_bound(p, n):
+    return 2 * n * ((p + 1) * (isqrt(n) + 1) + p) // (p * (p + 1))
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+@pytest.mark.parametrize("n", [0, 1, 57, 1499, 10**4])
+def test_firings_move_the_first_moment(p, n):
+    """Each firing moves p grains right by 1..p columns, which bounds the work."""
+    fp = stabilize(p, n)
+    moment = sum(j * h for j, h in enumerate(heights_from_slopes(fp.slopes).heights))
+    assert p * (p + 1) * sum(fp.shot) == 2 * moment
+    assert sum(fp.shot) <= firing_bound(p, n)
+
+
+@pytest.mark.parametrize("p", [1, 2, 7])
+def test_firing_limit_is_checked_before_settling(p):
+    lo, hi = 0, MAX_GRAINS
+    while lo < hi:  # largest n whose firing bound fits the limit
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if firing_bound(p, mid) <= MAX_FIRINGS else (lo, mid - 1)
+    n = lo
+    inc = IncrementalStabilizer(p, expect=n)  # allowed: allocates, settles nothing
+    for refused in (
+        lambda: IncrementalStabilizer(p, expect=n + 1),
+        lambda: inc.jump_to(n + 1),
+        lambda: inc.advance_to(n + 1),
+        lambda: stabilize(p, n + 1, "leftmost"),
+        lambda: stabilize(p, n + 1, "random"),
+    ):
+        with pytest.raises(CapacityError, match="firing limit"):
+            refused()
+    assert inc.grains == 0 and inc.support == 0
 
 
 def test_trace_leftmost_counts_firings():
