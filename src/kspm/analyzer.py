@@ -23,6 +23,7 @@ from .stabilizer import (
     FixedPoint,
     IncrementalStabilizer,
     check_columns,
+    check_work,
     trace_leftmost,
 )
 
@@ -193,6 +194,7 @@ def check_plateaus_along_leftmost(p: int, n: int) -> PlateauTrajectoryReport:
     """
     check_p(p)
     check_grains(n)
+    check_work(p, n)
     heights = [0] * check_columns((p + 1) * (isqrt(n) + 2) + 4 * p + 8)
     heights[0] = n
     bound = p + 1

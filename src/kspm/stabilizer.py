@@ -1,7 +1,10 @@
 """Stabilization engines and avalanche bookkeeping.
 
-Three ways to reach the unique fixed point of ``N`` grains:
+Four ways to reach the unique fixed point of ``N`` grains:
 
+* ``batch`` -- the default: fire every column ``slope // (p+1)`` times
+  at once, in whole-array numpy sweeps over the columns that can still
+  be unstable.  It takes one step per sweep instead of one per firing.
 * ``leftmost`` -- always fire the smallest fireable column, found by a
   pointer that walks left only onto a column the last firing pushed
   over the threshold.
@@ -13,6 +16,8 @@ Three ways to reach the unique fixed point of ``N`` grains:
 All engines record the shot vector (number of firings per column).  The
 fixed point itself does not depend on the strategy; the firing order
 does, and is kept only for avalanches where it is cheap and useful.
+The leftmost walk stays wherever the order is the output or a grown
+pile takes a small jump, where a sweep over the whole pile costs more.
 """
 
 from __future__ import annotations
@@ -38,22 +43,37 @@ def check_columns(count: int) -> int:
     return count
 
 
-def _capacity(p: int, n: int) -> int:
-    """Columns to allocate for ``n`` grains; refuse runs past either limit.
+def check_work(p: int, n: int) -> int:
+    """Refuse, before allocating or settling, runs that may need over ``MAX_FIRINGS``.
 
-    The support is at most ``(p+1)*(isqrt(n)+1) + p + 1`` columns.  Each
-    firing moves ``p`` grains right by ``1..p`` columns, so ``p(p+1)``
+    Each firing moves ``p`` grains right by ``1..p`` columns, so ``p(p+1)``
     times the firings is twice the grains' first moment, at most ``n``
-    times the last column.
+    times the last column.  Returns that bound on the firings.
     """
-    root = (p + 1) * (isqrt(n) + 1)
-    columns = check_columns(root + 2 * p + 4)
-    bound = 2 * n * (root + p) // (p * (p + 1))
+    bound = 2 * n * ((p + 1) * (isqrt(n) + 1) + p) // (p * (p + 1))
     if bound > MAX_FIRINGS:
         raise CapacityError(
             f"{n} grains may need {bound} firings, over the {MAX_FIRINGS}-firing limit"
         )
+    return bound
+
+
+def _capacity(p: int, n: int) -> int:
+    """Columns to allocate for ``n`` grains; refuse runs past either limit.
+
+    The support is at most ``(p+1)*(isqrt(n)+1) + p + 1`` columns.
+    """
+    columns = check_columns((p + 1) * (isqrt(n) + 1) + 2 * p + 4)
+    check_work(p, n)
     return columns
+
+
+def _overrun(p: int, n: int, column: int, cap: int) -> RuntimeError:
+    """The error of an engine whose kicks would land past its fixed arrays."""
+    return RuntimeError(
+        f"p={p}, N={n}: a kick would land on column {column}, past the {cap} "
+        "columns allocated by the support bound"
+    )
 
 
 @dataclass(frozen=True)
@@ -174,6 +194,49 @@ def _fixed_point(p: int, n: int, slopes, shot, strategy: str) -> FixedPoint:
     )
 
 
+def _run_batch(p: int, n: int):
+    """Fire every column ``slope // (p+1)`` times per sweep until all are stable.
+
+    A firing never lowers another column's slope, so a sweep is a legal
+    run of firings in any order, and by the least action principle the
+    sweeps end on the same fixed point and shot vector as any other
+    order.  Sweeps work on the prefix ``[0, hi)`` that can hold unstable
+    columns; ``hi`` widens by ``p`` when a kick pushes a column of
+    ``[hi, hi+p)`` over ``p``.
+    """
+    # imported here, not at the top, so that ``import kspm`` does not load numpy
+    import numpy as np
+
+    cap = _capacity(p, n)
+    # slopes stay in [0, n] and shots under the checked bound, so int64 never wraps
+    assert max(n, check_work(p, n)) < 2**63
+    slopes = np.zeros(cap, np.int64)
+    shot = np.zeros(cap, np.int64)
+    fire = np.zeros(cap, np.int64)
+    kick = np.zeros(cap, np.int64)
+    slopes[0] = n
+    pp1 = p + 1
+    hi = 1
+    while True:
+        if hi + p > cap:
+            raise _overrun(p, n, hi + p - 1, cap)
+        # views of the active prefix, rebuilt only when it widens
+        s, f, a = slopes[:hi], fire[:hi], shot[:hi]
+        f_next, back = fire[1:hi], kick[: hi - 1]
+        left, right, edge = slopes[: hi - 1], slopes[p : hi + p], slopes[hi : hi + p]
+        while True:
+            np.divmod(s, pp1, out=(f, s))
+            if not np.count_nonzero(f):
+                return slopes[: hi + p].tolist(), a.tolist()
+            a += f
+            np.multiply(f_next, p, out=back)
+            left += back
+            right += f
+            if edge.max() > p:
+                hi += p
+                break
+
+
 def _run_random(p: int, n: int, seed: int):
     rng = random.Random(seed)
     rnd = rng.random
@@ -208,6 +271,8 @@ def _run_random(p: int, n: int, seed: int):
                 pos[j] = len(fireable)
                 fireable.append(j)
         k = i + p
+        if k >= cap:
+            raise _overrun(p, n, k, cap)
         v = slopes[k] + 1
         slopes[k] = v
         if v > p and pos[k] < 0:
@@ -283,15 +348,18 @@ class IncrementalStabilizer:
         return len(trimmed(self._slopes))
 
 
-def stabilize(p: int, n: int, strategy: str = "leftmost", seed: int = 0) -> FixedPoint:
+def stabilize(p: int, n: int, strategy: str = "batch", seed: int = 0) -> FixedPoint:
     """Stabilize ``n`` grains dropped on column 0 and return the fixed point.
 
-    ``strategy`` is ``"leftmost"``, ``"random"`` or ``"incremental"``; the
-    resulting slopes and shot vector are strategy-independent.  ``seed``
-    only matters for the random strategy.
+    ``strategy`` is ``"batch"``, ``"leftmost"``, ``"random"`` or
+    ``"incremental"``; the resulting slopes and shot vector are
+    strategy-independent.  ``seed`` only matters for the random strategy.
     """
     check_p(p)
     check_grains(n)
+    if strategy == "batch":
+        slopes, shot = _run_batch(p, n)
+        return _fixed_point(p, n, slopes, shot, "batch")
     if strategy == "leftmost":
         return trace_leftmost(p, n)
     if strategy == "random":

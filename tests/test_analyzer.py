@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import re
+import tracemalloc
 
 import pytest
 import sympy
@@ -214,6 +215,18 @@ def test_plateau_bound_holds_on_larger_piles():
 def test_plateau_audit_refuses_huge_p_before_allocating():
     with pytest.raises(CapacityError, match="columns exceed"):
         analyzer.check_plateaus_along_leftmost(10**9, 5)
+
+
+def test_plateau_audit_checks_the_firing_limit_before_allocating():
+    # 3e6 columns would pass the column limit; the firing bound is about 1e18
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="firing limit"):
+            analyzer.check_plateaus_along_leftmost(2, 10**12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------- zero movement

@@ -24,7 +24,7 @@ def run_cli(capsys, *argv):
 
 
 def test_stabilize_json_golden(capsys):
-    rc, out, err = run_cli(capsys, "stabilize", "--p", "2", "--n", "24")
+    rc, out, err = run_cli(capsys, "stabilize", "--p", "2", "--n", "24", "--strategy", "leftmost")
     assert rc == 0 and err == ""
     doc = json.loads(out)
     assert doc["meta"]["command"] == "stabilize"
@@ -40,6 +40,29 @@ def test_stabilize_json_golden(capsys):
     assert res["strategy"] == "leftmost"
 
 
+def test_stabilize_default_strategy_is_batch(capsys):
+    rc, out, _ = run_cli(capsys, "stabilize", "--p", "2", "--n", "24")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["result"]["strategy"] == doc["meta"]["config"]["strategy"] == "batch"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("p,n", [(1, 0), (1, 1), (2, 24), (3, 5000), (7, 40123)])
+def test_stabilize_default_matches_leftmost_but_for_strategy(capsys, p, n, fmt):
+    args = ("stabilize", "--p", str(p), "--n", str(n), "--format", fmt)
+    rc_b, out_b, err_b = run_cli(capsys, *args)
+    rc_l, out_l, err_l = run_cli(capsys, *args, "--strategy", "leftmost")
+    assert (rc_b, err_b) == (rc_l, err_l) == (0, "")
+    # JSON names the strategy in meta.config and in the result, CSV once
+    if fmt == "json":
+        quoted, fields = ('"strategy": "batch"', '"strategy": "leftmost"'), 2
+    else:
+        quoted, fields = ("strategy,batch", "strategy,leftmost"), 1
+    assert out_b.count(quoted[0]) == fields
+    assert out_b.replace(*quoted) == out_l
+
+
 def test_stabilize_output_is_byte_deterministic(capsys):
     a = run_cli(capsys, "stabilize", "--p", "4", "--n", "2000")
     b = run_cli(capsys, "stabilize", "--p", "4", "--n", "2000")
@@ -48,11 +71,12 @@ def test_stabilize_output_is_byte_deterministic(capsys):
 
 def test_stabilize_strategies_agree(capsys):
     docs = []
-    for strat in ("leftmost", "random", "incremental"):
+    for strat in ("leftmost", "random", "incremental", "batch"):
         rc, out, _ = run_cli(capsys, "stabilize", "--p", "3", "--n", "200", "--strategy", strat)
         assert rc == 0
         docs.append(json.loads(out)["result"])
-    assert docs[0]["slopes"] == docs[1]["slopes"] == docs[2]["slopes"]
+    assert docs[0]["slopes"] == docs[1]["slopes"] == docs[2]["slopes"] == docs[3]["slopes"]
+    assert docs[0]["shot"] == docs[1]["shot"] == docs[2]["shot"] == docs[3]["shot"]
     assert docs[1]["strategy"] == "random(mt19937:0)"
 
 

@@ -1,6 +1,9 @@
 """Stabilization engines against slow model-level oracles."""
 
+import subprocess
+import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +14,7 @@ from conftest import (
     GOLDEN_P2_N24_SLOPES,
     GOLDEN_P4_N2000_SLOPES,
 )
+from kspm import stabilizer
 from kspm.errors import CapacityError
 from kspm.model import (
     MAX_GRAINS,
@@ -52,10 +56,16 @@ def naive_leftmost(p, n):
 
 
 def test_golden_small():
-    fp = stabilize(2, 24)
+    fp = stabilize(2, 24, "leftmost")
     assert fp.slopes.slopes == GOLDEN_P2_N24_SLOPES
     assert fp.shot == GOLDEN_P2_N24_SHOT
     assert fp.strategy == "leftmost"
+
+
+def test_default_strategy_is_batch():
+    fp = stabilize(2, 24)
+    assert fp.strategy == "batch"
+    assert (fp.slopes.slopes, fp.shot) == (GOLDEN_P2_N24_SLOPES, GOLDEN_P2_N24_SHOT)
 
 
 def test_golden_large():
@@ -66,12 +76,11 @@ def test_golden_large():
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_engine_matches_naive_oracle(p):
     for n in range(0, 41):
-        fp = stabilize(p, n)
         slopes, shot, want_order = naive_leftmost(p, n)
-        assert fp.slopes == slopes, (p, n)
-        assert fp.shot == shot, (p, n)
         order = []
-        assert trace_leftmost(p, n, order.append) == fp
+        for fp in (stabilize(p, n), trace_leftmost(p, n, order.append)):
+            assert fp.slopes == slopes, (p, n, fp.strategy)
+            assert fp.shot == shot, (p, n, fp.strategy)
         assert order == want_order, (p, n)
 
 
@@ -112,15 +121,20 @@ def test_random_strategy_reaches_same_fixed_point(p, seed):
 )
 @example(1, 0, 0)
 @example(1, 1, 3)
+@example(1, 2, 0)
 @example(1, 400, 5)
+@example(2, 0, 1)
+@example(3, 2, 4)
+@example(4, 5, 2)
 @example(6, 6, 7)
 def test_three_strategies_agree(p, n, seed):
-    """Leftmost, incremental and random reach one fixed point and odometer."""
+    """Batch, leftmost, incremental and random reach one fixed point and odometer."""
     a = stabilize(p, n, "leftmost")
     b = stabilize(p, n, "incremental")
     c = stabilize(p, n, "random", seed=seed)
-    assert a.slopes == b.slopes == c.slopes
-    assert a.shot == b.shot == c.shot
+    d = stabilize(p, n, "batch")
+    assert a.slopes == b.slopes == c.slopes == d.slopes
+    assert a.shot == b.shot == c.shot == d.shot
 
 
 def test_random_strategy_is_reproducible():
@@ -280,7 +294,7 @@ def test_stabilize_argument_validation():
         stabilize(2, 2**62 + 1)
 
 
-@pytest.mark.parametrize("strategy", ["leftmost", "random", "incremental"])
+@pytest.mark.parametrize("strategy", ["batch", "leftmost", "random", "incremental"])
 def test_huge_p_is_refused_before_allocating(strategy):
     with pytest.raises(CapacityError, match="columns exceed"):
         stabilize(10**9, 5, strategy)
@@ -312,12 +326,36 @@ def test_firing_limit_is_checked_before_settling(p):
         lambda: IncrementalStabilizer(p, expect=n + 1),
         lambda: inc.jump_to(n + 1),
         lambda: inc.advance_to(n + 1),
+        lambda: stabilize(p, n + 1, "batch"),
         lambda: stabilize(p, n + 1, "leftmost"),
         lambda: stabilize(p, n + 1, "random"),
     ):
         with pytest.raises(CapacityError, match="firing limit"):
             refused()
     assert inc.grains == 0 and inc.support == 0
+
+
+@pytest.mark.parametrize("strategy", ["batch", "random"])
+def test_engines_refuse_kicks_past_their_arrays(monkeypatch, strategy):
+    # neither engine grows its arrays, so an undersized bound must fail loudly
+    monkeypatch.setattr(stabilizer, "_capacity", lambda p, n: 2 * p + 1)
+    with pytest.raises(RuntimeError, match="past the 5 columns allocated"):
+        stabilize(2, 100, strategy)
+
+
+@pytest.mark.parametrize("module", ["kspm", "kspm.stabilizer"])
+def test_import_does_not_load_numpy(module):
+    # only the batch engine and kspm.spectral need numpy, and load it late
+    code = f"import sys, {module}; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=Path(stabilizer.__file__).parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_trace_leftmost_counts_firings():
