@@ -15,8 +15,7 @@ import time
 from dataclasses import dataclass
 from math import inf, isqrt, log2, sqrt
 
-from . import dds
-from .errors import InsufficientData
+from .errors import InsufficientData, NonIntegral
 from .model import HeightConfig, check_grains, check_p, heights_from_slopes, trimmed
 from .stabilizer import (
     Avalanche,
@@ -321,22 +320,93 @@ class ScanRow:
     elapsed_us: int
 
 
-def _row_from_fixed_point(fp: FixedPoint, density: int | None, elapsed_us: int) -> ScanRow:
-    strict = parse_waves(fp.p, fp.slopes, "strict")
-    loose = parse_waves(fp.p, fp.slopes, "loose")
-    a0 = fp.shot_at(0)
-    rep = dds.trajectory_report(fp.p, fp.slopes, a0, fp.n_grains, check=False)
-    return ScanRow(
-        n_grains=fp.n_grains,
-        p=fp.p,
-        width=fp.slopes.support,
-        n_strict=strict.start,
-        n_loose=loose.start,
-        uniform_index=rep.uniform_index,
-        interior_zeros=strict.interior_zero_count,
-        density_column=density,
-        ambiguous_count=rep.ambiguous_count,
-        elapsed_us=elapsed_us,
+@dataclass(frozen=True)
+class RowStatistics:
+    """Pattern statistics of one fixed point, as a scan row reports them.
+
+    ``n_strict``/``n_loose`` are the :func:`parse_waves` starts and
+    ``zero_positions`` the strict parse's interior zeros.
+    ``uniform_index`` and ``ambiguous_count`` are the fields of the same
+    name in :func:`kspm.dds.trajectory_report`.
+    """
+
+    width: int
+    n_strict: int
+    n_loose: int
+    zero_positions: tuple[int, ...]
+    uniform_index: int
+    ambiguous_count: int
+
+
+def _wave_starts(p: int, seq: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """Strict and loose wave starts of trimmed slopes, and the strict interior zeros.
+
+    Only a 0 or a ``p`` begins a block, so every column from which the
+    tail parses lies on one chain of blocks, walked here back from the
+    support.  Zero blocks only accumulate along it, so the strict start
+    is the last column reached with at most one of them.
+    """
+    wave = tuple(range(p, 0, -1))
+    i = strict = len(seq)
+    zeros: list[int] = []
+    while i:
+        if seq[i - 1] == 0:
+            i -= 1
+            zeros.append(i)
+        elif i >= p and seq[i - p : i] == wave:
+            i -= p
+        else:
+            break
+        if len(zeros) <= 1:
+            strict = i
+    return strict, i, tuple(zeros[:1])
+
+
+def row_statistics(p: int, n: int, slopes, shot) -> RowStatistics:
+    """Scan statistics of a fixed point from its slopes and shot vector.
+
+    ``slopes`` and ``shot`` come without trailing zeros.  Padding the
+    shot vector with the virtual ``n, 0, ..., 0`` makes the shot window
+    at column ``i`` the slice ``a[i : i + p + 1]``, which closes at
+    column ``steps``.  The mass balance is checked at every column before
+    it, so the windows are exactly those :func:`kspm.dds.trajectory_report`
+    replays from ``a_0``; with non-negative slopes the balance also rules
+    out an all-zero window before ``steps``.  Raises :class:`NonIntegral`
+    when the balance fails or the slopes run past the closing window.
+    """
+    slopes = tuple(slopes)
+    shot = tuple(shot)
+    w = len(slopes)
+    steps = max(len(shot) + p, p + 1)
+    if w > steps:
+        raise NonIntegral(
+            f"shot window closes at column {steps} but slopes run to column {w - 1}"
+        )
+    a = (n,) + (0,) * (p - 1) + shot + (0,) * (steps + 1 - len(shot))
+    b = slopes + (0,) * (steps - w)
+    pp1 = p + 1
+    for i, (back, here, nxt, bi) in enumerate(zip(a, a[p:], a[p + 1 :], b)):
+        if back - pp1 * here + p * nxt != bi:
+            raise NonIntegral(f"shot vector breaks the mass balance at column {i}")
+    # the balance makes a[i] - a[i + p] congruent to b[i] mod p
+    ambiguous = sum(v % p == 0 for v in b)
+    # window i is uniform when its p differences, d[i .. i+p-1], are equal;
+    # the closing window is all zero, so one is always found
+    run = 0
+    prev = None
+    for k, (x, y) in enumerate(zip(a, a[1:])):
+        run = run + 1 if y - x == prev else 1
+        prev = y - x
+        if run == p:
+            break
+    strict, loose, zero_positions = _wave_starts(p, slopes)
+    return RowStatistics(
+        width=w,
+        n_strict=strict,
+        n_loose=loose,
+        zero_positions=zero_positions,
+        uniform_index=k + 1 - p,
+        ambiguous_count=ambiguous,
     )
 
 
@@ -368,12 +438,21 @@ def scan_rows(
             inc.advance_to(n)
         else:
             inc.jump_to(n)
-        row = _row_from_fixed_point(
-            inc.snapshot(),
-            inc.density_max if incremental else None,
-            int((time.perf_counter() - t0) * 1e6) if timing else 0,
+        stats = row_statistics(p, n, *inc.columns())
+        rows.append(
+            ScanRow(
+                n_grains=n,
+                p=p,
+                width=stats.width,
+                n_strict=stats.n_strict,
+                n_loose=stats.n_loose,
+                uniform_index=stats.uniform_index,
+                interior_zeros=len(stats.zero_positions),
+                density_column=inc.density_max if incremental else None,
+                ambiguous_count=stats.ambiguous_count,
+                elapsed_us=int((time.perf_counter() - t0) * 1e6) if timing else 0,
+            )
         )
-        rows.append(row)
     return rows
 
 

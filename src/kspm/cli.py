@@ -57,9 +57,7 @@ def _kv_csv(args, doc: dict) -> None:
 
 
 def _describe_fixed_point(fp) -> dict:
-    strict = analyzer.parse_waves(fp.p, fp.slopes, "strict")
-    loose = analyzer.parse_waves(fp.p, fp.slopes, "loose")
-    rep = dds.trajectory_report(fp.p, fp.slopes, fp.shot_at(0), fp.n_grains, check=False)
+    stats = analyzer.row_statistics(fp.p, fp.n_grains, fp.slopes.slopes, fp.shot)
     return {
         "p": fp.p,
         "N": fp.n_grains,
@@ -67,13 +65,13 @@ def _describe_fixed_point(fp) -> dict:
         "slopes": list(fp.slopes.slopes),
         "heights": list(heights_from_slopes(fp.slopes).heights),
         "shot": list(fp.shot),
-        "w": fp.slopes.support,
-        "n_strict": strict.start,
-        "n_loose": loose.start,
-        "uniform_index": rep.uniform_index,
-        "interior_zeros": strict.interior_zero_count,
-        "zero_positions": list(strict.zero_positions),
-        "ambiguous_count": rep.ambiguous_count,
+        "w": stats.width,
+        "n_strict": stats.n_strict,
+        "n_loose": stats.n_loose,
+        "uniform_index": stats.uniform_index,
+        "interior_zeros": len(stats.zero_positions),
+        "zero_positions": list(stats.zero_positions),
+        "ambiguous_count": stats.ambiguous_count,
     }
 
 
@@ -344,7 +342,7 @@ def _verification_checks(p: int, n: int, seed: int) -> list[dict]:
             "window recurrence rebuilds the fixed point from (N, a0)",
         )
     with replaying("trajectory_invariants"):
-        rep = dds.trajectory_report(p, direct.slopes, direct.shot_at(0), n, check=True)
+        rep = dds.trajectory_report(p, direct.slopes, direct.shot_at(0), n)
         add(
             "trajectory_invariants",
             not rep.violations,

@@ -189,12 +189,12 @@ def iter_windows(p: int, slopes, a0: int, n: int):
 
 @dataclass(frozen=True)
 class TrajectoryReport:
-    """Summary of one exact window trajectory with optional invariant checks.
+    """Summary of one exact window trajectory and its invariant audit.
 
     ``uniform_index`` is the first column whose difference vector is
     constant and ``uniform_value`` that constant.  ``ambiguous_count``
     counts positions where the residue alone does not pin the slope.
-    ``violations`` is empty when all checked invariants held.
+    ``violations`` is empty when all audited invariants held.
     """
 
     p: int
@@ -204,19 +204,21 @@ class TrajectoryReport:
     uniform_value: int
     ambiguous_count: int
     spread0: int
-    checked: bool
     violations: tuple[str, ...]
 
 
-def trajectory_report(p, slopes, a0, n, check=True) -> TrajectoryReport:
+def trajectory_report(p, slopes, a0, n) -> TrajectoryReport:
     """Walk the exact window trajectory of a fixed point and audit it.
 
-    With ``check=True`` this verifies, at every step: the two slope
-    reads (window residue and difference-vector residue) agree and match
-    the true slope; advancing differences commutes with differencing the
-    advanced window; and at nonconstant difference vectors the min/max
-    envelope never widens, the new entry lands inside the old open/closed
-    envelope, and the envelope width strictly shrinks within ``p`` steps.
+    Replays the windows from ``a0`` alone and verifies, at every step:
+    the two slope reads (window residue and difference-vector residue)
+    agree and match the true slope; advancing differences commutes with
+    differencing the advanced window; and at nonconstant difference
+    vectors the min/max envelope never widens, the new entry lands inside
+    the old open/closed envelope, and the envelope width strictly shrinks
+    within ``p`` steps.  Scans read the same statistics off the engine's
+    shot vector instead (:func:`kspm.analyzer.row_statistics`); this walk
+    is their independent audit.
     """
     violations: list[str] = []
     spreads: list[int] = []
@@ -230,49 +232,44 @@ def trajectory_report(p, slopes, a0, n, check=True) -> TrajectoryReport:
         else:
             # differencing the window incrementally; y_step is the audit
             y_prev, y = y, y[1:] + (window[-1] - window[-2],)
-            if check:
-                if y_step(p, y_prev, b_prev) != y:
-                    violations.append(f"i={i - 1}: averaging step does not commute")
-                if mn != mx:
-                    new = y[-1]
-                    if not (mn < new <= mx):
-                        violations.append(
-                            f"i={i - 1}: new entry {new} outside envelope ({mn}, {mx}]"
-                        )
-                    if min(y) < mn or max(y) > mx:
-                        violations.append(f"i={i - 1}: envelope widened")
+            if y_step(p, y_prev, b_prev) != y:
+                violations.append(f"i={i - 1}: averaging step does not commute")
+            if mn != mx:
+                new = y[-1]
+                if not (mn < new <= mx):
+                    violations.append(
+                        f"i={i - 1}: new entry {new} outside envelope ({mn}, {mx}]"
+                    )
+                if min(y) < mn or max(y) > mx:
+                    violations.append(f"i={i - 1}: envelope widened")
         mn, mx = min(y), max(y)
         spreads.append(mx - mn)
         if mn == mx:
             if uniform_at < 0:
                 uniform_at = i
                 uniform_val = mn
-        elif check:
+        else:
             nonuniform.append(i)
         if (window[0] - window[-1]) % p == 0:
             ambiguous += 1
 
-        if check:
-            det = determine_slope(p, window[0], window[-1])
-            if det != determine_slope_from_mean(p, y):
-                violations.append(f"i={i}: window and mean determinations differ")
-            if det.is_determined:
-                if det.value != b:
-                    violations.append(
-                        f"i={i}: determined slope {det.value} but true slope {b}"
-                    )
-            elif b not in (0, p):
-                violations.append(f"i={i}: ambiguous residue but true slope {b}")
+        det = determine_slope(p, window[0], window[-1])
+        if det != determine_slope_from_mean(p, y):
+            violations.append(f"i={i}: window and mean determinations differ")
+        if det.is_determined:
+            if det.value != b:
+                violations.append(
+                    f"i={i}: determined slope {det.value} but true slope {b}"
+                )
+        elif b not in (0, p):
+            violations.append(f"i={i}: ambiguous residue but true slope {b}")
         b_prev = b
 
-    if check:
-        last = len(spreads) - 1
-        for j in nonuniform:
-            lookahead = spreads[j + 1 : min(j + p, last) + 1]
-            if lookahead and min(lookahead) >= spreads[j]:
-                violations.append(
-                    f"i={j}: envelope width did not shrink within {p} steps"
-                )
+    last = len(spreads) - 1
+    for j in nonuniform:
+        lookahead = spreads[j + 1 : min(j + p, last) + 1]
+        if lookahead and min(lookahead) >= spreads[j]:
+            violations.append(f"i={j}: envelope width did not shrink within {p} steps")
 
     return TrajectoryReport(
         p=p,
@@ -283,7 +280,6 @@ def trajectory_report(p, slopes, a0, n, check=True) -> TrajectoryReport:
         # the closing window has residue 0 but reads no slope
         ambiguous_count=ambiguous - 1,
         spread0=spreads[0],
-        checked=check,
         violations=tuple(violations),
     )
 

@@ -152,7 +152,8 @@ def _settle(p, slopes, shot, on_fire=None):
 
     ``slopes``/``shot`` are plain lists, mutated in place and grown when a
     kick would land past the end; ``on_fire(i)`` is called after each
-    firing with the fired column.
+    firing with the fired column.  Returns ``top``: every firing was at a
+    column ``<= top``, so no kick landed past ``top + p``.
     """
     pp1 = p + 1
     size = len(slopes)
@@ -182,6 +183,7 @@ def _settle(p, slopes, shot, on_fire=None):
             on_fire(i)
         if left > p:
             i -= 1
+    return top
 
 
 def _fixed_point(p: int, n: int, slopes, shot, strategy: str) -> FixedPoint:
@@ -299,6 +301,8 @@ class IncrementalStabilizer:
         cap = _capacity(p, expect)
         self._slopes = [0] * cap
         self._shot = [0] * cap
+        # every column at or past ``_reach`` holds slope 0 and shot 0
+        self._reach = 1
 
     def advance(self, record: bool = False) -> Avalanche | None:
         """Add one grain to column 0 and settle the avalanche."""
@@ -310,7 +314,8 @@ class IncrementalStabilizer:
         slopes[0] += 1
         order = [] if (record or self.track_density) else None
         if slopes[0] > p:
-            _settle(p, slopes, self._shot, None if order is None else order.append)
+            top = _settle(p, slopes, self._shot, None if order is None else order.append)
+            self._reach = max(self._reach, top + p + 1)
         if order is not None and self.track_density:
             d = density_column(order)
             if d > self.density_max:
@@ -338,14 +343,23 @@ class IncrementalStabilizer:
         if target > self.grains:
             self._slopes[0] += target - self.grains
             self.grains = target
-            _settle(self.p, self._slopes, self._shot)
+            top = _settle(self.p, self._slopes, self._shot)
+            self._reach = max(self._reach, top + self.p + 1)
+
+    def columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Slopes and shot vector of the current fixed point, without trailing zeros."""
+        reach = self._reach
+        return trimmed(self._slopes[:reach]), trimmed(self._shot[:reach])
 
     def snapshot(self, strategy: str = "incremental") -> FixedPoint:
-        return _fixed_point(self.p, self.grains, self._slopes, self._shot, strategy)
+        reach = self._reach
+        return _fixed_point(
+            self.p, self.grains, self._slopes[:reach], self._shot[:reach], strategy
+        )
 
     @property
     def support(self) -> int:
-        return len(trimmed(self._slopes))
+        return len(trimmed(self._slopes[: self._reach]))
 
 
 def stabilize(p: int, n: int, strategy: str = "batch", seed: int = 0) -> FixedPoint:

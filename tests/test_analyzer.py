@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -16,9 +16,10 @@ from conftest import (
     GOLDEN_P4_N2000_NSTRICT,
     GOLDEN_P4_N2000_ZERO_AT,
 )
-from kspm import analyzer
-from kspm.errors import CapacityError, InsufficientData
+from kspm import analyzer, dds
+from kspm.errors import CapacityError, InsufficientData, NonIntegral
 from kspm.analyzer import ScanRow
+from kspm.model import trimmed
 from kspm.stabilizer import (
     IncrementalStabilizer,
     leftmost_avalanche,
@@ -269,14 +270,75 @@ def test_climbing_zero_not_applicable_for_short_avalanche():
 # ------------------------------------------------------------------- scans
 
 
+def replayed_statistics(fp):
+    """Oracle statistics: two wave parses and the audited window replay from ``a_0``."""
+    strict = analyzer.parse_waves(fp.p, fp.slopes, "strict")
+    loose = analyzer.parse_waves(fp.p, fp.slopes, "loose")
+    rep = dds.trajectory_report(fp.p, fp.slopes, fp.shot_at(0), fp.n_grains)
+    assert rep.violations == ()
+    return analyzer.RowStatistics(
+        width=fp.slopes.support,
+        n_strict=strict.start,
+        n_loose=loose.start,
+        zero_positions=strict.zero_positions,
+        uniform_index=rep.uniform_index,
+        ambiguous_count=rep.ambiguous_count,
+    )
+
+
 def from_scratch_rows(p, targets):
     """Oracle rows: each sample stabilized on its own, density replayed once."""
     _, avalanches = stabilize_incremental(p, max(targets))
     running = list(itertools.accumulate((a.density_column for a in avalanches), max))
-    return [
-        analyzer._row_from_fixed_point(stabilize(p, n), running[n - 1], 0)
-        for n in targets
-    ]
+    rows = []
+    for n in targets:
+        stats = replayed_statistics(stabilize(p, n))
+        rows.append(
+            ScanRow(
+                n_grains=n,
+                p=p,
+                width=stats.width,
+                n_strict=stats.n_strict,
+                n_loose=stats.n_loose,
+                uniform_index=stats.uniform_index,
+                interior_zeros=len(stats.zero_positions),
+                density_column=running[n - 1],
+                ambiguous_count=stats.ambiguous_count,
+                elapsed_us=0,
+            )
+        )
+    return rows
+
+
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=3000))
+@example(p=1, n=0)
+@example(p=5, n=0)
+@example(p=1, n=1)
+@example(p=4, n=3)
+@example(p=8, n=8)
+@settings(max_examples=80, deadline=None)
+def test_row_statistics_match_the_replay(p, n):
+    fp = stabilize(p, n)
+    got = analyzer.row_statistics(p, n, fp.slopes.slopes, fp.shot)
+    assert got == replayed_statistics(fp)
+
+
+@pytest.mark.parametrize("p,n", [(1, 77), (2, 24), (3, 301), (4, 2000), (6, 50)])
+def test_row_statistics_refuse_tampered_fixed_points(p, n):
+    fp = stabilize(p, n)
+    slopes, shot = list(fp.slopes.slopes), list(fp.shot)
+    for j in range(len(shot)):
+        for delta in (-1, 1):
+            bad = shot[:]
+            bad[j] += delta
+            with pytest.raises(NonIntegral):
+                analyzer.row_statistics(p, n, slopes, trimmed(bad))
+    # one column past the support too, where a nonzero slope cannot balance
+    for j in range(len(slopes) + 1):
+        bad = slopes + [0]
+        bad[j] = (bad[j] + 1) % (p + 1)
+        with pytest.raises(NonIntegral):
+            analyzer.row_statistics(p, n, trimmed(bad), shot)
 
 
 @pytest.mark.parametrize("p", range(1, 7))

@@ -148,7 +148,7 @@ def test_walk_rejects_slopes_past_the_closing_window():
     with pytest.raises(NonIntegral):
         list(dds.iter_windows(2, slopes, 8, 24))
     with pytest.raises(NonIntegral):
-        dds.trajectory_report(2, slopes, 8, 24, check=True)
+        dds.trajectory_report(2, slopes, 8, 24)
     with pytest.raises(NonIntegral):
         spectral.z_trajectory(2, 24, slopes, 8)
 
@@ -156,9 +156,8 @@ def test_walk_rejects_slopes_past_the_closing_window():
 @pytest.mark.parametrize("p,n", [(2, 24), (4, 2000), (1, 77), (3, 301), (6, 50)])
 def test_trajectory_report_clean(p, n):
     fp = stabilize(p, n)
-    rep = dds.trajectory_report(p, fp.slopes, fp.shot_at(0), n, check=True)
+    rep = dds.trajectory_report(p, fp.slopes, fp.shot_at(0), n)
     assert rep.violations == ()
-    assert rep.checked
 
 
 @pytest.mark.parametrize("p,n", [(2, 24), (4, 2000), (3, 500), (2, 1), (5, 40)])
@@ -169,7 +168,7 @@ def test_uniform_index_against_shot_vector_oracle(p, n):
     for i in range(fp.slopes.support + p + 1):
         ys.append(dds.to_averaging(window_oracle(fp, i)))
     expect = dds.uniform_index(ys)
-    rep = dds.trajectory_report(p, fp.slopes, fp.shot_at(0), n, check=False)
+    rep = dds.trajectory_report(p, fp.slopes, fp.shot_at(0), n)
     assert rep.uniform_index == expect
     assert min(ys[expect]) == rep.uniform_value
 
@@ -313,7 +312,7 @@ def test_wave_unfold_empty_tail():
 
 def test_wave_unfold_golden_tail():
     fp = stabilize(4, 2000)
-    rep_full = dds.trajectory_report(4, fp.slopes, fp.shot_at(0), 2000, check=False)
+    rep_full = dds.trajectory_report(4, fp.slopes, fp.shot_at(0), 2000)
     tail = fp.slopes.slopes[20:]
     rep = dds.wave_unfold(4, rep_full.uniform_value, tail)
     assert rep.accepted

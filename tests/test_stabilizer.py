@@ -253,6 +253,21 @@ def test_jump_to_matches_advance_to(p):
     assert a.n_grains == 1500  # a smaller target leaves the pile alone
 
 
+@pytest.mark.parametrize("p", range(1, 7))
+def test_pile_reach_covers_the_whole_fixed_point(p):
+    # columns() reads only the columns before the pile's reach; a reach
+    # that fell short would cut slopes or shots the batch engine keeps
+    jumped = IncrementalStabilizer(p, expect=0)
+    stepped = IncrementalStabilizer(p, expect=0)
+    for n in (0, 1, p, p + 1, 40, 41, 300, 2000):
+        jumped.jump_to(n)
+        stepped.advance_to(n)
+        want = stabilize(p, n)
+        for pile in (jumped, stepped):
+            assert pile.columns() == (want.slopes.slopes, want.shot)
+            assert pile.support == want.slopes.support
+
+
 def test_jump_to_refuses_density_tracking():
     inc = IncrementalStabilizer(2, expect=50, track_density=True)
     with pytest.raises(ValueError, match="density"):
