@@ -9,10 +9,13 @@ positive ascending coefficients.  Those roots stay strictly inside the
 unit disk (modulus at most ``(p-1)/p``), which is why the difference
 vector freezes after logarithmically many columns.
 
-Matrices and characteristic polynomials use ``fractions.Fraction``; the
-centered contraction comes from its closed form in integers, checked
-against the product definition in tests.  Floating point only enters
-for root finding, eigenvalues and norm summaries.
+Matrices hold ``fractions.Fraction`` entries.  Characteristic
+polynomials come from the Hessenberg recurrence in Python integers, after
+scaling by the common denominator, and are checked in tests against
+Faddeev-LeVerrier and sympy.  The centered contraction comes from its
+closed form in integers, checked against the product definition in
+tests.  Floating point only enters for root finding, eigenvalues,
+residuals and norm summaries.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import inf, log2
+from math import inf, lcm, log2
 from operator import mul
 from typing import Sequence
 
@@ -120,11 +123,6 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
@@ -139,22 +137,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({[list(r) for r in self.rows]!r})"
-
-    def __add__(self, other):
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        return ExactMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
 
     def scaled(self, k) -> "ExactMatrix":
         f = Fraction(k)
@@ -180,31 +162,50 @@ class ExactMatrix:
             raise ValueError("shape mismatch")
         return tuple(sum(a * v for a, v in zip(row, vec)) for row in self.rows)
 
-    def trace(self) -> Fraction:
-        return sum(self.rows[i][i] for i in range(len(self.rows)))
-
-    def to_float(self) -> np.ndarray:
-        return np.array([[float(c) for c in row] for row in self.rows], dtype=float)
-
     def charpoly(self) -> RationalPolynomial:
         """Characteristic polynomial ``det(xI - self)``, monic, exact.
 
-        Faddeev-LeVerrier: repeatedly multiply by the matrix and read
-        each coefficient off a trace, entirely in rational arithmetic.
+        Only Hessenberg matrices (upper or lower) are accepted.  The
+        matrix is scaled to integers ``h = d * self`` by the lcm ``d`` of
+        its denominators, a lower Hessenberg one is transposed to upper,
+        and the Hessenberg recurrence (Cohen, *A Course in Computational
+        Algebraic Number Theory*, 1993, section 2.2)
+
+            P_m = (x - h_mm) P_{m-1}
+                  - sum_{i<m} h_im * (prod_{j=i+1..m} h_{j,j-1}) * P_{i-1}
+
+        runs on integer coefficient lists.  ``det(xI - h)`` has
+        coefficients ``c_k``, so ``det(xI - self)`` has ``c_k d^k / d^n``.
         """
         n, m = self.shape
         if n != m:
             raise ValueError("characteristic polynomial needs a square matrix")
-        coeffs = [Fraction(0)] * (n + 1)
-        coeffs[n] = Fraction(1)
-        ident = ExactMatrix.identity(n)
-        mk = self
-        for k in range(1, n + 1):
-            ck = -mk.trace() / k
-            coeffs[n - k] = ck
-            if k < n:
-                mk = self @ (mk + ident.scaled(ck))
-        return RationalPolynomial(coeffs)
+        rows = self.rows
+        if any(rows[i][j] for i in range(n) for j in range(i - 1)):
+            if any(rows[i][j] for i in range(n) for j in range(i + 2, n)):
+                raise ValueError("characteristic polynomial needs a Hessenberg matrix")
+            rows = tuple(zip(*rows))
+        d = lcm(*(c.denominator for row in rows for c in row))
+        h = [[c.numerator * (d // c.denominator) for c in row] for row in rows]
+        polys = [[1]]
+        for k in range(n):
+            prev = polys[k]
+            new = [0] + prev
+            for e, c in enumerate(prev):
+                new[e] -= h[k][k] * c
+            t = 1
+            for i in range(k - 1, -1, -1):
+                t *= h[i + 1][i]
+                if not t:
+                    break
+                f = h[i][k] * t
+                for e, c in enumerate(polys[i]):
+                    new[e] -= f * c
+            polys.append(new)
+        dn = d**n
+        return RationalPolynomial(
+            [Fraction(c * d**e, dn) for e, c in enumerate(polys[n])]
+        )
 
 
 def poly_R(p: int) -> RationalPolynomial:
@@ -265,32 +266,6 @@ def shot_step_matrix(p: int) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def cumulative_basis(p: int) -> ExactMatrix:
-    """Lower-triangular all-ones change of basis (partial sums)."""
-    check_p(p)
-    n = p + 1
-    return ExactMatrix(
-        [[Fraction(1) if j <= i else Fraction(0) for j in range(n)] for i in range(n)]
-    )
-
-
-def difference_basis(p: int) -> ExactMatrix:
-    """Inverse of :func:`cumulative_basis`: ones on, minus ones below, the diagonal."""
-    check_p(p)
-    n = p + 1
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = Fraction(1)
-        if i:
-            rows[i][i - 1] = Fraction(-1)
-    return ExactMatrix(rows)
-
-
-def transformed_step_matrix(p: int) -> ExactMatrix:
-    """The window advance conjugated into the difference basis."""
-    return difference_basis(p) @ shot_step_matrix(p) @ cumulative_basis(p)
-
-
 def averaging_matrix(p: int) -> ExactMatrix:
     """Advance of the difference vector: shift rows, then the mean row."""
     check_p(p)
@@ -300,26 +275,6 @@ def averaging_matrix(p: int) -> ExactMatrix:
     for j in range(p):
         rows[p - 1][j] = Fraction(1, p)
     return ExactMatrix(rows)
-
-
-def averaging_kick(p: int) -> tuple[Fraction, ...]:
-    """Slope coupling of the difference advance: 1 in the last slot."""
-    check_p(p)
-    return (Fraction(0),) * (p - 1) + (Fraction(1),)
-
-
-def mean_centering(p: int) -> ExactMatrix:
-    """Projection removing the mean from a ``p``-vector."""
-    check_p(p)
-    return ExactMatrix(
-        [
-            [
-                (Fraction(1) if i == j else Fraction(0)) - Fraction(1, p)
-                for j in range(p)
-            ]
-            for i in range(p)
-        ]
-    )
 
 
 def _centered_scaled(p: int) -> tuple[list[list[int]], list[int]]:
@@ -349,11 +304,6 @@ def centered_matrix(p: int) -> ExactMatrix:
     return ExactMatrix(_centered_scaled(p)[0]).scaled(Fraction(1, p * p))
 
 
-def centered_kick(p: int) -> tuple[Fraction, ...]:
-    """Centered slope coupling."""
-    return tuple(Fraction(v, p) for v in _centered_scaled(p)[1])
-
-
 @dataclass(frozen=True)
 class RootSet:
     """Roots of a polynomial with quality measures.
@@ -374,7 +324,17 @@ class RootSet:
 
 def _root_quality(poly: RationalPolynomial, roots) -> RootSet:
     roots = tuple(sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12))))
-    residuals = tuple(abs(poly(complex(z))) for z in roots)
+    coeffs = poly.float_coeffs_desc()
+    residuals = []
+    for z in roots:
+        # the Horner of RationalPolynomial.__call__, without Fraction's
+        # complex fallback; every step rounds the same way, so bit-identical
+        x = complex(z)
+        acc = 0 * x
+        for c in coeffs:
+            acc = acc * x + c
+        residuals.append(abs(acc))
+    residuals = tuple(residuals)
     sep = min((abs(a - b) for a, b in combinations(roots, 2)), default=inf)
     return RootSet(roots=roots, residuals=residuals, min_separation=sep)
 

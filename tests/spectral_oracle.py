@@ -1,0 +1,87 @@
+"""Test-side reference linear algebra for :mod:`kspm.spectral`.
+
+Faddeev-LeVerrier gives characteristic polynomials of any square matrix
+by rational matrix products and traces, independently of the library's
+Hessenberg recurrence.  The change-of-basis and centering builders
+rebuild the window advance and the centered contraction from their
+product definitions, against which the library's closed forms are
+checked.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from kspm.model import check_p
+from kspm.spectral import ExactMatrix, RationalPolynomial, shot_step_matrix
+
+
+def identity(n: int) -> ExactMatrix:
+    return ExactMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def trace(m: ExactMatrix) -> Fraction:
+    return sum((m.rows[i][i] for i in range(len(m.rows))), Fraction(0))
+
+
+def add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
+
+
+def to_float(m: ExactMatrix) -> np.ndarray:
+    return np.array([[float(c) for c in row] for row in m.rows], dtype=float)
+
+
+def faddeev_leverrier(m: ExactMatrix) -> RationalPolynomial:
+    """``det(xI - m)`` of any square matrix, in rational arithmetic.
+
+    Repeatedly multiply by the matrix and read each coefficient off a
+    trace: ``c_{n-k} = -tr(m @ M_{k-1}) / k`` with
+    ``M_k = m @ M_{k-1} + c_{n-k} I``.
+    """
+    n, cols = m.shape
+    if n != cols:
+        raise ValueError("characteristic polynomial needs a square matrix")
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    ident = identity(n)
+    mk = m
+    for k in range(1, n + 1):
+        ck = -trace(mk) / k
+        coeffs[n - k] = ck
+        if k < n:
+            mk = m @ add(mk, ident.scaled(ck))
+    return RationalPolynomial(coeffs)
+
+
+def cumulative_basis(p: int) -> ExactMatrix:
+    """Lower-triangular all-ones change of basis (partial sums)."""
+    check_p(p)
+    n = p + 1
+    return ExactMatrix([[int(j <= i) for j in range(n)] for i in range(n)])
+
+
+def difference_basis(p: int) -> ExactMatrix:
+    """Inverse of :func:`cumulative_basis`: ones on, minus ones below, the diagonal."""
+    check_p(p)
+    n = p + 1
+    return ExactMatrix([[(i == j) - (i == j + 1) for j in range(n)] for i in range(n)])
+
+
+def transformed_step_matrix(p: int) -> ExactMatrix:
+    """The window advance conjugated into the difference basis."""
+    return difference_basis(p) @ shot_step_matrix(p) @ cumulative_basis(p)
+
+
+def averaging_kick(p: int) -> tuple[Fraction, ...]:
+    """Slope coupling of the difference advance: 1 in the last slot."""
+    check_p(p)
+    return (Fraction(0),) * (p - 1) + (Fraction(1),)
+
+
+def mean_centering(p: int) -> ExactMatrix:
+    """Projection removing the mean from a ``p``-vector."""
+    check_p(p)
+    return ExactMatrix(
+        [[(i == j) - Fraction(1, p) for j in range(p)] for i in range(p)]
+    )

@@ -238,16 +238,10 @@ def test_criterion_11_spectral_certificates():
     t0 = time.perf_counter()
     for p in range(2, 31):
         assert spectral.bezout_witness(p).ok, p
-        if p <= 12:
-            want = spectral.RationalPolynomial([-1, 1]) * spectral.poly_R(p)
-            assert spectral.averaging_matrix(p).charpoly() == want, p
-        if p <= 8:
-            want = (
-                spectral.RationalPolynomial([-1, 1])
-                * spectral.RationalPolynomial([-1, 1])
-                * spectral.poly_R(p)
-            )
-            assert spectral.shot_step_matrix(p).charpoly() == want, p
+        want = spectral.RationalPolynomial([-1, 1]) * spectral.poly_R(p)
+        assert spectral.averaging_matrix(p).charpoly() == want, p
+        want = spectral.RationalPolynomial([-1, 1]) * want
+        assert spectral.shot_step_matrix(p).charpoly() == want, p
         rs = spectral.roots_R(p)
         assert rs.max_modulus <= (p - 1) / p + 1e-9, p
         assert rs.min_separation > 1e-8, p

@@ -189,6 +189,18 @@ def test_spectral_csv(capsys):
     assert len(lines) == 3
 
 
+def test_spectral_charpoly_ranges_are_pinned(capsys):
+    # the printed certificates stop at p = 12 (averaging) and p = 8 (window);
+    # widening them changes the output and waits for a re-recorded reference
+    rc, out, _ = run_cli(capsys, "spectral", "--p-min", "8", "--p-max", "13")
+    assert rc == 0
+    rows = {r["p"]: r for r in json.loads(out)["result"]["rows"]}
+    assert rows[12]["charpoly_averaging_ok"] is True
+    assert rows[13]["charpoly_averaging_ok"] is None
+    assert rows[8]["charpoly_window_ok"] is True
+    assert rows[9]["charpoly_window_ok"] is None
+
+
 def test_spectral_impossible_tolerance_fails_gate(capsys):
     rc, out, err = run_cli(capsys, "spectral", "--p-max", "8", "--tol", "1e-30")
     assert rc == 4

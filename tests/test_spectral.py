@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import spectral_oracle as oracle
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kspm import spectral
 from kspm.errors import CapacityError, NoConvergence, NonIntegral, RecurrenceMismatch
@@ -89,27 +92,68 @@ def test_bezout_expansion_matches_sympy(p):
 
 def test_exact_matrix_algebra():
     a = ExactMatrix([[1, 2], [3, 4]])
-    i2 = ExactMatrix.identity(2)
+    i2 = oracle.identity(2)
     assert a @ i2 == a
-    assert (a - a) @ a == ExactMatrix([[0, 0], [0, 0]])
-    assert a.trace() == 5
+    assert oracle.add(a, a.scaled(-1)) @ a == ExactMatrix([[0, 0], [0, 0]])
+    assert oracle.trace(a) == 5
     assert a @ (1, 1) == (3, 7)
     assert a.scaled(F(1, 2)).rows[1] == (F(3, 2), 2)
     with pytest.raises(ValueError):
         ExactMatrix([[1, 2], [3]])
 
 
+def sym_charpoly(m):
+    x = sympy.Symbol("x")
+    return sympy.Poly(sym_matrix(m).charpoly(x).as_expr(), x)
+
+
+small_entries = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+
+
+@st.composite
+def hessenberg_matrices(draw):
+    """Square matrices of size 0..8, zero below the subdiagonal or above the superdiagonal."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    lower = draw(st.booleans())
+    rows = [
+        [draw(small_entries) if (j <= i + 1 if lower else i <= j + 1) else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    return ExactMatrix(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hessenberg_matrices())
+@example(ExactMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))  # nilpotent: zero subdiagonal product
+@example(ExactMatrix([[F(1, 3), F(2, 5)], [F(-7, 2), 0]]))
+def test_charpoly_matches_faddeev_leverrier_and_sympy(m):
+    ours = m.charpoly()
+    assert ours == oracle.faddeev_leverrier(m)
+    assert sym_poly(ours) == sym_charpoly(m)
+
+
+def test_charpoly_small_and_refused_shapes():
+    assert ExactMatrix([]).charpoly() == RationalPolynomial([1])
+    assert ExactMatrix([[F(-2, 3)]]).charpoly() == RationalPolynomial([F(2, 3), 1])
+    with pytest.raises(ValueError, match="Hessenberg"):
+        ExactMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]).charpoly()
+    with pytest.raises(ValueError, match="square"):
+        ExactMatrix([[1, 2]]).charpoly()
+    with pytest.raises(ValueError, match="square"):
+        ExactMatrix([[]]).charpoly()
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 5])
 def test_charpoly_matches_sympy(p):
     for build in (spectral.shot_step_matrix, spectral.averaging_matrix):
         m = build(p)
-        ours = sym_poly(m.charpoly())
-        x = sympy.Symbol("x")
-        theirs = sympy.Poly(sym_matrix(m).charpoly(x).as_expr(), x)
-        assert ours == theirs, (p, build.__name__)
+        assert sym_poly(m.charpoly()) == sym_charpoly(m), (p, build.__name__)
 
 
-@pytest.mark.parametrize("p", list(range(1, 13)))
+@pytest.mark.parametrize("p", list(range(1, 31)))
 def test_averaging_charpoly_factors_exactly(p):
     """char(M) == (x - 1) * R as polynomials over the rationals."""
     lhs = spectral.averaging_matrix(p).charpoly()
@@ -117,7 +161,7 @@ def test_averaging_charpoly_factors_exactly(p):
     assert lhs == rhs
 
 
-@pytest.mark.parametrize("p", list(range(1, 9)))
+@pytest.mark.parametrize("p", list(range(1, 31)))
 def test_shot_step_charpoly_factors_exactly(p):
     """char(A) == (x - 1)^2 * R."""
     lhs = spectral.shot_step_matrix(p).charpoly()
@@ -127,37 +171,37 @@ def test_shot_step_charpoly_factors_exactly(p):
 
 def test_basis_change_is_invertible():
     for p in range(1, 8):
-        b = spectral.cumulative_basis(p)
-        binv = spectral.difference_basis(p)
-        ident = ExactMatrix.identity(p + 1)
+        b = oracle.cumulative_basis(p)
+        binv = oracle.difference_basis(p)
+        ident = oracle.identity(p + 1)
         assert b @ binv == ident
         assert binv @ b == ident
 
 
 def test_transformed_step_matrix_p2_explicit():
-    got = spectral.transformed_step_matrix(2)
+    got = oracle.transformed_step_matrix(2)
     assert got == ExactMatrix([[1, 1, 0], [0, 0, 1], [0, F(1, 2), F(1, 2)]])
 
 
 def test_transformed_matrix_is_similar_to_original():
     for p in range(1, 7):
         a = spectral.shot_step_matrix(p)
-        b = spectral.cumulative_basis(p)
-        binv = spectral.difference_basis(p)
-        assert spectral.transformed_step_matrix(p) == binv @ a @ b
+        b = oracle.cumulative_basis(p)
+        binv = oracle.difference_basis(p)
+        assert oracle.transformed_step_matrix(p) == binv @ a @ b
 
 
 def test_transformed_first_column_is_fixed_direction():
     # column 0 of the transformed step is e0: a one-dimensional invariant part
     for p in range(1, 8):
-        aprime = spectral.transformed_step_matrix(p)
+        aprime = oracle.transformed_step_matrix(p)
         col = tuple(row[0] for row in aprime.rows)
         assert col == (1,) + (0,) * p
 
 
 def test_averaging_matrix_is_transformed_minor():
     for p in range(1, 8):
-        aprime = spectral.transformed_step_matrix(p)
+        aprime = oracle.transformed_step_matrix(p)
         minor = ExactMatrix([list(row[1:]) for row in aprime.rows[1:]])
         assert minor == spectral.averaging_matrix(p)
 
@@ -170,7 +214,7 @@ def test_averaging_rows_sum_to_one():
 
 def test_centering_annihilates_constants():
     for p in range(2, 8):
-        d = spectral.mean_centering(p)
+        d = oracle.mean_centering(p)
         assert d @ ((1,) * p) == (0,) * p
         assert d @ d == d  # projection
 
@@ -179,29 +223,31 @@ def test_centered_matrix_absorbs_trailing_centering():
     """O @ D == O exactly, the algebraic heart of the contraction argument."""
     for p in range(1, 9):
         o = spectral.centered_matrix(p)
-        d = spectral.mean_centering(p)
+        d = oracle.mean_centering(p)
         assert o @ d == o
+
+
+def centered_kick(p):
+    """The library's integer closed-form kick, divided back by ``p``."""
+    return tuple(F(v, p) for v in spectral._centered_scaled(p)[1])
 
 
 @pytest.mark.parametrize("p", list(range(1, 13)) + [30])
 def test_centered_closed_form_matches_product_definition(p):
     """The integer closed form equals centering applied to the averaging advance."""
-    d = spectral.mean_centering(p)
+    d = oracle.mean_centering(p)
     o = spectral.centered_matrix(p)
     assert o == d @ spectral.averaging_matrix(p)
-    assert spectral.centered_kick(p) == d @ spectral.averaging_kick(p)
+    assert centered_kick(p) == d @ oracle.averaging_kick(p)
     # the floats perturbation_bound iterates are the exact entries, rounded once
     o_float, kick_float = spectral._centered_floats(p)
-    assert o_float.tobytes() == o.to_float().tobytes()
-    assert kick_float.tobytes() == np.array(
-        [float(c) for c in spectral.centered_kick(p)]
-    ).tobytes()
+    assert o_float.tobytes() == oracle.to_float(o).tobytes()
+    assert kick_float.tobytes() == np.array([float(c) for c in centered_kick(p)]).tobytes()
 
 
 def test_averaging_kick_layout():
-    assert spectral.averaging_kick(4) == (0, 0, 0, 1)
-    k = spectral.centered_kick(3)
-    assert sum(k) == 0
+    assert oracle.averaging_kick(4) == (0, 0, 0, 1)
+    assert sum(centered_kick(3)) == 0
 
 
 # ------------------------------------------------------------ root finding
@@ -280,7 +326,7 @@ def test_perturbation_bound_small_p():
 
 
 def test_operator_norm_can_exceed_one():
-    o = spectral.centered_matrix(4).to_float()
+    o = oracle.to_float(spectral.centered_matrix(4))
     assert np.abs(o).sum(axis=1).max() > 1.0
 
 
