@@ -55,6 +55,31 @@ class WaveDecomposition:
     interior_zero_count: int
 
 
+def _wave_chain(p: int, seq: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """Strict and loose wave starts of trimmed slopes, and every zero between.
+
+    Only a 0 or a ``p`` begins a block, so every column from which the
+    tail parses lies on one chain of blocks, walked here back from the
+    support.  The loose start is where the chain ends.  Zero blocks only
+    accumulate along it, so the strict start is the last column reached
+    with at most one of them.  Zeros come in increasing column order.
+    """
+    wave = tuple(range(p, 0, -1))
+    i = strict = len(seq)
+    zeros: list[int] = []
+    while i:
+        if seq[i - 1] == 0:
+            i -= 1
+            zeros.append(i)
+        elif i >= p and seq[i - p : i] == wave:
+            i -= p
+        else:
+            break
+        if len(zeros) <= 1:
+            strict = i
+    return strict, i, tuple(reversed(zeros))
+
+
 def parse_waves(p, slopes, grammar: str = "strict") -> WaveDecomposition:
     """Find the minimal suffix start where the slope tail is pure waves.
 
@@ -67,48 +92,21 @@ def parse_waves(p, slopes, grammar: str = "strict") -> WaveDecomposition:
     if grammar not in ("strict", "loose"):
         raise ValueError(f"grammar must be 'strict' or 'loose', got {grammar!r}")
     seq = trimmed(slopes)
-    w = len(seq)
-    ok = [False] * (w + 1)
-    zeros = [0] * (w + 1)
-    ok[w] = True
-    for i in range(w - 1, -1, -1):
-        v = seq[i]
-        if v == 0:
-            ok[i] = ok[i + 1]
-            zeros[i] = zeros[i + 1] + 1
-        elif v == p and i + p <= w and ok[i + p]:
-            good = True
-            for d in range(1, p):
-                if seq[i + d] != p - d:
-                    good = False
-                    break
-            if good:
-                ok[i] = True
-                zeros[i] = zeros[i + p]
-    limit = 1 if grammar == "strict" else w + 1
-    start = w
-    for i in range(w + 1):
-        if ok[i] and zeros[i] <= limit:
-            start = i
-            break
+    strict, loose, zeros = _wave_chain(p, seq)
+    start = strict if grammar == "strict" else loose
+    zpos = tuple(z for z in zeros if z >= start)
     blocks: list[str] = []
-    zpos: list[int] = []
     i = start
-    while i < w:
-        if seq[i] == 0:
-            blocks.append(ZERO)
-            zpos.append(i)
-            i += 1
-        else:
-            blocks.append(WAVE)
-            i += p
+    while i < len(seq):
+        blocks.append(WAVE if seq[i] else ZERO)
+        i += p if seq[i] else 1
     return WaveDecomposition(
         p=p,
         grammar=grammar,
         start=start,
         prefix=seq[:start],
         blocks=tuple(blocks),
-        zero_positions=tuple(zpos),
+        zero_positions=zpos,
         interior_zero_count=len(zpos),
     )
 
@@ -204,20 +202,7 @@ def check_plateaus_along_leftmost(p: int, n: int) -> PlateauTrajectoryReport:
         for j in range(i + 1, i + p + 1):
             heights[j] += 1
         state["firings"] += 1
-        lo = max(0, i - p - 2)
-        hi = i + 2 * p + 2
-        run = 0
-        prev = None
-        local = 1
-        for j in range(lo, hi + 1):
-            v = heights[j]
-            if v != 0 and v == prev:
-                run += 1
-            else:
-                run = 1 if v != 0 else 0
-            if run > local:
-                local = run
-            prev = v
+        local = max_plateau(heights[max(0, i - p - 2) : i + 2 * p + 3])
         if local > state["max"]:
             state["max"] = local
         if local > bound and state["bad_at"] is None:
@@ -338,30 +323,6 @@ class RowStatistics:
     ambiguous_count: int
 
 
-def _wave_starts(p: int, seq: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-    """Strict and loose wave starts of trimmed slopes, and the strict interior zeros.
-
-    Only a 0 or a ``p`` begins a block, so every column from which the
-    tail parses lies on one chain of blocks, walked here back from the
-    support.  Zero blocks only accumulate along it, so the strict start
-    is the last column reached with at most one of them.
-    """
-    wave = tuple(range(p, 0, -1))
-    i = strict = len(seq)
-    zeros: list[int] = []
-    while i:
-        if seq[i - 1] == 0:
-            i -= 1
-            zeros.append(i)
-        elif i >= p and seq[i - p : i] == wave:
-            i -= p
-        else:
-            break
-        if len(zeros) <= 1:
-            strict = i
-    return strict, i, tuple(zeros[:1])
-
-
 def row_statistics(p: int, n: int, slopes, shot) -> RowStatistics:
     """Scan statistics of a fixed point from its slopes and shot vector.
 
@@ -399,12 +360,12 @@ def row_statistics(p: int, n: int, slopes, shot) -> RowStatistics:
         prev = y - x
         if run == p:
             break
-    strict, loose, zero_positions = _wave_starts(p, slopes)
+    strict, loose, zeros = _wave_chain(p, slopes)
     return RowStatistics(
         width=w,
         n_strict=strict,
         n_loose=loose,
-        zero_positions=zero_positions,
+        zero_positions=zeros[-1:],  # a strict tail holds the chain's last zero
         uniform_index=k + 1 - p,
         ambiguous_count=ambiguous,
     )

@@ -152,6 +152,8 @@ def test_criterion_07_wave_shape_growth_sweep():
             _register(fp)
             dec = analyzer.parse_waves(p, fp.slopes, "strict")
             assert dec.interior_zero_count <= 1, (p, n)
+            stats = analyzer.row_statistics(p, n, fp.slopes.slopes, fp.shot)
+            assert stats.n_loose == stats.uniform_index, (p, n)
             if n % 2000 == 0:  # exact audits on every tenth sample
                 _audit_trajectory(fp)
             rows.append(SimpleNamespace(n_grains=n, n_strict=dec.start))

@@ -119,6 +119,25 @@ def test_parse_waves_matches_regex_oracle(p, seq, grammar):
     assert waves * p + zeros == analyzer.support(seq) - dec.start
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_parse_waves_matches_regex_oracle_exhaustively(p):
+    # every sequence over 0..p up to length 6, so a zero right at the start,
+    # a wave ending at the support and a refused prefix all occur
+    for length in range(7):
+        for seq in itertools.product(range(p + 1), repeat=length):
+            for grammar in ("strict", "loose"):
+                want_start, want_zeros = regex_oracle(p, seq, grammar)
+                dec = analyzer.parse_waves(p, seq, grammar)
+                assert (dec.start, dec.zero_positions) == (want_start, want_zeros)
+                assert dec.prefix == seq[: dec.start]
+                tail = [
+                    v
+                    for b in dec.blocks
+                    for v in (range(p, 0, -1) if b == "wave" else (0,))
+                ]
+                assert tuple(tail) == trimmed(seq)[dec.start :], (seq, grammar)
+
+
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=3000))
 @settings(max_examples=60, deadline=None)
 def test_fixed_points_have_at_most_one_interior_zero(p, n):
@@ -126,6 +145,9 @@ def test_fixed_points_have_at_most_one_interior_zero(p, n):
     dec = analyzer.parse_waves(p, fp.slopes)
     assert dec.interior_zero_count <= 1
     assert dec.start <= fp.slopes.support
+    loose = analyzer.parse_waves(p, fp.slopes, "loose")
+    rep = dds.trajectory_report(p, fp.slopes, fp.shot_at(0), n)
+    assert loose.start == rep.uniform_index
 
 
 # ------------------------------------------------------------ support bounds
@@ -271,16 +293,16 @@ def test_climbing_zero_not_applicable_for_short_avalanche():
 
 
 def replayed_statistics(fp):
-    """Oracle statistics: two wave parses and the audited window replay from ``a_0``."""
-    strict = analyzer.parse_waves(fp.p, fp.slopes, "strict")
-    loose = analyzer.parse_waves(fp.p, fp.slopes, "loose")
+    """Oracle statistics: two regex wave parses and the audited window replay from ``a_0``."""
+    n_strict, zero_positions = regex_oracle(fp.p, fp.slopes.slopes, "strict")
+    n_loose, _ = regex_oracle(fp.p, fp.slopes.slopes, "loose")
     rep = dds.trajectory_report(fp.p, fp.slopes, fp.shot_at(0), fp.n_grains)
     assert rep.violations == ()
     return analyzer.RowStatistics(
         width=fp.slopes.support,
-        n_strict=strict.start,
-        n_loose=loose.start,
-        zero_positions=strict.zero_positions,
+        n_strict=n_strict,
+        n_loose=n_loose,
+        zero_positions=zero_positions,
         uniform_index=rep.uniform_index,
         ambiguous_count=rep.ambiguous_count,
     )
@@ -321,6 +343,8 @@ def test_row_statistics_match_the_replay(p, n):
     fp = stabilize(p, n)
     got = analyzer.row_statistics(p, n, fp.slopes.slopes, fp.shot)
     assert got == replayed_statistics(fp)
+    # the loose wave start (slopes) is the first uniform shot window (shots)
+    assert got.n_loose == got.uniform_index
 
 
 @pytest.mark.parametrize("p,n", [(1, 77), (2, 24), (3, 301), (4, 2000), (6, 50)])

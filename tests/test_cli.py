@@ -1,5 +1,8 @@
 """Command-line behaviors: outputs, formats, exit codes, determinism."""
 
+import csv
+import dataclasses
+import io
 import json
 import subprocess
 import sys
@@ -9,7 +12,7 @@ import pytest
 
 from conftest import GOLDEN_P2_N24_SHOT, GOLDEN_P2_N24_SLOPES
 import kspm
-from kspm import cli, spectral
+from kspm import analyzer, cli, spectral
 from kspm.errors import RecurrenceMismatch
 from kspm.stabilizer import leftmost_avalanche, stabilize
 
@@ -272,6 +275,54 @@ def test_verify_reports_a_failed_replay_as_a_violation(monkeypatch, capsys):
         "ok": False,
         "detail": "centered recurrence mismatch at column 3",
     }
+
+
+def test_verify_wave_tail_needs_the_loose_start_at_the_uniform_window(
+    monkeypatch, capsys
+):
+    real = analyzer.row_statistics
+
+    def shifted(*args):
+        stats = real(*args)
+        return dataclasses.replace(stats, n_loose=stats.uniform_index + 1)
+
+    monkeypatch.setattr(analyzer, "row_statistics", shifted)
+    rc, out, err = run_cli(capsys, "verify", "--p", "4", "--n", "2000")
+    assert rc == 5
+    assert err == "verification violated: wave_tail\n"
+    bad = [c["name"] for c in json.loads(out)["result"]["checks"] if not c["ok"]]
+    assert bad == ["wave_tail"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_reports_a_broken_shot_balance(monkeypatch, capsys, fmt):
+    real = cli.stabilize
+
+    def tampered(p, n, strategy="batch", seed=0):
+        fp = real(p, n, strategy, seed=seed)
+        if strategy != "batch":
+            return fp
+        shot = list(fp.shot)
+        shot[5] += 1
+        return dataclasses.replace(fp, shot=tuple(shot))
+
+    monkeypatch.setattr(cli, "stabilize", tampered)
+    rc, out, err = run_cli(
+        capsys, "verify", "--p", "3", "--n", "300", "--format", fmt
+    )
+    assert rc == 5
+    assert err == "verification violated: strategy_independence\n"
+    if fmt == "json":
+        checks = {c["name"]: c for c in json.loads(out)["result"]["checks"]}
+    else:
+        checks = {c["name"]: c for c in csv.DictReader(io.StringIO(out))}
+        for c in checks.values():
+            c["ok"] = c["ok"] == "True"
+    assert checks["shot_balance"]["ok"] is False
+    assert "mass balance at column" in checks["shot_balance"]["detail"]
+    assert checks["wave_tail"]["ok"] is False
+    assert checks["grain_conservation"]["ok"] is True
+    assert list(checks)[-1] == "centered_recurrence"
 
 
 # --------------------------------------------------------- usage and limits
