@@ -180,6 +180,11 @@ class PlateauTrajectoryReport:
     first_violation_at: int | None
 
 
+def _plateau_window(p: int, i: int) -> slice:
+    """Columns a firing at ``i`` changed, with ``p + 2`` more on either side."""
+    return slice(max(0, i - p - 2), i + 2 * p + 3)
+
+
 def check_plateaus_along_leftmost(p: int, n: int) -> PlateauTrajectoryReport:
     """Stabilize ``n`` grains and bound plateaus in every intermediate state.
 
@@ -202,7 +207,7 @@ def check_plateaus_along_leftmost(p: int, n: int) -> PlateauTrajectoryReport:
         for j in range(i + 1, i + p + 1):
             heights[j] += 1
         state["firings"] += 1
-        local = max_plateau(heights[max(0, i - p - 2) : i + 2 * p + 3])
+        local = max_plateau(heights[_plateau_window(p, i)])
         if local > state["max"]:
             state["max"] = local
         if local > bound and state["bad_at"] is None:

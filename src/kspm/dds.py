@@ -55,16 +55,6 @@ class SlopeDetermination:
         return cls(None)
 
 
-def slope_from_shots(p: int, a_back: int, a_here: int, a_next: int) -> int:
-    """Slope at a column from the three shot values that see it.
-
-    ``a_back`` is the shot ``p`` columns back (virtual ``n`` at ``i = 0``),
-    ``a_here`` the shot at the column, ``a_next`` the shot one to the right.
-    """
-    check_p(p)
-    return a_back - (p + 1) * a_here + p * a_next
-
-
 def next_shot(p: int, a_back: int, a_here: int, b: int) -> int:
     """Invert the balance: shot one column to the right, exactly.
 

@@ -382,6 +382,10 @@ def pair_distance(
     return worst
 
 
+#: Terms of the perturbation series computed per numpy call.
+_SERIES_BLOCK = 64
+
+
 def perturbation_bound(p: int, tol: float = 1e-15, cap: int = 100000) -> float:
     """Tail-sum bound ``sum_j ||O^j L||_inf`` for the centered recurrence.
 
@@ -389,13 +393,19 @@ def perturbation_bound(p: int, tol: float = 1e-15, cap: int = 100000) -> float:
     over powers, which decay at the spectral radius ``<= (p-1)/p``.
     """
     o, v = _centered_floats(p)
+    # terms are taken a block of rows at a time: row i + 1 is O times row i
+    rows = np.empty((_SERIES_BLOCK + 1, v.size))
+    rows[0] = v
     total = 0.0
-    for _ in range(cap):
-        t = float(np.max(np.abs(v)))
-        total += t
-        if t < tol * max(1.0, total):
-            return total
-        v = o @ v
+    for start in range(0, cap, _SERIES_BLOCK):
+        n = min(_SERIES_BLOCK, cap - start)
+        for i in range(n):
+            np.matmul(o, rows[i], out=rows[i + 1])
+        for t in np.abs(rows[:n]).max(axis=1).tolist():
+            total += t
+            if t < tol * max(1.0, total):
+                return total
+        rows[0] = rows[n]
     raise NoConvergence("perturbation series did not converge")
 
 

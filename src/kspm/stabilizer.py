@@ -10,8 +10,9 @@ Four ways to reach the unique fixed point of ``N`` grains:
   over the threshold.
 * ``random`` -- fire a uniformly random fireable column, driven by a
   seeded Mersenne Twister so runs are reproducible.
-* ``incremental`` -- add one grain at a time and settle the resulting
-  avalanche with the leftmost rule.
+* ``incremental`` -- add one grain at a time and settle each avalanche
+  with the leftmost rule.  Only a grain that tips column 0 costs a
+  settle; the grains before it fire nothing and are added together.
 
 All engines record the shot vector (number of firings per column).  The
 fixed point itself does not depend on the strategy; the firing order
@@ -304,31 +305,48 @@ class IncrementalStabilizer:
         # every column at or past ``_reach`` holds slope 0 and shot 0
         self._reach = 1
 
+    def _drop(self, k: int, order: list | None = None) -> None:
+        """Add ``k`` grains to column 0 and settle the pile if column 0 tips.
+
+        ``order``, if given, collects the firing order; with density
+        tracking on, the settle is one avalanche whose density column
+        may raise ``density_max``.
+        """
+        p = self.p
+        slopes = self._slopes
+        self.grains += k
+        slopes[0] += k
+        if slopes[0] <= p:
+            return
+        if order is None and self.track_density:
+            order = []
+        top = _settle(p, slopes, self._shot, None if order is None else order.append)
+        self._reach = max(self._reach, top + p + 1)
+        if self.track_density:
+            self.density_max = max(self.density_max, density_column(order))
+
     def advance(self, record: bool = False) -> Avalanche | None:
         """Add one grain to column 0 and settle the avalanche."""
         if self.grains + 1 > MAX_GRAINS:
             raise CapacityError("grain count would exceed the 2**62 limit")
-        self.grains += 1
-        p = self.p
-        slopes = self._slopes
-        slopes[0] += 1
-        order = [] if (record or self.track_density) else None
-        if slopes[0] > p:
-            top = _settle(p, slopes, self._shot, None if order is None else order.append)
-            self._reach = max(self._reach, top + p + 1)
-        if order is not None and self.track_density:
-            d = density_column(order)
-            if d > self.density_max:
-                self.density_max = d
+        order = [] if record else None
+        self._drop(1, order)
         if record:
             return Avalanche.from_order(self.grains, order)
         return None
 
     def advance_to(self, target: int) -> None:
+        """Add grains one at a time up to ``target``, settling each avalanche.
+
+        A grain that leaves column 0 at or below ``p`` fires nothing, so
+        the grains up to the next one that tips column 0 are added at once.
+        """
         check_grains(target)
         _capacity(self.p, target)
+        slopes = self._slopes
+        edge = self.p + 1
         while self.grains < target:
-            self.advance()
+            self._drop(min(target - self.grains, edge - slopes[0]))
 
     def jump_to(self, target: int) -> None:
         """Add all ``target - grains`` grains to column 0 at once and settle them.
@@ -341,10 +359,7 @@ class IncrementalStabilizer:
         check_grains(target)
         _capacity(self.p, target)
         if target > self.grains:
-            self._slopes[0] += target - self.grains
-            self.grains = target
-            top = _settle(self.p, self._slopes, self._shot)
-            self._reach = max(self._reach, top + self.p + 1)
+            self._drop(target - self.grains)
 
     def columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Slopes and shot vector of the current fixed point, without trailing zeros."""

@@ -227,6 +227,19 @@ def test_plateau_window_matches_full_rescan(p):
         assert rep.first_violation_at is None
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_plateau_window_sees_every_long_run_through_a_changed_column(p):
+    # a firing at i changes columns i..i+p; any p + 2 run through one of
+    # them, flush with either edge of the window, must still measure p + 2
+    for i in range(0, 3 * p + 4):
+        for changed in range(i, i + p + 1):
+            for start in range(max(0, changed - p - 1), changed + 1):
+                heights = [1000 + j for j in range(i + 4 * p + 8)]
+                heights[start : start + p + 2] = [7] * (p + 2)
+                window = heights[analyzer._plateau_window(p, i)]
+                assert analyzer.max_plateau(window) == p + 2, (i, start)
+
+
 def test_plateau_bound_holds_on_larger_piles():
     for p, n in [(1, 300), (2, 500), (3, 777), (4, 1000)]:
         rep = analyzer.check_plateaus_along_leftmost(p, n)

@@ -22,6 +22,15 @@ def shot_with_virtuals(fp, j):
     return fp.shot_at(j)
 
 
+def slope_from_shots(p, a_back, a_here, a_next):
+    """Slope at a column by the mass balance of the three shots that see it.
+
+    ``a_back`` is the shot ``p`` columns back (virtual ``n`` at ``i = 0``),
+    ``a_here`` the shot at the column, ``a_next`` the shot one to the right.
+    """
+    return a_back - (p + 1) * a_here + p * a_next
+
+
 def window_oracle(fp, i):
     """Window at column i read straight off the shot vector."""
     return tuple(shot_with_virtuals(fp, j) for j in range(i - fp.p, i + 1))
@@ -31,7 +40,7 @@ def window_oracle(fp, i):
 
 
 def test_slope_from_shots_micro_example():
-    assert dds.slope_from_shots(4, 189, 120, 103) == 1
+    assert slope_from_shots(4, 189, 120, 103) == 1
 
 
 def test_next_shot_micro_example():
@@ -55,14 +64,14 @@ def test_determination_mod_1_always_ambiguous():
 
 @given(st.integers(min_value=1, max_value=6), shots, shots, shots)
 def test_next_shot_inverts_balance(p, a_back, a_here, a_next):
-    b = dds.slope_from_shots(p, a_back, a_here, a_next)
+    b = slope_from_shots(p, a_back, a_here, a_next)
     assert dds.next_shot(p, a_back, a_here, b) == a_next
 
 
 @given(st.integers(min_value=1, max_value=6), shots, shots, shots)
 def test_determination_is_sound(p, a_back, a_here, a_next):
     """Whenever the residue determines a slope, it is the true slope mod p."""
-    b = dds.slope_from_shots(p, a_back, a_here, a_next)
+    b = slope_from_shots(p, a_back, a_here, a_next)
     det = dds.determine_slope(p, a_back, a_here)
     if det.is_determined:
         assert det.value == b % p
@@ -107,7 +116,7 @@ def test_advancing_commutes_with_differencing(p, w0, wl, mid, a_next):
     """Differencing then stepping equals stepping then differencing."""
     mid = (mid + [0] * p)[: p - 1]
     window = (w0, *mid, wl)
-    b = dds.slope_from_shots(p, w0, wl, a_next)
+    b = slope_from_shots(p, w0, wl, a_next)
     left = dds.to_averaging(dds.x_step(p, window, b))
     right = dds.y_step(p, dds.to_averaging(window), b)
     assert left == right

@@ -241,6 +241,49 @@ def test_track_density_flag():
     assert inc.density_max == max(a.density_column for a in avs)
 
 
+@pytest.mark.parametrize("track_density", [False, True])
+@pytest.mark.parametrize("p", range(1, 9))
+def test_advance_to_matches_grain_by_grain(p, track_density):
+    batched = IncrementalStabilizer(p, track_density=track_density)
+    stepped = IncrementalStabilizer(p, track_density=track_density)
+    for n in (0, 1, p, p + 1, p + 2, 37, 38, 38, 211, 999, 5, 1500):
+        batched.advance_to(n)
+        while stepped.grains < n:
+            stepped.advance()
+        assert batched.columns() == stepped.columns()
+        assert (batched.grains, batched.support, batched.density_max) == (
+            stepped.grains,
+            stepped.support,
+            stepped.density_max,
+        )
+    assert batched.grains == 1500
+
+
+def test_advance_to_settles_once_per_avalanche(monkeypatch):
+    p, n = 30, 5000
+    _, avalanches = stabilize_incremental(p, n)
+    started = sum(1 for av in avalanches if av.fired)
+    calls = {"settle": 0, "drop": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(stabilizer, "_settle", counting("settle", stabilizer._settle))
+    drop = counting("drop", IncrementalStabilizer._drop)
+    monkeypatch.setattr(IncrementalStabilizer, "_drop", drop)
+    inc = IncrementalStabilizer(p, expect=n, track_density=True)
+    inc.advance_to(n)
+    assert calls["settle"] == started
+    # the grains between two avalanches go on in one step, not one each
+    assert calls["drop"] <= started + 1
+    assert 0 < started < n // 10
+    assert inc.density_max == max(av.density_column for av in avalanches)
+
+
 @pytest.mark.parametrize("p", range(1, 7))
 def test_jump_to_matches_advance_to(p):
     jumped = IncrementalStabilizer(p)
