@@ -22,7 +22,7 @@ import io
 import json
 import sys
 from contextlib import contextmanager
-from math import log2, sqrt
+from math import isfinite, log2, sqrt
 
 from . import __version__, analyzer, dds, spectral
 from .errors import CapacityError, Divergence, KSPMError, NonIntegral, RecurrenceMismatch
@@ -458,8 +458,9 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         parser.error("--p-min must be at least 1")
     if getattr(args, "p_max", 2) < getattr(args, "p_min", 2):
         parser.error("--p-max must be at least --p-min")
-    if getattr(args, "tol", 1.0) <= 0:
-        parser.error("--tol must be positive")
+    tol = getattr(args, "tol", 1.0)
+    if not (isfinite(tol) and tol > 0):
+        parser.error("--tol must be finite and positive")
     if args.command == "scan" and args.stride > args.n_max:
         parser.error("--stride exceeds --n-max; no sample points")
 

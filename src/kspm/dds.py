@@ -20,7 +20,10 @@ The averaging view replaces the window by its ``p`` consecutive
 differences.  The slope again drives a one-step shift whose new entry
 is the old mean plus ``b_i / p``, and the min/max envelope of that
 difference vector contracts, which is what eventually freezes the
-pattern into waves.
+pattern into waves.  The wave grammar itself is decided in
+:mod:`kspm.analyzer`; the brute-force ``uniform_index`` oracle that
+checks this walk's uniform column is test-side, in
+``tests/lemma_audits.py``.
 """
 
 from __future__ import annotations
@@ -30,29 +33,6 @@ from math import isqrt
 
 from .errors import Divergence, NonIntegral
 from .model import SlopeConfig, check_grains, check_p, trimmed
-
-
-@dataclass(frozen=True)
-class SlopeDetermination:
-    """Outcome of reading a slope off the window residue.
-
-    ``value`` is the slope when determined, and ``None`` when the
-    residue is 0, in which case the slope is either 0 or ``p``.
-    """
-
-    value: int | None
-
-    @property
-    def is_determined(self) -> bool:
-        return self.value is not None
-
-    @classmethod
-    def determined(cls, b: int) -> "SlopeDetermination":
-        return cls(b)
-
-    @classmethod
-    def ambiguous(cls) -> "SlopeDetermination":
-        return cls(None)
 
 
 def next_shot(p: int, a_back: int, a_here: int, b: int) -> int:
@@ -71,26 +51,19 @@ def next_shot(p: int, a_back: int, a_here: int, b: int) -> int:
     return q
 
 
-def determine_slope(p: int, a_back: int, a_here: int) -> SlopeDetermination:
-    """Read the slope mod ``p`` from the two window ends."""
+def determine_slope(p: int, a_back: int, a_here: int) -> int | None:
+    """Read the slope mod ``p`` from the two window ends.
+
+    ``None`` means the residue is 0, so the slope is either 0 or ``p``.
+    """
     check_p(p)
-    r = (a_back - a_here) % p
-    if r == 0:
-        return SlopeDetermination.ambiguous()
-    return SlopeDetermination.determined(r)
+    return (a_back - a_here) % p or None
 
 
 def initial_window(p: int, n: int, a0: int) -> tuple[int, ...]:
     """Window at column 0: the virtual shots followed by ``a_0``."""
     check_p(p)
     return (n,) + (0,) * (p - 1) + (a0,)
-
-
-def x_step(p: int, window: tuple[int, ...], b: int) -> tuple[int, ...]:
-    """Advance the shot window one column under slope ``b``."""
-    if len(window) != p + 1:
-        raise ValueError(f"window must have {p + 1} entries")
-    return window[1:] + (next_shot(p, window[0], window[-1], b),)
 
 
 def to_averaging(window) -> tuple[int, ...]:
@@ -113,21 +86,11 @@ def y_step(p: int, y: tuple[int, ...], b: int) -> tuple[int, ...]:
     return y[1:] + (q,)
 
 
-def determine_slope_from_mean(p: int, y) -> SlopeDetermination:
-    """Read the slope mod ``p`` from a difference vector's sum."""
+def determine_slope_from_mean(p: int, y) -> int | None:
+    """Read the slope mod ``p`` from a difference vector's sum, as
+    :func:`determine_slope` reads it from the window ends."""
     check_p(p)
-    r = (-sum(y)) % p
-    if r == 0:
-        return SlopeDetermination.ambiguous()
-    return SlopeDetermination.determined(r)
-
-
-def uniform_index(ys) -> int:
-    """Index of the first constant vector in an iterable of vectors."""
-    for i, y in enumerate(ys):
-        if min(y) == max(y):
-            return i
-    raise ValueError("no uniform vector in the given trajectory")
+    return (-sum(y)) % p or None
 
 
 def _walk(p, n, a0, slope_at, limit, overrun, support=0):
@@ -146,7 +109,6 @@ def _walk(p, n, a0, slope_at, limit, overrun, support=0):
     while not (i > p and not any(window)):
         b = slope_at(i, window)
         yield i, window, b
-        # x_step without its shape check, which costs a call per column
         window = window[1:] + (next_shot(p, window[0], window[-1], b),)
         i += 1
         if i > limit:
@@ -240,19 +202,16 @@ def trajectory_report(p, slopes, a0, n) -> TrajectoryReport:
                 uniform_val = mn
         else:
             nonuniform.append(i)
-        if (window[0] - window[-1]) % p == 0:
-            ambiguous += 1
 
         det = determine_slope(p, window[0], window[-1])
         if det != determine_slope_from_mean(p, y):
             violations.append(f"i={i}: window and mean determinations differ")
-        if det.is_determined:
-            if det.value != b:
-                violations.append(
-                    f"i={i}: determined slope {det.value} but true slope {b}"
-                )
-        elif b not in (0, p):
-            violations.append(f"i={i}: ambiguous residue but true slope {b}")
+        if det is None:
+            ambiguous += 1
+            if b not in (0, p):
+                violations.append(f"i={i}: ambiguous residue but true slope {b}")
+        elif det != b:
+            violations.append(f"i={i}: determined slope {det} but true slope {b}")
         b_prev = b
 
     last = len(spreads) - 1
@@ -286,25 +245,14 @@ class GroundTruthResolver:
         return self._slopes[i] if i < len(self._slopes) else 0
 
 
-class AssumeZeroResolver:
-    """Resolve every residue-0 position to slope 0.
-
-    A guess, not knowledge: reconstructions using it are marked
-    non-authoritative.
-    """
-
-    authoritative = False
-
-    def __call__(self, i: int) -> int:
-        return 0
-
-
 @dataclass(frozen=True)
 class Reconstruction:
     """A fixed point rebuilt from ``(p, n, a0)`` plus an ambiguity resolver.
 
     ``ambiguous_positions`` lists every column where the resolver was
-    consulted.  ``authoritative`` is False when the resolver guessed.
+    consulted.  ``authoritative`` is True only for a resolver that says so,
+    like :class:`GroundTruthResolver`; any other, such as ``lambda i: 0``,
+    is a guess.
     """
 
     p: int
@@ -358,49 +306,3 @@ def reconstruct_fixed_point(p: int, n: int, a0: int, resolver) -> Reconstruction
         authoritative=bool(getattr(resolver, "authoritative", False)),
         steps=i,
     )
-
-
-@dataclass(frozen=True)
-class WaveUnfoldReport:
-    """Result of checking a slope tail against the wave automaton."""
-
-    accepted: bool
-    mismatch_position: int | None
-    waves: int
-    zeros: int
-    start_value: int
-    end_value: int
-
-
-def wave_unfold(p: int, alpha: int, tail) -> WaveUnfoldReport:
-    """Run the uniform-state automaton over a slope tail.
-
-    From a constant difference vector of value ``alpha``, slope 0 keeps
-    the constant and a full descending run ``p, p-1, ..., 1`` raises it
-    by one.  Any other slope breaks the pattern; the report records the
-    first offending offset.  A truncated final run mismatches at the end
-    because the implicit zero tail cannot complete it.
-    """
-    check_p(p)
-    seq = tuple(tail)
-    waves = 0
-    zeros = 0
-    k = 0  # 0 at a uniform state, else the next expected slope is p - k
-    for pos, v in enumerate(seq):
-        if k == 0:
-            if v == 0:
-                zeros += 1
-                continue
-            if v != p:
-                return WaveUnfoldReport(False, pos, waves, zeros, alpha, alpha + waves)
-            k = 1
-        elif v == p - k:
-            k += 1
-        else:
-            return WaveUnfoldReport(False, pos, waves, zeros, alpha, alpha + waves)
-        if k == p:
-            waves += 1
-            k = 0
-    if k != 0:
-        return WaveUnfoldReport(False, len(seq), waves, zeros, alpha, alpha + waves)
-    return WaveUnfoldReport(True, None, waves, zeros, alpha, alpha + waves)

@@ -325,6 +325,15 @@ class IncrementalStabilizer:
         if self.track_density:
             self.density_max = max(self.density_max, density_column(order))
 
+    def _check_target(self, target: int) -> None:
+        """Refuse a target below the grains already added, or past either limit."""
+        check_grains(target)
+        if target < self.grains:
+            raise ValueError(
+                f"target {target} is below the {self.grains} grains already added"
+            )
+        _capacity(self.p, target)
+
     def advance(self, record: bool = False) -> Avalanche | None:
         """Add one grain to column 0 and settle the avalanche."""
         if self.grains + 1 > MAX_GRAINS:
@@ -341,8 +350,7 @@ class IncrementalStabilizer:
         A grain that leaves column 0 at or below ``p`` fires nothing, so
         the grains up to the next one that tips column 0 are added at once.
         """
-        check_grains(target)
-        _capacity(self.p, target)
+        self._check_target(target)
         slopes = self._slopes
         edge = self.p + 1
         while self.grains < target:
@@ -356,8 +364,7 @@ class IncrementalStabilizer:
         """
         if self.track_density:
             raise ValueError("jump_to skips the avalanches density tracking needs")
-        check_grains(target)
-        _capacity(self.p, target)
+        self._check_target(target)
         if target > self.grains:
             self._drop(target - self.grains)
 

@@ -19,7 +19,12 @@ from conftest import (
 from kspm import analyzer, dds
 from kspm.errors import CapacityError, InsufficientData, NonIntegral
 from kspm.analyzer import ScanRow
-from kspm.model import trimmed
+from kspm.model import heights_from_slopes, trimmed
+from lemma_audits import (
+    check_plateaus_along_leftmost,
+    climbing_zero_check,
+    plateau_window,
+)
 from kspm.stabilizer import (
     IncrementalStabilizer,
     leftmost_avalanche,
@@ -221,7 +226,7 @@ def naive_plateau_trace(p, n):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_plateau_window_matches_full_rescan(p):
     for n in range(0, 41):
-        rep = analyzer.check_plateaus_along_leftmost(p, n)
+        rep = check_plateaus_along_leftmost(p, n)
         assert rep.max_plateau_seen == naive_plateau_trace(p, n), (p, n)
         assert rep.ok
         assert rep.first_violation_at is None
@@ -236,13 +241,13 @@ def test_plateau_window_sees_every_long_run_through_a_changed_column(p):
             for start in range(max(0, changed - p - 1), changed + 1):
                 heights = [1000 + j for j in range(i + 4 * p + 8)]
                 heights[start : start + p + 2] = [7] * (p + 2)
-                window = heights[analyzer._plateau_window(p, i)]
+                window = heights[plateau_window(p, i)]
                 assert analyzer.max_plateau(window) == p + 2, (i, start)
 
 
 def test_plateau_bound_holds_on_larger_piles():
     for p, n in [(1, 300), (2, 500), (3, 777), (4, 1000)]:
-        rep = analyzer.check_plateaus_along_leftmost(p, n)
+        rep = check_plateaus_along_leftmost(p, n)
         assert rep.ok
         assert rep.max_plateau_seen <= p + 1
         assert rep.bound == p + 1
@@ -250,7 +255,7 @@ def test_plateau_bound_holds_on_larger_piles():
 
 def test_plateau_audit_refuses_huge_p_before_allocating():
     with pytest.raises(CapacityError, match="columns exceed"):
-        analyzer.check_plateaus_along_leftmost(10**9, 5)
+        check_plateaus_along_leftmost(10**9, 5)
 
 
 def test_plateau_audit_checks_the_firing_limit_before_allocating():
@@ -258,7 +263,7 @@ def test_plateau_audit_checks_the_firing_limit_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="firing limit"):
-            analyzer.check_plateaus_along_leftmost(2, 10**12)
+            check_plateaus_along_leftmost(2, 10**12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -275,7 +280,7 @@ def test_climbing_zero_scan_p2():
         av = leftmost_avalanche(prev)
         inc.advance()
         nxt = inc.snapshot()
-        rep = analyzer.climbing_zero_check(prev, nxt, av)
+        rep = climbing_zero_check(prev, nxt, av)
         assert rep.ok, (k, rep)
         assert rep.k == nxt.n_grains
         prev = nxt
@@ -288,7 +293,7 @@ def test_climbing_zero_scan_p4_spot():
         av = leftmost_avalanche(prev)
         inc.advance()
         nxt = inc.snapshot()
-        assert analyzer.climbing_zero_check(prev, nxt, av).ok
+        assert climbing_zero_check(prev, nxt, av).ok
         prev = nxt
 
 
@@ -296,7 +301,7 @@ def test_climbing_zero_not_applicable_for_short_avalanche():
     prev = stabilize(4, 1999)
     nxt = stabilize(4, 2000)
     av = leftmost_avalanche(prev)
-    rep = analyzer.climbing_zero_check(prev, nxt, av)
+    rep = climbing_zero_check(prev, nxt, av)
     assert rep.ok
     if not rep.applicable:
         assert rep.prev_zero == rep.next_zero
@@ -466,4 +471,4 @@ def test_decade_regression_needs_both_decades():
 
 def test_heights_of_golden():
     fp = stabilize(2, 24)
-    assert analyzer.heights_of(fp).heights == GOLDEN_P2_N24_HEIGHTS
+    assert heights_from_slopes(fp.slopes).heights == GOLDEN_P2_N24_HEIGHTS

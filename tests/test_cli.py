@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -204,6 +205,15 @@ def test_spectral_charpoly_ranges_are_pinned(capsys):
     assert rows[9]["charpoly_window_ok"] is None
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_spectral_refuses_a_tolerance_that_is_not_finite(tol, capsys):
+    # NaN fails every comparison and inf passes every residual, so neither gates
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectral", "--p-max", "4", "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol must be finite and positive" in capsys.readouterr().err
+
+
 def test_spectral_impossible_tolerance_fails_gate(capsys):
     rc, out, err = run_cli(capsys, "spectral", "--p-max", "8", "--tol", "1e-30")
     assert rc == 4
@@ -356,6 +366,29 @@ def test_capacity_limit_exit_3(capsys):
     assert "resource limit" in err
 
 
+def test_huge_scan_is_refused_before_its_samples_are_built():
+    # under a 1.5 GiB address-space limit, a list of the 10**12 samples would
+    # end in MemoryError; the firing preflight must answer first
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
+        "from kspm import cli\n"
+        "argv = ['scan', '--p', '2', '--n-max', str(10**12), '--stride', '1']\n"
+        "sys.exit(cli.main(argv))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=Path(kspm.__file__).parents[1],
+        # one BLAS thread keeps numpy's own reservations well under the limit
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "firing limit" in proc.stderr
+
+
 def test_huge_avalanche_index_is_refused_with_exit_3(capsys):
     # about 1e18 firings: refused before any allocation or settling
     rc, out, err = run_cli(capsys, "avalanche", "--p", "2", "--k", str(10**12))
@@ -403,3 +436,18 @@ def test_module_entrypoint_smoke():
     )
     assert proc.returncode == 0
     assert tuple(json.loads(proc.stdout)["result"]["slopes"]) == GOLDEN_P2_N24_SLOPES
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # the tracer rebinds library names by attribute; a rename fails here
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'benchmarks')!r}]\n"
+        "import tracing\n"
+        "tracing.install(tracing.Tracer())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

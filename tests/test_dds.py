@@ -1,4 +1,4 @@
-"""Exact shot-window dynamics, determinations, reconstruction, wave automaton."""
+"""Exact shot-window dynamics, determinations and reconstruction."""
 
 import pytest
 from hypothesis import given
@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import GOLDEN_P2_N24_SHOT, GOLDEN_P2_N24_SLOPES
 from kspm import dds, spectral
+from lemma_audits import uniform_index
 from kspm.errors import Divergence, NonIntegral
 from kspm.stabilizer import stabilize
 
@@ -53,13 +54,13 @@ def test_next_shot_rejects_nondivisible():
 
 
 def test_determine_slope_micro_example():
-    assert dds.determine_slope(4, 189, 120) == dds.SlopeDetermination.determined(1)
-    assert dds.determine_slope(2, 6, 4).value is None
-    assert not dds.determine_slope(3, 9, 9).is_determined
+    assert dds.determine_slope(4, 189, 120) == 1
+    assert dds.determine_slope(2, 6, 4) is None
+    assert dds.determine_slope(3, 9, 9) is None
 
 
 def test_determination_mod_1_always_ambiguous():
-    assert dds.determine_slope(1, 13, 5).value is None
+    assert dds.determine_slope(1, 13, 5) is None
 
 
 @given(st.integers(min_value=1, max_value=6), shots, shots, shots)
@@ -73,20 +74,15 @@ def test_determination_is_sound(p, a_back, a_here, a_next):
     """Whenever the residue determines a slope, it is the true slope mod p."""
     b = slope_from_shots(p, a_back, a_here, a_next)
     det = dds.determine_slope(p, a_back, a_here)
-    if det.is_determined:
-        assert det.value == b % p
-    else:
+    if det is None:
         assert b % p == 0
+    else:
+        assert det == b % p
 
 
 def test_initial_window_layout():
     assert dds.initial_window(4, 2000, 476) == (2000, 0, 0, 0, 476)
     assert dds.initial_window(1, 24, 12) == (24, 12)
-
-
-def test_x_step_shapes():
-    with pytest.raises(ValueError):
-        dds.x_step(3, (1, 2), 0)
 
 
 def test_to_averaging():
@@ -106,9 +102,8 @@ def test_y_step_uniform_cases():
 
 
 def test_determine_slope_from_mean_micro_example():
-    det = dds.determine_slope_from_mean(4, (-3, -5, -7, -7))
-    assert det == dds.SlopeDetermination.determined(2)
-    assert dds.determine_slope_from_mean(3, (-2, -2, -2)).value is None
+    assert dds.determine_slope_from_mean(4, (-3, -5, -7, -7)) == 2
+    assert dds.determine_slope_from_mean(3, (-2, -2, -2)) is None
 
 
 @given(st.integers(min_value=1, max_value=5), shots, shots, st.lists(ints, min_size=0, max_size=3), shots)
@@ -117,16 +112,17 @@ def test_advancing_commutes_with_differencing(p, w0, wl, mid, a_next):
     mid = (mid + [0] * p)[: p - 1]
     window = (w0, *mid, wl)
     b = slope_from_shots(p, w0, wl, a_next)
-    left = dds.to_averaging(dds.x_step(p, window, b))
+    stepped = window[1:] + (dds.next_shot(p, w0, wl, b),)
+    left = dds.to_averaging(stepped)
     right = dds.y_step(p, dds.to_averaging(window), b)
     assert left == right
 
 
 def test_uniform_index_basics():
-    assert dds.uniform_index([(1, 2), (3, 3)]) == 1
-    assert dds.uniform_index([(5,)]) == 0  # single-entry vectors are constant
+    assert uniform_index([(1, 2), (3, 3)]) == 1
+    assert uniform_index([(5,)]) == 0  # single-entry vectors are constant
     with pytest.raises(ValueError):
-        dds.uniform_index([(1, 2), (2, 1)])
+        uniform_index([(1, 2), (2, 1)])
 
 
 # ------------------------------------------------------- true trajectories
@@ -176,7 +172,7 @@ def test_uniform_index_against_shot_vector_oracle(p, n):
     ys = []
     for i in range(fp.slopes.support + p + 1):
         ys.append(dds.to_averaging(window_oracle(fp, i)))
-    expect = dds.uniform_index(ys)
+    expect = uniform_index(ys)
     rep = dds.trajectory_report(p, fp.slopes, fp.shot_at(0), n)
     assert rep.uniform_index == expect
     assert min(ys[expect]) == rep.uniform_value
@@ -223,7 +219,7 @@ def test_reconstruct_matches_stabilizer(p, n):
 
 
 def test_reconstruct_n_zero():
-    r = dds.reconstruct_fixed_point(3, 0, 0, dds.AssumeZeroResolver())
+    r = dds.reconstruct_fixed_point(3, 0, 0, lambda i: 0)
     assert r.slopes.slopes == ()
     assert r.shot == ()
     assert not r.authoritative
@@ -238,7 +234,7 @@ def test_reconstruct_stable_pile_without_firings():
 
 def test_assume_zero_succeeds_when_ambiguous_columns_hold_zero():
     fp = stabilize(2, 4)  # slopes (1, 1, 1): the one ambiguous column is a true 0
-    r = dds.reconstruct_fixed_point(2, 4, fp.shot_at(0), dds.AssumeZeroResolver())
+    r = dds.reconstruct_fixed_point(2, 4, fp.shot_at(0), lambda i: 0)
     assert not r.authoritative
     assert r.slopes == fp.slopes
     assert r.ambiguous_positions == (1,)
@@ -247,13 +243,13 @@ def test_assume_zero_succeeds_when_ambiguous_columns_hold_zero():
 def test_assume_zero_diverges_when_the_truth_was_p():
     # golden pile starts with slope 2; guessing 0 sends the window negative
     with pytest.raises(Divergence):
-        dds.reconstruct_fixed_point(2, 24, 8, dds.AssumeZeroResolver())
+        dds.reconstruct_fixed_point(2, 24, 8, lambda i: 0)
 
 
 def test_reconstruct_divergence_on_bad_a0():
     # p=1 with a0=N keeps the window at N forever under assume-zero
     with pytest.raises(Divergence):
-        dds.reconstruct_fixed_point(1, 4, 4, dds.AssumeZeroResolver())
+        dds.reconstruct_fixed_point(1, 4, 4, lambda i: 0)
 
 
 def test_reconstruct_rejects_bad_resolver_value():
@@ -269,60 +265,7 @@ def test_reconstruct_rejects_bad_resolver_value():
 
 def test_reconstruct_validates_inputs():
     with pytest.raises(ValueError):
-        dds.reconstruct_fixed_point(2, 24, -1, dds.AssumeZeroResolver())
+        dds.reconstruct_fixed_point(2, 24, -1, lambda i: 0)
     with pytest.raises(ValueError):
-        dds.reconstruct_fixed_point(0, 24, 1, dds.AssumeZeroResolver())
+        dds.reconstruct_fixed_point(0, 24, 1, lambda i: 0)
 
-
-# ----------------------------------------------------------- wave automaton
-
-
-def test_wave_unfold_accepts_wave_zero_wave():
-    rep = dds.wave_unfold(4, -1, (4, 3, 2, 1, 0, 4, 3, 2, 1))
-    assert rep.accepted
-    assert rep.mismatch_position is None
-    assert rep.waves == 2
-    assert rep.zeros == 1
-    assert rep.end_value == 1
-
-
-def test_wave_unfold_rejects_broken_run():
-    rep = dds.wave_unfold(4, -1, (4, 3, 3, 2, 1))
-    assert not rep.accepted
-    assert rep.mismatch_position == 2
-
-
-def test_wave_unfold_rejects_truncated_run():
-    rep = dds.wave_unfold(3, 0, (3, 2))
-    assert not rep.accepted
-    assert rep.mismatch_position == 2
-
-
-def test_wave_unfold_rejects_wrong_start():
-    rep = dds.wave_unfold(3, 0, (2, 1))
-    assert not rep.accepted
-    assert rep.mismatch_position == 0
-
-
-def test_wave_unfold_p1_accepts_any_binary_tail():
-    rep = dds.wave_unfold(1, -2, (1, 0, 1, 1, 0))
-    assert rep.accepted
-    assert rep.waves == 3
-    assert rep.zeros == 2
-    assert rep.end_value == 1
-
-
-def test_wave_unfold_empty_tail():
-    rep = dds.wave_unfold(5, 4, ())
-    assert rep.accepted
-    assert rep.waves == 0 and rep.zeros == 0
-    assert rep.start_value == rep.end_value == 4
-
-
-def test_wave_unfold_golden_tail():
-    fp = stabilize(4, 2000)
-    rep_full = dds.trajectory_report(4, fp.slopes, fp.shot_at(0), 2000)
-    tail = fp.slopes.slopes[20:]
-    rep = dds.wave_unfold(4, rep_full.uniform_value, tail)
-    assert rep.accepted
-    assert rep.zeros == 1

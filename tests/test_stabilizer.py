@@ -246,7 +246,7 @@ def test_track_density_flag():
 def test_advance_to_matches_grain_by_grain(p, track_density):
     batched = IncrementalStabilizer(p, track_density=track_density)
     stepped = IncrementalStabilizer(p, track_density=track_density)
-    for n in (0, 1, p, p + 1, p + 2, 37, 38, 38, 211, 999, 5, 1500):
+    for n in (0, 1, p, p + 1, p + 2, 37, 38, 38, 211, 999, 1500):
         batched.advance_to(n)
         while stepped.grains < n:
             stepped.advance()
@@ -288,12 +288,23 @@ def test_advance_to_settles_once_per_avalanche(monkeypatch):
 def test_jump_to_matches_advance_to(p):
     jumped = IncrementalStabilizer(p)
     stepped = IncrementalStabilizer(p)
-    for n in (0, 5, 5, 37, 38, 200, 999, 3, 1500):
+    for n in (0, 5, 5, 37, 38, 200, 999, 1500):
         jumped.jump_to(n)
         stepped.advance_to(n)
         a, b = jumped.snapshot(), stepped.snapshot()
         assert (a.n_grains, a.slopes, a.shot) == (b.n_grains, b.slopes, b.shot)
-    assert a.n_grains == 1500  # a smaller target leaves the pile alone
+    assert a.n_grains == 1500
+
+
+def test_backward_targets_are_refused():
+    inc = IncrementalStabilizer(2, expect=100)
+    inc.advance_to(50)
+    before = inc.columns()
+    for move, target in ((inc.advance_to, 10), (inc.jump_to, 5)):
+        with pytest.raises(ValueError, match="below the 50 grains"):
+            move(target)
+        move(50)  # the current count stays a no-op
+    assert inc.grains == 50 and inc.columns() == before
 
 
 @pytest.mark.parametrize("p", range(1, 7))
