@@ -5,19 +5,22 @@ descending runs ``p, p-1, ..., 1``, separated by at most one interior
 zero, followed by the implicit zero tail.  This module locates the
 earliest column where that pattern starts, checks support bounds with
 exact integer arithmetic, measures plateaus of equal heights, and
-aggregates all of it into scan rows with logarithmic fits.  The audits
-of the paper's lemmas along whole trajectories (plateaus in every
-intermediate state, the climbing interior zero) are test-side, in
-``tests/lemma_audits.py``.
+aggregates all of it into scan rows with logarithmic fits.  A scan keeps
+its row statistics current over the prefix of columns each sample's
+settles touched, and checks the whole width once more at its last
+sample.  The audits of the paper's lemmas along whole trajectories
+(plateaus in every intermediate state, the climbing interior zero) are
+test-side, in ``tests/lemma_audits.py``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain, islice, pairwise, repeat
 from math import inf, log2, sqrt
 
-from .errors import InsufficientData, NonIntegral
+from .errors import InsufficientData, NonIntegral, RecurrenceMismatch
 from .model import check_grains, check_p, trimmed
 from .stabilizer import IncrementalStabilizer
 
@@ -50,18 +53,19 @@ class WaveDecomposition:
     interior_zero_count: int
 
 
-def _wave_chain(p: int, seq: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-    """Strict and loose wave starts of trimmed slopes, and every zero between.
+def _wave_chain(p: int, seq: list[int], nodes: list[int], zeros: list[int]):
+    """Extend the backward chain of wave blocks; return its strict and loose starts.
 
     Only a 0 or a ``p`` begins a block, so every column from which the
-    tail parses lies on one chain of blocks, walked here back from the
-    support.  The loose start is where the chain ends.  Zero blocks only
-    accumulate along it, so the strict start is the last column reached
-    with at most one of them.  Zeros come in increasing column order.
+    tail of the trimmed slopes ``seq`` parses lies on one chain of
+    blocks, walked back from the support.  ``nodes`` holds the chain's
+    columns from the support leftwards and ``zeros`` its zero blocks,
+    right to left; the walk resumes at ``nodes[-1]``.  The loose start
+    is where the chain ends.  Zero blocks only accumulate along it, so
+    the strict start is the node just right of its second zero.
     """
-    wave = tuple(range(p, 0, -1))
-    i = strict = len(seq)
-    zeros: list[int] = []
+    wave = list(range(p, 0, -1))
+    i = nodes[-1]
     while i:
         if seq[i - 1] == 0:
             i -= 1
@@ -70,9 +74,8 @@ def _wave_chain(p: int, seq: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]
             i -= p
         else:
             break
-        if len(zeros) <= 1:
-            strict = i
-    return strict, i, tuple(reversed(zeros))
+        nodes.append(i)
+    return (zeros[1] + 1 if len(zeros) > 1 else i), i
 
 
 def parse_waves(p, slopes, grammar: str = "strict") -> WaveDecomposition:
@@ -86,10 +89,11 @@ def parse_waves(p, slopes, grammar: str = "strict") -> WaveDecomposition:
     check_p(p)
     if grammar not in ("strict", "loose"):
         raise ValueError(f"grammar must be 'strict' or 'loose', got {grammar!r}")
-    seq = trimmed(slopes)
-    strict, loose, zeros = _wave_chain(p, seq)
+    seq = list(trimmed(slopes))
+    zeros: list[int] = []
+    strict, loose = _wave_chain(p, seq, [len(seq)], zeros)
     start = strict if grammar == "strict" else loose
-    zpos = tuple(z for z in zeros if z >= start)
+    zpos = tuple(z for z in reversed(zeros) if z >= start)
     blocks: list[str] = []
     i = start
     while i < len(seq):
@@ -99,7 +103,7 @@ def parse_waves(p, slopes, grammar: str = "strict") -> WaveDecomposition:
         p=p,
         grammar=grammar,
         start=start,
-        prefix=seq[:start],
+        prefix=tuple(seq[:start]),
         blocks=tuple(blocks),
         zero_positions=zpos,
         interior_zero_count=len(zpos),
@@ -201,52 +205,122 @@ class RowStatistics:
     ambiguous_count: int
 
 
-def row_statistics(p: int, n: int, slopes, shot) -> RowStatistics:
-    """Scan statistics of a fixed point from its slopes and shot vector.
+class WaveTracker:
+    """Scan statistics of one growing pile, kept current where it changed.
 
-    ``slopes`` and ``shot`` come without trailing zeros.  Padding the
-    shot vector with the virtual ``n, 0, ..., 0`` makes the shot window
-    at column ``i`` the slice ``a[i : i + p + 1]``, which closes at
-    column ``steps``.  The mass balance is checked at every column before
-    it, so the windows are exactly those :func:`kspm.dds.trajectory_report`
-    replays from ``a_0``; with non-negative slopes the balance also rules
-    out an all-zero window before ``steps``.  Raises :class:`NonIntegral`
-    when the balance fails or the slopes run past the closing window.
+    Padding the shot vector with the virtual ``n, 0, ..., 0`` makes the
+    shot window at column ``i`` the slice ``a[i : i + p + 1]``, which
+    closes at column ``steps``.  The mass balance is checked at every
+    column before it, so the windows are exactly those
+    :func:`kspm.dds.trajectory_report` replays from ``a_0``; with
+    non-negative slopes it also rules out an all-zero window before
+    ``steps``.
+
+    ``touched`` bounds what changed since the last update: slopes only in
+    ``[0, touched)`` and shots only in ``[0, touched - p)``, as the
+    pile's ``advance_to`` and ``jump_to`` return it.  The balance of
+    column ``i`` reads slope ``i``, shots ``i - p``, ``i`` and ``i + 1``,
+    and ``n`` at column 0, so only columns left of ``touched`` are checked
+    again.  The ambiguity terms, both trimmed lengths and the chain nodes
+    at or past ``touched + p`` carry over.  The ``uniform_index`` scan
+    starts at ``a_0 = n`` each time, and stops at ``touched`` when the
+    last answer lies at or past it.
     """
-    slopes = tuple(slopes)
-    shot = tuple(shot)
-    w = len(slopes)
-    steps = max(len(shot) + p, p + 1)
-    if w > steps:
-        raise NonIntegral(
-            f"shot window closes at column {steps} but slopes run to column {w - 1}"
+
+    def __init__(self, p: int):
+        check_p(p)
+        self.p = p
+        self._width = self._shots = self._steps = self._uniform = 0
+        self._flags: list[bool] = []  # slope % p == 0 for columns before steps
+        self._ambiguous = 0
+        self._nodes: list[int] = []  # wave chain from the support leftwards
+        self._zeros: list[int] = []  # its zero blocks, right to left
+
+    def update(
+        self, n: int, slopes: list, shot: list, touched: int | None = None
+    ) -> RowStatistics:
+        """Statistics of ``n`` grains on these lists, changed only inside ``touched``.
+
+        The first update, or one without ``touched``, covers the whole
+        width.  Raises :class:`NonIntegral` when the balance fails or the
+        slopes run past the closing window, and leaves the tracker as it was.
+        """
+        p = self.p
+        if touched is None or not self._steps:
+            touched = max(len(slopes), len(shot) + p + 1)
+        w, m = self._width, self._shots
+        if w <= touched:
+            w = min(touched, len(slopes))
+            while w and not slopes[w - 1]:
+                w -= 1
+        if m <= touched - p:
+            m = max(min(touched - p, len(shot)), 0)
+            while m and not shot[m - 1]:
+                m -= 1
+        steps = max(m + p, p + 1)
+        if w > steps:
+            raise NonIntegral(
+                f"shot window closes at column {steps} but slopes run to column {w - 1}"
+            )
+        # columns [0, hi) may have changed; the shots grow only inside them,
+        # so a new ``steps`` comes with hi == steps
+        hi = min(touched, steps)
+        b = slopes[:hi]
+        b += [0] * (hi - len(b))
+        a = shot[: hi + 1]
+        a += [0] * (hi + 1 - len(a))
+        back = [n] + [0] * (p - 1) + a[: max(hi - p, 0)]
+        pp1 = p + 1
+        for i, (x, y, z, v) in enumerate(zip(back, a, a[1:], b)):
+            if x - pp1 * y + p * z != v:
+                raise NonIntegral(f"shot vector breaks the mass balance at column {i}")
+        # the balance makes shot[i - p] - shot[i] congruent to b[i] mod p
+        flags = [v % p == 0 for v in b]
+        if hi == steps:
+            self._ambiguous = sum(flags)
+            self._flags = flags
+        else:
+            self._ambiguous += sum(flags) - sum(self._flags[:hi])
+            self._flags[:hi] = flags
+        # window i is uniform when its p differences, d[i .. i+p-1], are equal;
+        # the closing window is all zero, so one is always found.  Windows
+        # from ``touched`` on read no changed shot: when the last answer lies
+        # there, only a window left of ``touched`` can replace it
+        uniform = self._uniform
+        limit = touched + p - 1 if uniform >= touched else None
+        run = 0
+        prev = None
+        padded = chain((n,), repeat(0, p - 1), shot, repeat(0, pp1))
+        for k, (x, y) in enumerate(islice(pairwise(padded), limit), 1 - p):
+            run = run + 1 if y - x == prev else 1
+            prev = y - x
+            if run == p:
+                uniform = k
+                break
+        # a chain node's next step reads the p slopes left of it
+        nodes, zeros = self._nodes, self._zeros
+        while nodes and nodes[-1] < touched + p:
+            nodes.pop()
+        while zeros and zeros[-1] < touched + p:
+            zeros.pop()
+        if not nodes:
+            nodes.append(w)
+        strict, loose = _wave_chain(p, slopes, nodes, zeros)
+        self._width, self._shots, self._steps = w, m, steps
+        self._uniform = uniform
+        return RowStatistics(
+            width=w,
+            n_strict=strict,
+            n_loose=loose,
+            zero_positions=tuple(zeros[:1]),  # a strict tail holds the first zero
+            uniform_index=uniform,
+            ambiguous_count=self._ambiguous,
         )
-    a = (n,) + (0,) * (p - 1) + shot + (0,) * (steps + 1 - len(shot))
-    b = slopes + (0,) * (steps - w)
-    pp1 = p + 1
-    for i, (back, here, nxt, bi) in enumerate(zip(a, a[p:], a[p + 1 :], b)):
-        if back - pp1 * here + p * nxt != bi:
-            raise NonIntegral(f"shot vector breaks the mass balance at column {i}")
-    # the balance makes a[i] - a[i + p] congruent to b[i] mod p
-    ambiguous = sum(v % p == 0 for v in b)
-    # window i is uniform when its p differences, d[i .. i+p-1], are equal;
-    # the closing window is all zero, so one is always found
-    run = 0
-    prev = None
-    for k, (x, y) in enumerate(zip(a, a[1:])):
-        run = run + 1 if y - x == prev else 1
-        prev = y - x
-        if run == p:
-            break
-    strict, loose, zeros = _wave_chain(p, slopes)
-    return RowStatistics(
-        width=w,
-        n_strict=strict,
-        n_loose=loose,
-        zero_positions=zeros[-1:],  # a strict tail holds the chain's last zero
-        uniform_index=k + 1 - p,
-        ambiguous_count=ambiguous,
-    )
+
+
+def row_statistics(p: int, n: int, slopes, shot) -> RowStatistics:
+    """Scan statistics of a fixed point, checked over its whole width."""
+    return WaveTracker(p).update(n, list(slopes), list(shot))
 
 
 def scan_rows(
@@ -261,7 +335,10 @@ def scan_rows(
     sample order.  Incremental scans replay every avalanche and track
     density columns on the way.  Direct scans settle each sample's new
     grains at once, which firing's abelian property makes the same fixed
-    point, and leave ``density_column`` as ``None``.
+    point, and leave ``density_column`` as ``None``.  One
+    :class:`WaveTracker` follows the pile; the last sample is checked
+    again over the whole width, and a difference raises
+    :class:`RecurrenceMismatch`.
     """
     check_p(p)
     # a range is already sorted and distinct; left lazy, its largest sample
@@ -273,14 +350,13 @@ def scan_rows(
     if not targets:
         raise ValueError("no grain counts to scan")
     inc = IncrementalStabilizer(p, expect=targets[-1], track_density=incremental)
+    step = inc.advance_to if incremental else inc.jump_to
+    tracker = WaveTracker(p)
     rows: list[ScanRow] = []
     for n in targets:
         t0 = time.perf_counter() if timing else 0.0
-        if incremental:
-            inc.advance_to(n)
-        else:
-            inc.jump_to(n)
-        stats = row_statistics(p, n, *inc.columns())
+        touched = step(n)
+        stats = tracker.update(n, inc.slopes, inc.shot, touched)
         rows.append(
             ScanRow(
                 n_grains=n,
@@ -294,6 +370,11 @@ def scan_rows(
                 ambiguous_count=stats.ambiguous_count,
                 elapsed_us=int((time.perf_counter() - t0) * 1e6) if timing else 0,
             )
+        )
+    # every column's balance once more, so a change the extents missed still fails
+    if row_statistics(p, n, inc.slopes, inc.shot) != stats:
+        raise RecurrenceMismatch(
+            f"tracked statistics at N={n} differ from a full-width check"
         )
     return rows
 

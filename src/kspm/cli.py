@@ -27,7 +27,7 @@ from math import isfinite, log2, sqrt
 from . import __version__, analyzer, dds, spectral
 from .errors import CapacityError, Divergence, KSPMError, NonIntegral, RecurrenceMismatch
 from .model import grain_count, heights_from_slopes
-from .stabilizer import IncrementalStabilizer, check_columns, holes, stabilize
+from .stabilizer import IncrementalStabilizer, check_matrix, holes, stabilize
 
 def _meta(command: str, config: dict) -> dict:
     return {"tool": "kspm", "version": __version__, "command": command, "config": config}
@@ -232,7 +232,7 @@ def _spectral_row(p: int, tol: float) -> dict:
 
 def cmd_spectral(args) -> int:
     # every row builds p-by-p matrices; refuse the largest before any row
-    check_columns(args.p_max * args.p_max)
+    check_matrix(args.p_max)
     rows = [_spectral_row(p, args.tol) for p in range(args.p_min, args.p_max + 1)]
     all_ok = all(r["ok"] for r in rows)
     config = {"p_min": args.p_min, "p_max": args.p_max, "tol": args.tol}
@@ -276,7 +276,7 @@ def cmd_avalanche(args) -> int:
 
 def _verification_checks(p: int, n: int, seed: int) -> list[dict]:
     # the centered recurrence needs a p-by-p matrix; refuse it before any engine runs
-    check_columns(p * p)
+    check_matrix(p)
     checks: list[dict] = []
 
     def add(name: str, ok: bool, detail: str = "") -> None:

@@ -32,7 +32,7 @@ import numpy as np
 from . import dds
 from .errors import NoConvergence, RecurrenceMismatch
 from .model import check_grains, check_p
-from .stabilizer import check_columns
+from .stabilizer import check_matrix
 
 
 class RationalPolynomial:
@@ -282,10 +282,10 @@ def _centered_scaled(p: int) -> tuple[list[list[int]], list[int]]:
 
     Centering subtracts each column's mean: ``([j >= 1] + 1/p) / p`` from
     the averaging matrix and ``1/p`` from the averaging kick.  Refuses,
-    before building it, a matrix of more than ``MAX_COLUMNS`` entries.
+    before building it, a matrix past the limits of :func:`check_matrix`.
     """
     check_p(p)
-    pp = check_columns(p * p)
+    pp = check_matrix(p)
     matrix = [
         [(pp * (j == i + 1) if i < p - 1 else p) - p * (j >= 1) - 1 for j in range(p)]
         for i in range(p)
@@ -344,10 +344,10 @@ def roots_R(p: int) -> RootSet:
 
     Found as companion-matrix eigenvalues by ``numpy.roots``; the
     residuals and the separation are the caller's acceptance gate.  A
-    companion matrix of more than ``MAX_COLUMNS`` entries is refused.
+    companion matrix past the limits of :func:`check_matrix` is refused.
     """
     check_p(p)
-    check_columns(p * p)
+    check_matrix(p)
     poly = poly_R(p)
     return _root_quality(
         poly, [complex(z) for z in np.roots(poly.float_coeffs_desc())]

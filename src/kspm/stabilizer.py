@@ -13,12 +13,16 @@ Four ways to reach the unique fixed point of ``N`` grains:
 * ``incremental`` -- add one grain at a time and settle each avalanche
   with the leftmost rule.  Only a grain that tips column 0 costs a
   settle; the grains before it fire nothing and are added together.
+  Each step returns the prefix of columns its settles touched, which
+  is all :class:`kspm.analyzer.WaveTracker` reads again.
 
 All engines record the shot vector (number of firings per column).  The
 fixed point itself does not depend on the strategy; the firing order
-does, and is kept only for avalanches where it is cheap and useful.
-The leftmost walk stays wherever the order is the output or a grown
-pile takes a small jump, where a sweep over the whole pile costs more.
+does, and is kept only where ``advance(record=True)`` returns it.  An
+avalanche's density column comes from its shot prefix before and after
+the settle instead.  The leftmost walk stays wherever the order is the
+output or a grown pile takes a small jump, where a sweep over the whole
+pile costs more.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import isqrt
+from operator import eq
 
 from .errors import CapacityError
 from .model import MAX_GRAINS, SlopeConfig, check_grains, check_p, trimmed
@@ -35,6 +40,8 @@ from .model import MAX_GRAINS, SlopeConfig, check_grains, check_p, trimmed
 MAX_COLUMNS = 2**24
 #: Most firings any run may need, by the work bound in ``_capacity``.
 MAX_FIRINGS = 2**40
+#: Largest ``p**3`` of any dense p-by-p matrix work: p up to 1000.
+MAX_MATRIX_WORK = 10**9
 
 
 def check_columns(count: int) -> int:
@@ -42,6 +49,21 @@ def check_columns(count: int) -> int:
     if count > MAX_COLUMNS:
         raise CapacityError(f"{count} columns exceed the {MAX_COLUMNS}-column limit")
     return count
+
+
+def check_matrix(p: int) -> int:
+    """Refuse, before building one, p-by-p matrices past either limit.
+
+    Their products, eigenvalues and exact recurrences cost about ``p**3``
+    steps each.  Returns ``p * p``, the entries of one matrix.
+    """
+    entries = check_columns(p * p)
+    if p**3 > MAX_MATRIX_WORK:
+        raise CapacityError(
+            f"p={p} needs about {p**3} steps of p-by-p matrix work, "
+            f"over the {MAX_MATRIX_WORK} limit"
+        )
+    return entries
 
 
 def check_work(p: int, n: int) -> int:
@@ -289,7 +311,9 @@ class IncrementalStabilizer:
 
     The running configuration is always the fixed point of the grains
     added so far, so the cumulative work over all avalanches equals one
-    direct stabilization of the final grain count.
+    direct stabilization of the final grain count.  ``slopes`` and
+    ``shot`` are its live column lists, with trailing zeros, for callers
+    to read between steps.
     """
 
     def __init__(self, p: int, expect: int = 0, track_density: bool = False):
@@ -300,30 +324,42 @@ class IncrementalStabilizer:
         self.track_density = track_density
         self.density_max = 0
         cap = _capacity(p, expect)
-        self._slopes = [0] * cap
-        self._shot = [0] * cap
+        self.slopes = [0] * cap
+        self.shot = [0] * cap
         # every column at or past ``_reach`` holds slope 0 and shot 0
         self._reach = 1
 
-    def _drop(self, k: int, order: list | None = None) -> None:
+    def _drop(self, k: int, order: list | None = None) -> int:
         """Add ``k`` grains to column 0 and settle the pile if column 0 tips.
 
-        ``order``, if given, collects the firing order; with density
-        tracking on, the settle is one avalanche whose density column
-        may raise ``density_max``.
+        Returns the touched extent: slopes changed only left of it and
+        shots only left of it minus ``p``.  ``order``, if given, collects
+        the firing order.  With density tracking on, the settle is one
+        avalanche: its fired columns are those whose shot count rose, and
+        the rightmost of them is ``top``, so the shot prefix before and
+        after the settle gives its density column.
         """
         p = self.p
-        slopes = self._slopes
+        slopes, shot = self.slopes, self.shot
         self.grains += k
         slopes[0] += k
         if slopes[0] <= p:
-            return
-        if order is None and self.track_density:
-            order = []
-        top = _settle(p, slopes, self._shot, None if order is None else order.append)
-        self._reach = max(self._reach, top + p + 1)
-        if self.track_density:
-            self.density_max = max(self.density_max, density_column(order))
+            return 1
+        track = self.track_density
+        if track:
+            low = self.density_max
+            before = shot[low : self._reach]
+        top = _settle(p, slopes, shot, None if order is None else order.append)
+        extent = top + p + 1
+        if extent > self._reach:
+            self._reach = extent
+        if track:
+            # columns past the old reach had never fired
+            before += [0] * (top - low - len(before))
+            # the trailing fired block starts right of the last unfired
+            # column; only one right of ``low`` can raise the maximum
+            self.density_max = low + bytes(map(eq, shot[low:top], before)).rfind(1) + 1
+        return extent
 
     def _check_target(self, target: int) -> None:
         """Refuse a target below the grains already added, or past either limit."""
@@ -344,44 +380,49 @@ class IncrementalStabilizer:
             return Avalanche.from_order(self.grains, order)
         return None
 
-    def advance_to(self, target: int) -> None:
+    def advance_to(self, target: int) -> int:
         """Add grains one at a time up to ``target``, settling each avalanche.
 
         A grain that leaves column 0 at or below ``p`` fires nothing, so
         the grains up to the next one that tips column 0 are added at once.
+        Returns the touched extent of all the settles, as :meth:`_drop`.
         """
         self._check_target(target)
-        slopes = self._slopes
+        slopes = self.slopes
         edge = self.p + 1
+        touched = 1
         while self.grains < target:
-            self._drop(min(target - self.grains, edge - slopes[0]))
+            extent = self._drop(min(target - self.grains, edge - slopes[0]))
+            if extent > touched:
+                touched = extent
+        return touched
 
-    def jump_to(self, target: int) -> None:
+    def jump_to(self, target: int) -> int:
         """Add all ``target - grains`` grains to column 0 at once and settle them.
 
         Firing is abelian, so this reaches the same fixed point and shot
         vector as :meth:`advance_to` without replaying each avalanche.
+        Returns the touched extent, as :meth:`_drop`.
         """
         if self.track_density:
             raise ValueError("jump_to skips the avalanches density tracking needs")
         self._check_target(target)
-        if target > self.grains:
-            self._drop(target - self.grains)
+        return self._drop(target - self.grains) if target > self.grains else 1
 
     def columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Slopes and shot vector of the current fixed point, without trailing zeros."""
         reach = self._reach
-        return trimmed(self._slopes[:reach]), trimmed(self._shot[:reach])
+        return trimmed(self.slopes[:reach]), trimmed(self.shot[:reach])
 
     def snapshot(self, strategy: str = "incremental") -> FixedPoint:
         reach = self._reach
         return _fixed_point(
-            self.p, self.grains, self._slopes[:reach], self._shot[:reach], strategy
+            self.p, self.grains, self.slopes[:reach], self.shot[:reach], strategy
         )
 
     @property
     def support(self) -> int:
-        return len(trimmed(self._slopes[: self._reach]))
+        return len(trimmed(self.slopes[: self._reach]))
 
 
 def stabilize(p: int, n: int, strategy: str = "batch", seed: int = 0) -> FixedPoint:

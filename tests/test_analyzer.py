@@ -397,6 +397,119 @@ def test_scan_rows_both_modes_match_from_scratch(p, targets):
     assert direct == [dataclasses.replace(r, density_column=None) for r in want]
 
 
+def tracked_statistics(p, targets, incremental, expect=None):
+    """Per sample: the tracker's statistics and a full-width check of the same pile."""
+    expect = max(targets) if expect is None else expect
+    inc = IncrementalStabilizer(p, expect=expect, track_density=incremental)
+    tracker = analyzer.WaveTracker(p)
+    for n in targets:
+        touched = inc.advance_to(n) if incremental else inc.jump_to(n)
+        got = tracker.update(n, inc.slopes, inc.shot, touched)
+        yield got, analyzer.row_statistics(p, n, *inc.columns())
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+@pytest.mark.parametrize("incremental", [True, False], ids=["advance", "jump"])
+@pytest.mark.parametrize(
+    "targets,expect",
+    [
+        (range(1, 2001), None),
+        (range(1, 2001), 0),
+        (range(7, 3001, 7), None),
+        (range(37, 3001, 37), 0),
+        ([2345], None),
+    ],
+    ids=["stride1", "stride1-grown", "stride7", "stride37-grown", "one-sample"],
+)
+def test_tracked_statistics_match_a_full_check_at_every_sample(
+    p, incremental, targets, expect
+):
+    # expect=0 starts the lists short, so the settles grow them under the tracker
+    for got, want in tracked_statistics(p, targets, incremental, expect):
+        assert got == want
+
+
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=60, max_value=2500),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_tracked_statistics_match_for_any_scan(p, stride, n_max, incremental):
+    targets = range(stride, n_max + 1, stride)
+    full = []
+    for got, want in tracked_statistics(p, targets, incremental, expect=0):
+        assert got == want
+        full.append(want)
+    rows = analyzer.scan_rows(p, targets, incremental=incremental)
+    assert [
+        (r.width, r.n_strict, r.n_loose, r.uniform_index, r.ambiguous_count)
+        for r in rows
+    ] == [
+        (s.width, s.n_strict, s.n_loose, s.uniform_index, s.ambiguous_count)
+        for s in full
+    ]
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_tracker_checks_the_balance_across_the_whole_touched_extent(p):
+    inc = IncrementalStabilizer(p, track_density=True)
+    tracker = analyzer.WaveTracker(p)
+    settled = 0
+    for n in range(1, 1500):
+        touched = inc.advance_to(n)
+        if touched > 1:
+            settled += 1
+            # a wrong value at the extent's last column or at its last shot
+            # column fails this sample; the update changes nothing when it raises
+            for column, lists in ((touched - 1, "slopes"), (touched - p - 1, "shot")):
+                values = getattr(inc, lists)
+                values[column] += 1
+                with pytest.raises(NonIntegral):
+                    tracker.update(n, inc.slopes, inc.shot, touched)
+                values[column] -= 1
+        tracker.update(n, inc.slopes, inc.shot, touched)
+    assert settled > 100
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_a_change_outside_the_touched_extent_waits_for_the_full_check(p):
+    inc = IncrementalStabilizer(p, expect=1500, track_density=True)
+    tracker = analyzer.WaveTracker(p)
+    for n in range(1, 1500):
+        touched = inc.advance_to(n)
+        if touched > 1 and n % 5 == 0:
+            # the first balance columns these changes break are touched and up
+            for column, lists in ((touched, "slopes"), (touched + 1, "shot")):
+                values = getattr(inc, lists)
+                values[column] += 1
+                tracker.update(n, inc.slopes, inc.shot, touched)
+                with pytest.raises(NonIntegral):
+                    analyzer.row_statistics(p, n, inc.slopes, inc.shot)
+                values[column] -= 1
+        tracker.update(n, inc.slopes, inc.shot, touched)
+
+
+@pytest.mark.parametrize("incremental", [True, False])
+def test_scan_rows_checks_the_last_sample_at_full_width(monkeypatch, incremental):
+    # a slope written past every extent at the last sample is seen only by
+    # the scan's closing full-width check
+    name = "advance_to" if incremental else "jump_to"
+    step = getattr(IncrementalStabilizer, name)
+
+    def tampering(self, target):
+        touched = step(self, target)
+        if target == 900:
+            self.slopes[touched + 2] += 1
+        return touched
+
+    monkeypatch.setattr(IncrementalStabilizer, name, tampering)
+    assert len(analyzer.scan_rows(3, range(10, 891, 10), incremental=incremental)) == 89
+    with pytest.raises(NonIntegral):
+        analyzer.scan_rows(3, range(10, 901, 10), incremental=incremental)
+
+
 def test_scan_rows_rejects_empty():
     with pytest.raises(ValueError):
         analyzer.scan_rows(2, [])

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -416,6 +417,24 @@ def test_spectral_side_refuses_huge_p_with_exit_3(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 3 and out == ""
     assert "columns exceed" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--p", "4000", "--n", "1"),
+        ("verify", "--p", "1001", "--n", "1"),
+        ("spectral", "--p-min", "4000", "--p-max", "4000"),
+        ("spectral", "--p-min", "2", "--p-max", "1001"),
+    ],
+)
+def test_spectral_side_refuses_cubic_matrix_work_with_exit_3(capsys, argv):
+    # p * p fits the column limit here, but the p**3 work would run for minutes
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 3 and out == ""
+    assert "matrix work" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_version_flag(capsys):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from kspm import spectral
 from kspm.errors import CapacityError, NoConvergence, NonIntegral, RecurrenceMismatch
 from kspm.spectral import ExactMatrix, RationalPolynomial
-from kspm.stabilizer import stabilize
+from kspm.stabilizer import MAX_MATRIX_WORK, check_matrix, stabilize
 
 F = Fraction
 
@@ -304,6 +304,22 @@ def test_huge_p_matrices_are_refused_before_allocating(build, p):
     # p * p entries past MAX_COLUMNS = 4096**2 must not reach a list or numpy
     with pytest.raises(CapacityError, match="columns exceed"):
         build(p)
+
+
+def test_matrix_work_bound_admits_p_1000_and_no_more():
+    # decided by arithmetic alone: nothing is built on either side
+    assert MAX_MATRIX_WORK == 1000**3
+    assert check_matrix(1000) == 1000 * 1000
+    with pytest.raises(CapacityError, match="matrix work"):
+        check_matrix(1001)
+
+
+@pytest.mark.parametrize(
+    "build", [spectral._centered_scaled, spectral.centered_matrix, spectral.roots_R]
+)
+def test_cubic_matrix_work_is_refused_before_allocating(build):
+    with pytest.raises(CapacityError, match="matrix work"):
+        build(1001)
 
 
 def test_pair_distance_greedy():

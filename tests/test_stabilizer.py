@@ -284,6 +284,23 @@ def test_advance_to_settles_once_per_avalanche(monkeypatch):
     assert inc.density_max == max(av.density_column for av in avalanches)
 
 
+@pytest.mark.parametrize("p", range(1, 9))
+def test_density_from_the_shot_prefix_matches_the_firing_order(p):
+    # each pile's maximum is reset before every grain, so it reads the
+    # density column of that grain's avalanche alone
+    recorded = IncrementalStabilizer(p, track_density=True)
+    advanced = IncrementalStabilizer(p, track_density=True)
+    holed = 0
+    for n in range(1, 2001):
+        recorded.density_max = advanced.density_max = 0
+        av = recorded.advance(record=True)
+        advanced.advance_to(n)
+        assert recorded.density_max == advanced.density_max == density_column(av.fired)
+        holed += av.density_column > 0
+    assert recorded.columns() == advanced.columns()
+    assert p == 1 or holed > 20  # no p = 1 avalanche here leaves a hole
+
+
 @pytest.mark.parametrize("p", range(1, 7))
 def test_jump_to_matches_advance_to(p):
     jumped = IncrementalStabilizer(p)
