@@ -5,7 +5,8 @@ descending runs ``p, p-1, ..., 1``, separated by at most one interior
 zero, followed by the implicit zero tail.  This module locates the
 earliest column where that pattern starts, checks support bounds with
 exact integer arithmetic, measures plateaus of equal heights, and
-aggregates all of it into scan rows with logarithmic fits.  A scan keeps
+aggregates all of it into scan rows with logarithmic fits.  Scan rows
+and fits are plain dicts keyed as the CLI writes them.  A scan keeps
 its row statistics current over the prefix of columns each sample's
 settles touched, and checks the whole width once more at its last
 sample.  The audits of the paper's lemmas along whole trajectories
@@ -18,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain, islice, pairwise, repeat
-from math import inf, log2, sqrt
+from math import inf, log2
 
 from .errors import InsufficientData, NonIntegral, RecurrenceMismatch
 from .model import check_grains, check_p, trimmed
@@ -110,24 +111,8 @@ def parse_waves(p, slopes, grammar: str = "strict") -> WaveDecomposition:
     )
 
 
-@dataclass(frozen=True)
-class SupportReport:
-    """Support of a fixed point against its two-sided square-root bounds.
-
-    ``lower``/``upper`` are float renderings for display; the boolean is
-    decided purely with integer comparisons (no rounding involved).
-    """
-
-    p: int
-    n_grains: int
-    width: int
-    lower: float
-    upper: float
-    within_bounds: bool
-
-
-def support_bounds(p: int, n: int, width: int) -> SupportReport:
-    """Check ``sqrt(n)/p - 1 < width < (p+1) sqrt(n) + p + 1`` exactly.
+def support_bounds(p: int, n: int, width: int) -> bool:
+    """Whether ``sqrt(n)/p - 1 < width < (p+1) sqrt(n) + p + 1``, decided exactly.
 
     Both inequalities are cross-multiplied into pure integer comparisons:
     the lower bound is ``n < p**2 (width+1)**2`` and the upper bound is
@@ -139,14 +124,7 @@ def support_bounds(p: int, n: int, width: int) -> SupportReport:
         raise ValueError("width must be non-negative")
     lower_ok = n < p * p * (width + 1) * (width + 1)
     upper_ok = width <= p + 1 or (width - p - 1) ** 2 < (p + 1) ** 2 * n
-    return SupportReport(
-        p=p,
-        n_grains=n,
-        width=width,
-        lower=sqrt(n) / p - 1,
-        upper=(p + 1) * sqrt(n) + p + 1,
-        within_bounds=lower_ok and upper_ok,
-    )
+    return lower_ok and upper_ok
 
 
 def max_plateau(heights) -> int:
@@ -164,27 +142,6 @@ def max_plateau(heights) -> int:
             best = run
         prev = v
     return best
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    """One sampled grain count in a scan.
-
-    ``density_column`` is the running maximum avalanche density column,
-    available only on incremental scans.  ``elapsed_us`` is 0 unless the
-    scan was asked to time itself, keeping default output reproducible.
-    """
-
-    n_grains: int
-    p: int
-    width: int
-    n_strict: int
-    n_loose: int
-    uniform_index: int
-    interior_zeros: int
-    density_column: int | None
-    ambiguous_count: int
-    elapsed_us: int
 
 
 @dataclass(frozen=True)
@@ -328,17 +285,20 @@ def scan_rows(
     n_values,
     incremental: bool = True,
     timing: bool = False,
-) -> list[ScanRow]:
+) -> list[dict]:
     """Stabilize at each sampled grain count and summarize the result.
 
-    Both modes share one growing pile across samples; rows come back in
-    sample order.  Incremental scans replay every avalanche and track
-    density columns on the way.  Direct scans settle each sample's new
-    grains at once, which firing's abelian property makes the same fixed
-    point, and leave ``density_column`` as ``None``.  One
-    :class:`WaveTracker` follows the pile; the last sample is checked
-    again over the whole width, and a difference raises
-    :class:`RecurrenceMismatch`.
+    Each row is a dict keyed ``N, p, w, n_strict, n_loose, uniform_index,
+    interior_zeros, density_column, ambiguous_count, elapsed_us``, the
+    columns ``kspm scan`` writes; ``elapsed_us`` is 0 unless ``timing``
+    is set, keeping default output reproducible.  Both modes share one
+    growing pile across samples; rows come back in sample order.
+    Incremental scans replay every avalanche and track density columns
+    on the way.  Direct scans settle each sample's new grains at once,
+    which firing's abelian property makes the same fixed point, and
+    leave ``density_column`` as ``None``.  One :class:`WaveTracker`
+    follows the pile; the last sample is checked again over the whole
+    width, and a difference raises :class:`RecurrenceMismatch`.
     """
     check_p(p)
     # a range is already sorted and distinct; left lazy, its largest sample
@@ -352,24 +312,24 @@ def scan_rows(
     inc = IncrementalStabilizer(p, expect=targets[-1], track_density=incremental)
     step = inc.advance_to if incremental else inc.jump_to
     tracker = WaveTracker(p)
-    rows: list[ScanRow] = []
+    rows: list[dict] = []
     for n in targets:
         t0 = time.perf_counter() if timing else 0.0
         touched = step(n)
         stats = tracker.update(n, inc.slopes, inc.shot, touched)
         rows.append(
-            ScanRow(
-                n_grains=n,
-                p=p,
-                width=stats.width,
-                n_strict=stats.n_strict,
-                n_loose=stats.n_loose,
-                uniform_index=stats.uniform_index,
-                interior_zeros=len(stats.zero_positions),
-                density_column=inc.density_max if incremental else None,
-                ambiguous_count=stats.ambiguous_count,
-                elapsed_us=int((time.perf_counter() - t0) * 1e6) if timing else 0,
-            )
+            {
+                "N": n,
+                "p": p,
+                "w": stats.width,
+                "n_strict": stats.n_strict,
+                "n_loose": stats.n_loose,
+                "uniform_index": stats.uniform_index,
+                "interior_zeros": len(stats.zero_positions),
+                "density_column": inc.density_max if incremental else None,
+                "ambiguous_count": stats.ambiguous_count,
+                "elapsed_us": int((time.perf_counter() - t0) * 1e6) if timing else 0,
+            }
         )
     # every column's balance once more, so a change the extents missed still fails
     if row_statistics(p, n, inc.slopes, inc.shot) != stats:
@@ -379,29 +339,15 @@ def scan_rows(
     return rows
 
 
-@dataclass(frozen=True)
-class LogFit:
-    """Least-squares fit ``value ~ c * log2(n) + d`` plus the worst ratio."""
+def log_fit(rows, field: str) -> dict:
+    """Fit a scan column as ``value ~ c * log2(N) + d``.
 
-    field: str
-    c: float
-    d: float
-    max_ratio: float
-    points: int
-
-
-def log_fit(rows, field: str) -> LogFit:
-    """Fit a scan column against ``log2(n)``.
-
-    Requires at least 10 usable rows spanning a factor of 100 in ``n``;
-    otherwise raises :class:`InsufficientData`.  ``max_ratio`` maximizes
-    ``value / log2(n)`` over rows with ``n >= 16``.
+    Returns ``{"c", "d", "max_ratio", "points"}``.  Requires at least 10
+    usable rows spanning a factor of 100 in ``N``; otherwise raises
+    :class:`InsufficientData`.  ``max_ratio`` maximizes ``value / log2(N)``
+    over rows with ``N >= 16``.
     """
-    pts = [
-        (r.n_grains, getattr(r, field))
-        for r in rows
-        if getattr(r, field) is not None and r.n_grains >= 2
-    ]
+    pts = [(r["N"], r[field]) for r in rows if r[field] is not None and r["N"] >= 2]
     if len(pts) < 10:
         raise InsufficientData(f"need at least 10 rows for a fit, got {len(pts)}")
     ns = [n for n, _ in pts]
@@ -418,13 +364,7 @@ def log_fit(rows, field: str) -> LogFit:
     c = (m * sxy - sx * sy) / denom
     d = (sy - c * sx) / m
     ratios = [v / log2(n) for n, v in pts if n >= 16]
-    return LogFit(
-        field=field,
-        c=c,
-        d=d,
-        max_ratio=max(ratios) if ratios else -inf,
-        points=m,
-    )
+    return {"c": c, "d": d, "max_ratio": max(ratios) if ratios else -inf, "points": m}
 
 
 @dataclass(frozen=True)
@@ -440,11 +380,7 @@ class DecadeGate:
 def decade_regression(rows, field: str, slack: float = 1.25) -> DecadeGate:
     """Require the worst ``value/log2(n)`` of the last decade to stay
     within ``slack`` times the previous decade's worst."""
-    pts = [
-        (r.n_grains, getattr(r, field))
-        for r in rows
-        if getattr(r, field) is not None and r.n_grains >= 16
-    ]
+    pts = [(r["N"], r[field]) for r in rows if r[field] is not None and r["N"] >= 16]
     if not pts:
         raise InsufficientData("no rows with n >= 16")
     top = max(n for n, _ in pts)

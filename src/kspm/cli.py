@@ -6,8 +6,9 @@ Subcommands: ``stabilize`` (one fixed point, fully described),
 ``avalanche`` (detail of the avalanche triggered by grain k), and
 ``verify`` (consolidated invariant check for one pile).
 
-Exit codes: 0 success, 2 bad arguments, 3 resource or overflow limits,
-4 spectral gate failure, 5 verification violation.
+Exit codes: 0 success, 2 bad arguments or an unwritable output path,
+3 resource or overflow limits, 4 spectral gate failure, 5 verification
+violation.
 
 Output is JSON (default) or CSV, written to stdout or ``--output``.
 Documents are byte-stable across runs: timing fields are zero unless
@@ -29,13 +30,27 @@ from .errors import CapacityError, Divergence, KSPMError, NonIntegral, Recurrenc
 from .model import grain_count, heights_from_slopes
 from .stabilizer import IncrementalStabilizer, check_matrix, holes, stabilize
 
+
+class _Unwritable(Exception):
+    """An ``--output`` or ``--emit-plot-data`` path that cannot be written."""
+
+
 def _meta(command: str, config: dict) -> dict:
     return {"tool": "kspm", "version": __version__, "command": command, "config": config}
 
 
+@contextmanager
+def _writing(path: str, newline: str | None = None):
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with _writing(args.output) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -103,33 +118,11 @@ def cmd_stabilize(args) -> int:
     return 0
 
 
-def _row_dict(row) -> dict:
-    return {
-        "N": row.n_grains,
-        "p": row.p,
-        "w": row.width,
-        "n_strict": row.n_strict,
-        "n_loose": row.n_loose,
-        "uniform_index": row.uniform_index,
-        "interior_zeros": row.interior_zeros,
-        "density_column": row.density_column,
-        "ambiguous_count": row.ambiguous_count,
-        "elapsed_us": row.elapsed_us,
-    }
-
-
-def _fit_dict(rows, field: str):
+def _fit_dict(rows, field: str) -> dict:
     try:
-        fit = analyzer.log_fit(rows, field)
+        return {"ok": True, **analyzer.log_fit(rows, field)}
     except KSPMError as exc:
         return {"ok": False, "reason": str(exc)}
-    return {
-        "ok": True,
-        "c": fit.c,
-        "d": fit.d,
-        "max_ratio": fit.max_ratio,
-        "points": fit.points,
-    }
 
 
 def cmd_scan(args) -> int:
@@ -157,11 +150,11 @@ def cmd_scan(args) -> int:
     if args.format == "json":
         doc = {
             "meta": _meta("scan", config),
-            "result": {"rows": [_row_dict(r) for r in rows], "fits": fits},
+            "result": {"rows": rows, "fits": fits},
         }
         _emit_json(args, doc)
     else:
-        text = _csv_table([_row_dict(r) for r in rows])
+        text = _csv_table(rows)
         for field, fit in fits.items():
             if fit["ok"]:
                 text += (
@@ -175,14 +168,14 @@ def cmd_scan(args) -> int:
 
 
 def _write_plot_data(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _writing(path, newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["series", "x", "y"])
         for r in rows:
-            if r.n_grains >= 2:
-                w.writerow(["n_strict_vs_log2N", repr(log2(r.n_grains)), r.n_strict])
+            if r["N"] >= 2:
+                w.writerow(["n_strict_vs_log2N", repr(log2(r["N"])), r["n_strict"]])
         for r in rows:
-            w.writerow(["w_vs_sqrtN", repr(sqrt(r.n_grains)), r.width])
+            w.writerow(["w_vs_sqrtN", repr(sqrt(r["N"])), r["w"]])
 
 
 def _spectral_row(p: int, tol: float) -> dict:
@@ -336,8 +329,8 @@ def _verification_checks(p: int, n: int, seed: int) -> list[dict]:
             f"strict parse from column {stats.n_strict} with "
             f"{len(stats.zero_positions)} interior zero(s)",
         )
-    sup = analyzer.support_bounds(p, n, direct.slopes.support)
-    add("support_bounds", sup.within_bounds, f"w={sup.width} inside exact bounds")
+    w = direct.slopes.support
+    add("support_bounds", analyzer.support_bounds(p, n, w), f"w={w} inside exact bounds")
     plateau = analyzer.max_plateau(heights_from_slopes(direct.slopes))
     add("plateau_bound", plateau <= p + 1, f"longest plateau {plateau} <= {p + 1}")
     with replaying("centered_recurrence"):
@@ -471,6 +464,9 @@ def main(argv=None) -> int:
     _validate(parser, args)
     try:
         return args.func(args)
+    except _Unwritable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (CapacityError, OverflowError, MemoryError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3

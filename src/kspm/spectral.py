@@ -15,7 +15,9 @@ scaling by the common denominator, and are checked in tests against
 Faddeev-LeVerrier and sympy.  The centered contraction comes from its
 closed form in integers, checked against the product definition in
 tests.  Floating point only enters for root finding, eigenvalues,
-residuals and norm summaries.
+residuals and the perturbation bound.  :func:`z_trajectory` replays a
+pile's centered trajectory exactly and reports the first columns where
+it falls within that bound.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import inf, lcm, log2
+from math import inf, lcm
 from operator import mul
 from typing import Sequence
 
@@ -416,52 +418,35 @@ class ZTrajectoryReport:
     The recurrence is replayed exactly, on the centered vectors scaled
     by ``p`` into integers, and compared entry by entry with directly
     centered data; a mismatch raises :class:`RecurrenceMismatch` (it
-    would mean an implementation bug, not bad data).  Norm summaries are
-    floats.
+    would mean an implementation bug, not bad data).
     """
 
     p: int
     n_grains: int
     steps: int
     perturbation_bound: float
-    o_inf_norm: float
-    spectral_radius: float
-    sup_norms: tuple[float, ...]
     n0_znorm: int
     n0_spread: int
     spread0: int
     spread0_identity_ok: bool
-    within_log_bound: bool | None
 
 
-def z_trajectory(
-    p: int,
-    n: int,
-    slopes,
-    a0: int,
-    c: float | None = None,
-    d: float | None = None,
-) -> ZTrajectoryReport:
+def z_trajectory(p: int, n: int, slopes, a0: int) -> ZTrajectoryReport:
     """Audit the centered difference trajectory of a stabilized pile.
 
     ``n0_znorm`` is the first column where the centered sup-norm falls
     within the perturbation tail bound; ``n0_spread`` the first where
     the raw min/max spread falls within twice that bound.  Both exist because
-    the trajectory ends identically zero.  When ``c`` and ``d`` are given
-    the report also says whether ``n0_znorm <= c * log2(n) + d``.
+    the trajectory ends identically zero.
     """
     check_p(p)
     check_grains(n)
     bound = perturbation_bound(p)
-    o_float = _centered_floats(p)[0]
-    o_inf = float(np.max(np.abs(o_float).sum(axis=1)))
-    spec_rad = float(np.max(np.abs(np.linalg.eigvals(o_float))))
     # Z = p * z = p * y - sum(y) is integral, and Z' = O Z + b * kick, so
     # p^2 Z' = (p^2 O) Z + p b (p kick) holds exactly in integers
     pp = p * p
     o_int, kick_int = _centered_scaled(p)
 
-    norms: list[float] = []
     n0_z = -1
     n0_s = -1
     for i, window, b in dds.iter_windows(p, slopes, a0, n):
@@ -478,28 +463,19 @@ def z_trajectory(
         spread = max(y) - min(y)
         if i == 0:
             spread0 = spread
-        nrm = max(map(abs, zs)) / p
-        norms.append(nrm)
-        if n0_z < 0 and nrm <= bound:
+        if n0_z < 0 and max(map(abs, zs)) / p <= bound:
             n0_z = i
         if n0_s < 0 and spread <= 2 * bound:
             n0_s = i
         zs_prev = zs
         b_prev = b
-    within = None
-    if c is not None and d is not None and n >= 2:
-        within = n0_z <= c * log2(n) + d
     return ZTrajectoryReport(
         p=p,
         n_grains=n,
         steps=i,
         perturbation_bound=bound,
-        o_inf_norm=o_inf,
-        spectral_radius=spec_rad,
-        sup_norms=tuple(norms),
         n0_znorm=n0_z,
         n0_spread=n0_s,
         spread0=spread0,
         spread0_identity_ok=(p == 1) or (spread0 == n + a0),
-        within_log_bound=within,
     )

@@ -328,6 +328,9 @@ class IncrementalStabilizer:
         self.shot = [0] * cap
         # every column at or past ``_reach`` holds slope 0 and shot 0
         self._reach = 1
+        # both limits grow with the grain count, so no target up to this
+        # one needs the preflight again
+        self._checked = expect
 
     def _drop(self, k: int, order: list | None = None) -> int:
         """Add ``k`` grains to column 0 and settle the pile if column 0 tips.
@@ -368,7 +371,9 @@ class IncrementalStabilizer:
             raise ValueError(
                 f"target {target} is below the {self.grains} grains already added"
             )
-        _capacity(self.p, target)
+        if target > self._checked:
+            _capacity(self.p, target)
+            self._checked = target
 
     def advance(self, record: bool = False) -> Avalanche | None:
         """Add one grain to column 0 and settle the avalanche."""

@@ -1,6 +1,5 @@
 """Wave grammar, support bounds, plateaus, zero movement, scans and fits."""
 
-import dataclasses
 import itertools
 import re
 import tracemalloc
@@ -18,7 +17,6 @@ from conftest import (
 )
 from kspm import analyzer, dds
 from kspm.errors import CapacityError, InsufficientData, NonIntegral
-from kspm.analyzer import ScanRow
 from kspm.model import heights_from_slopes, trimmed
 from lemma_audits import (
     check_plateaus_along_leftmost,
@@ -159,19 +157,16 @@ def test_fixed_points_have_at_most_one_interior_zero(p, n):
 
 
 def test_support_bounds_golden():
-    rep = analyzer.support_bounds(2, 24, 5)
-    assert rep.within_bounds
-    assert rep.lower == pytest.approx(24**0.5 / 2 - 1)
-    assert rep.upper == pytest.approx(3 * 24**0.5 + 3)
+    assert analyzer.support_bounds(2, 24, 5) is True
 
 
 def test_support_bounds_exact_boundaries():
     # n == p^2 (w+1)^2 violates the strict lower inequality
-    assert not analyzer.support_bounds(2, 4 * 36, 5).within_bounds
-    assert analyzer.support_bounds(2, 4 * 36 - 1, 5).within_bounds
+    assert not analyzer.support_bounds(2, 4 * 36, 5)
+    assert analyzer.support_bounds(2, 4 * 36 - 1, 5)
     # huge width fails the upper inequality: (w-p-1)^2 >= (p+1)^2 n
-    assert not analyzer.support_bounds(2, 4, 9).within_bounds
-    assert analyzer.support_bounds(2, 4, 3).within_bounds  # w <= p+1 short-circuit
+    assert not analyzer.support_bounds(2, 4, 9)
+    assert analyzer.support_bounds(2, 4, 3)  # w <= p+1 short-circuit
 
 
 @given(
@@ -180,17 +175,16 @@ def test_support_bounds_exact_boundaries():
     st.integers(min_value=0, max_value=4000),
 )
 def test_support_bounds_agree_with_symbolic_sqrt(p, n, w):
-    rep = analyzer.support_bounds(p, n, w)
     root = sympy.sqrt(n)
     want = bool(root / p - 1 < w) and bool(w < (p + 1) * root + p + 1)
-    assert rep.within_bounds == want
+    assert analyzer.support_bounds(p, n, w) == want
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2000))
 @settings(max_examples=40, deadline=None)
 def test_true_supports_sit_inside_bounds(p, n):
     fp = stabilize(p, n)
-    assert analyzer.support_bounds(p, n, fp.slopes.support).within_bounds
+    assert analyzer.support_bounds(p, n, fp.slopes.support)
 
 
 # ---------------------------------------------------------------- plateaus
@@ -334,18 +328,18 @@ def from_scratch_rows(p, targets):
     for n in targets:
         stats = replayed_statistics(stabilize(p, n))
         rows.append(
-            ScanRow(
-                n_grains=n,
-                p=p,
-                width=stats.width,
-                n_strict=stats.n_strict,
-                n_loose=stats.n_loose,
-                uniform_index=stats.uniform_index,
-                interior_zeros=len(stats.zero_positions),
-                density_column=running[n - 1],
-                ambiguous_count=stats.ambiguous_count,
-                elapsed_us=0,
-            )
+            {
+                "N": n,
+                "p": p,
+                "w": stats.width,
+                "n_strict": stats.n_strict,
+                "n_loose": stats.n_loose,
+                "uniform_index": stats.uniform_index,
+                "interior_zeros": len(stats.zero_positions),
+                "density_column": running[n - 1],
+                "ambiguous_count": stats.ambiguous_count,
+                "elapsed_us": 0,
+            }
         )
     return rows
 
@@ -394,7 +388,7 @@ def test_scan_rows_both_modes_match_from_scratch(p, targets):
     assert analyzer.scan_rows(p, targets, incremental=True) == want
     # direct scans do not replay avalanches, so they have no density column
     direct = analyzer.scan_rows(p, targets, incremental=False)
-    assert direct == [dataclasses.replace(r, density_column=None) for r in want]
+    assert direct == [{**r, "density_column": None} for r in want]
 
 
 def tracked_statistics(p, targets, incremental, expect=None):
@@ -444,7 +438,7 @@ def test_tracked_statistics_match_for_any_scan(p, stride, n_max, incremental):
         full.append(want)
     rows = analyzer.scan_rows(p, targets, incremental=incremental)
     assert [
-        (r.width, r.n_strict, r.n_loose, r.uniform_index, r.ambiguous_count)
+        (r["w"], r["n_strict"], r["n_loose"], r["uniform_index"], r["ambiguous_count"])
         for r in rows
     ] == [
         (s.width, s.n_strict, s.n_loose, s.uniform_index, s.ambiguous_count)
@@ -517,33 +511,23 @@ def test_scan_rows_rejects_empty():
 
 def test_scan_rows_timing_flag():
     rows = analyzer.scan_rows(2, [100], timing=True)
-    assert rows[0].elapsed_us >= 0
+    assert rows[0]["elapsed_us"] >= 0
     rows = analyzer.scan_rows(2, [100], timing=False)
-    assert rows[0].elapsed_us == 0
+    assert rows[0]["elapsed_us"] == 0
 
 
 def fake_row(n, value):
-    return ScanRow(
-        n_grains=n,
-        p=2,
-        width=0,
-        n_strict=value,
-        n_loose=0,
-        uniform_index=0,
-        interior_zeros=0,
-        density_column=None,
-        ambiguous_count=0,
-        elapsed_us=0,
-    )
+    return {"N": n, "n_strict": value}
 
 
 def test_log_fit_recovers_exact_line():
     rows = [fake_row(2**k, 3 * k + 5) for k in range(4, 17)]
     fit = analyzer.log_fit(rows, "n_strict")
-    assert fit.c == pytest.approx(3.0, abs=1e-9)
-    assert fit.d == pytest.approx(5.0, abs=1e-9)
-    assert fit.max_ratio == pytest.approx(4.25)  # (3*4+5)/4 at the smallest n
-    assert fit.points == 13
+    assert list(fit) == ["c", "d", "max_ratio", "points"]  # as the CLI writes a fit
+    assert fit["c"] == pytest.approx(3.0, abs=1e-9)
+    assert fit["d"] == pytest.approx(5.0, abs=1e-9)
+    assert fit["max_ratio"] == pytest.approx(4.25)  # (3*4+5)/4 at the smallest n
+    assert fit["points"] == 13
 
 
 def test_log_fit_needs_enough_rows():

@@ -172,6 +172,27 @@ def test_scan_emit_plot_data(tmp_path, capsys):
     assert series == {"n_strict_vs_log2N", "w_vs_sqrtN"}
 
 
+# Whole scan documents and the plot file, byte for byte: every row field and
+# every fit the scan writes, with two decades of N (fits) and one sample (none).
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("mode", ["incremental", "direct"])
+@pytest.mark.parametrize("n_max,stride", [(400, 3), (5, 5)], ids=["fits", "no-fits"])
+def test_scan_documents_are_pinned(tmp_path, capsys, n_max, stride, mode, fmt):
+    plot = tmp_path / "plot.csv"
+    rc, out, err = run_cli(
+        capsys,
+        "scan", "--p", "2", "--n-max", str(n_max), "--stride", str(stride),
+        "--mode", mode, "--format", fmt, "--emit-plot-data", str(plot),
+    )
+    assert (rc, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"scan_p2_n{n_max}_s{stride}_{mode}.{fmt}").read_bytes()
+    if n_max == 400:
+        assert plot.read_bytes() == (GOLDEN / "scan_p2_n400_s3.plot.csv").read_bytes()
+
+
 # ---------------------------------------------------------------- spectral
 
 
@@ -359,6 +380,23 @@ def test_usage_errors_exit_2(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["stabilize", "--p", "2", "--n", "5"], "--output"),
+        (["scan", "--p", "2", "--n-max", "50", "--stride", "5"], "--emit-plot-data"),
+        (["scan", "--p", "2", "--n-max", "50", "--stride", "5"], "--output"),
+    ],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv, flag, where):
+    path = tmp_path / "missing" / "out" if where == "missing-directory" else tmp_path
+    rc, out, err = run_cli(capsys, *argv, flag, str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_capacity_limit_exit_3(capsys):

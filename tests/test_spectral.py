@@ -354,16 +354,7 @@ def test_z_trajectory_exact_recurrence(p, n):
     fp = stabilize(p, n)
     rep = spectral.z_trajectory(p, n, fp.slopes.slopes, fp.shot_at(0))
     assert rep.spread0_identity_ok
-    assert rep.within_log_bound is None  # no fit constants supplied
     assert rep.n0_znorm >= 0
-
-
-def test_z_trajectory_log_bound_gate():
-    fp = stabilize(3, 1000)
-    loose = spectral.z_trajectory(3, 1000, fp.slopes.slopes, fp.shot_at(0), c=10.0, d=10.0)
-    assert loose.within_log_bound is True
-    tight = spectral.z_trajectory(3, 1000, fp.slopes.slopes, fp.shot_at(0), c=0.0, d=-1.0)
-    assert tight.within_log_bound is False
 
 
 def test_z_trajectory_golden_p4():

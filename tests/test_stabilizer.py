@@ -14,7 +14,7 @@ from conftest import (
     GOLDEN_P2_N24_SLOPES,
     GOLDEN_P4_N2000_SLOPES,
 )
-from kspm import stabilizer
+from kspm import analyzer, stabilizer
 from kspm.errors import CapacityError
 from kspm.model import (
     MAX_GRAINS,
@@ -419,6 +419,36 @@ def test_firing_limit_is_checked_before_settling(p):
         with pytest.raises(CapacityError, match="firing limit"):
             refused()
     assert inc.grains == 0 and inc.support == 0
+
+
+def count_preflights(monkeypatch) -> list:
+    calls = []
+    capacity = stabilizer._capacity
+
+    def counting(p, n):
+        calls.append(n)
+        return capacity(p, n)
+
+    monkeypatch.setattr(stabilizer, "_capacity", counting)
+    return calls
+
+
+def test_a_scan_runs_the_preflight_once(monkeypatch):
+    calls = count_preflights(monkeypatch)
+    analyzer.scan_rows(3, range(10, 20001, 10))
+    assert calls == [20000]  # the pile's constructor, at the largest sample
+
+
+def test_the_preflight_reruns_only_past_the_largest_checked_target(monkeypatch):
+    calls = count_preflights(monkeypatch)
+    inc = IncrementalStabilizer(2, expect=10)
+    for target in (5, 10, 20, 20, 25):
+        inc.advance_to(target)
+    inc.jump_to(40)
+    assert calls == [10, 20, 25, 40]
+    with pytest.raises(ValueError, match="below"):
+        inc.advance_to(39)
+    assert calls == [10, 20, 25, 40]
 
 
 @pytest.mark.parametrize("strategy", ["batch", "random"])
