@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 from contextlib import contextmanager
 from math import isfinite, log2, sqrt
@@ -48,6 +50,25 @@ def _writing(path: str, newline: str | None = None):
         raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _check_writable(path: str) -> None:
+    """Refuse a path ``open(path, "w")`` would refuse, without touching it.
+
+    An existing file is tested itself, so ``/dev/null`` passes; a new one
+    by its directory.
+    """
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        raise _Unwritable(f"cannot write {path}: {os.strerror(code)}")
+
+
 def _emit(args, text: str) -> None:
     if args.output:
         with _writing(args.output) as fh:
@@ -69,7 +90,10 @@ def _csv_table(records) -> str:
     return buf.getvalue()
 
 
-def _kv_csv(args, doc: dict) -> None:
+def _emit_doc(args, doc: dict) -> None:
+    """The document as JSON, or its result as ``field,value`` CSV records."""
+    if args.format == "json":
+        return _emit_json(args, doc)
     records = []
     for key, value in doc["result"].items():
         if isinstance(value, (list, tuple)):
@@ -102,19 +126,11 @@ def cmd_stabilize(args) -> int:
     doc = {
         "meta": _meta(
             "stabilize",
-            {
-                "p": args.p,
-                "n": args.n,
-                "strategy": args.strategy,
-                "seed": args.seed,
-            },
+            {"p": args.p, "n": args.n, "strategy": args.strategy, "seed": args.seed},
         ),
         "result": _describe_fixed_point(fp),
     }
-    if args.format == "json":
-        _emit_json(args, doc)
-    else:
-        _kv_csv(args, doc)
+    _emit_doc(args, doc)
     return 0
 
 
@@ -260,10 +276,7 @@ def cmd_avalanche(args) -> int:
             "holes": list(holes(av.fired)),
         },
     }
-    if args.format == "json":
-        _emit_json(args, doc)
-    else:
-        _kv_csv(args, doc)
+    _emit_doc(args, doc)
     return 0
 
 
@@ -303,7 +316,7 @@ def _verification_checks(p: int, n: int, seed: int) -> list[dict]:
         add("shot_balance", True, "slopes match the shot-vector balance at every column")
     with replaying("reconstruction"):
         recon = dds.reconstruct_fixed_point(
-            p, n, direct.shot_at(0), dds.GroundTruthResolver(direct.slopes.slopes)
+            p, n, direct.shot_at(0), direct.slopes.__getitem__
         )
         add(
             "reconstruction",
@@ -463,6 +476,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _validate(parser, args)
     try:
+        for path in (args.output, getattr(args, "emit_plot_data", None)):
+            if path:
+                _check_writable(path)
         return args.func(args)
     except _Unwritable as exc:
         print(f"error: {exc}", file=sys.stderr)

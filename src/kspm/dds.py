@@ -233,26 +233,12 @@ def trajectory_report(p, slopes, a0, n) -> TrajectoryReport:
     )
 
 
-class GroundTruthResolver:
-    """Resolve residue-0 positions by looking the slope up in known data."""
-
-    authoritative = True
-
-    def __init__(self, slopes):
-        self._slopes = tuple(slopes)
-
-    def __call__(self, i: int) -> int:
-        return self._slopes[i] if i < len(self._slopes) else 0
-
-
 @dataclass(frozen=True)
 class Reconstruction:
     """A fixed point rebuilt from ``(p, n, a0)`` plus an ambiguity resolver.
 
     ``ambiguous_positions`` lists every column where the resolver was
-    consulted.  ``authoritative`` is True only for a resolver that says so,
-    like :class:`GroundTruthResolver`; any other, such as ``lambda i: 0``,
-    is a guess.
+    consulted.
     """
 
     p: int
@@ -260,7 +246,6 @@ class Reconstruction:
     slopes: SlopeConfig
     shot: tuple[int, ...]
     ambiguous_positions: tuple[int, ...]
-    authoritative: bool
     steps: int
 
 
@@ -269,7 +254,8 @@ def reconstruct_fixed_point(p: int, n: int, a0: int, resolver) -> Reconstruction
 
     Walks the window recurrence, reading each slope from the residue and
     asking ``resolver(i)`` (which must return 0 or ``p``) whenever the
-    residue leaves it open.  Stops at the first all-zero window past
+    residue leaves it open; a known fixed point resolves with
+    ``fp.slopes.__getitem__``.  Stops at the first all-zero window past
     position ``p``.  Raises :class:`Divergence` if the window fails to
     close within the provable support bound, and :class:`NonIntegral` on
     a divisibility failure; both mean ``(n, a0)`` plus the resolutions do
@@ -303,6 +289,5 @@ def reconstruct_fixed_point(p: int, n: int, a0: int, resolver) -> Reconstruction
         slopes=SlopeConfig(slopes),
         shot=trimmed(shots),
         ambiguous_positions=tuple(consulted),
-        authoritative=bool(getattr(resolver, "authoritative", False)),
         steps=i,
     )

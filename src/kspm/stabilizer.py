@@ -33,7 +33,7 @@ from math import isqrt
 from operator import eq
 
 from .errors import CapacityError
-from .model import MAX_GRAINS, SlopeConfig, check_grains, check_p, trimmed
+from .model import SlopeConfig, check_grains, check_p, trimmed
 
 
 #: Most columns any engine or audit allocates up front.
@@ -173,10 +173,11 @@ def _settle(p, slopes, shot, on_fire=None):
     right.  ``top`` is the rightmost column a kick pushed over ``p``, so
     the walk ends once ``i`` passes it, after O(firings + width) steps.
 
-    ``slopes``/``shot`` are plain lists, mutated in place and grown when a
-    kick would land past the end; ``on_fire(i)`` is called after each
-    firing with the fired column.  Returns ``top``: every firing was at a
-    column ``<= top``, so no kick landed past ``top + p``.
+    ``slopes``/``shot`` are plain lists sized by the support bound and
+    mutated in place; a kick past their end raises ``RuntimeError``.
+    ``on_fire(i)`` is called after each firing with the fired column.
+    Returns ``top``: every firing was at a column ``<= top``, so no kick
+    landed past ``top + p``.
     """
     pp1 = p + 1
     size = len(slopes)
@@ -188,10 +189,8 @@ def _settle(p, slopes, shot, on_fire=None):
             continue
         k = i + p
         if k >= size:
-            grow = k + 1 - size + 64
-            slopes.extend([0] * grow)
-            shot.extend([0] * grow)
-            size += grow
+            # firings conserve the grain count, the first moment of the slopes
+            raise _overrun(p, sum(j * b for j, b in enumerate(slopes, 1)), k, size)
         slopes[i] = v - pp1
         shot[i] += 1
         left = 0
@@ -318,29 +317,27 @@ class IncrementalStabilizer:
 
     def __init__(self, p: int, expect: int = 0, track_density: bool = False):
         check_p(p)
-        check_grains(expect)
         self.p = p
         self.grains = 0
         self.track_density = track_density
         self.density_max = 0
-        cap = _capacity(p, expect)
-        self.slopes = [0] * cap
-        self.shot = [0] * cap
+        self.slopes: list[int] = []
+        self.shot: list[int] = []
         # every column at or past ``_reach`` holds slope 0 and shot 0
         self._reach = 1
-        # both limits grow with the grain count, so no target up to this
-        # one needs the preflight again
-        self._checked = expect
+        # the largest target the preflight has passed, and sized the lists for
+        self._checked = -1
+        self._check_target(expect)
 
-    def _drop(self, k: int, order: list | None = None) -> int:
+    def _drop(self, k: int, on_fire=None) -> int:
         """Add ``k`` grains to column 0 and settle the pile if column 0 tips.
 
         Returns the touched extent: slopes changed only left of it and
-        shots only left of it minus ``p``.  ``order``, if given, collects
-        the firing order.  With density tracking on, the settle is one
-        avalanche: its fired columns are those whose shot count rose, and
-        the rightmost of them is ``top``, so the shot prefix before and
-        after the settle gives its density column.
+        shots only left of it minus ``p``.  ``on_fire(i)``, if given, is
+        called after each firing.  With density tracking on, the settle
+        is one avalanche: its fired columns are those whose shot count
+        rose, and the rightmost of them is ``top``, so the shot prefix
+        before and after the settle gives its density column.
         """
         p = self.p
         slopes, shot = self.slopes, self.shot
@@ -352,7 +349,7 @@ class IncrementalStabilizer:
         if track:
             low = self.density_max
             before = shot[low : self._reach]
-        top = _settle(p, slopes, shot, None if order is None else order.append)
+        top = _settle(p, slopes, shot, on_fire)
         extent = top + p + 1
         if extent > self._reach:
             self._reach = extent
@@ -371,16 +368,19 @@ class IncrementalStabilizer:
             raise ValueError(
                 f"target {target} is below the {self.grains} grains already added"
             )
+        # both limits and the support bound grow with the grain count, so only
+        # a target past the largest one checked reruns them and grows the lists
         if target > self._checked:
-            _capacity(self.p, target)
+            grow = [0] * (_capacity(self.p, target) - len(self.slopes))
+            self.slopes += grow
+            self.shot += grow
             self._checked = target
 
     def advance(self, record: bool = False) -> Avalanche | None:
         """Add one grain to column 0 and settle the avalanche."""
-        if self.grains + 1 > MAX_GRAINS:
-            raise CapacityError("grain count would exceed the 2**62 limit")
-        order = [] if record else None
-        self._drop(1, order)
+        self._check_target(self.grains + 1)
+        order: list[int] = []
+        self._drop(1, order.append if record else None)
         if record:
             return Avalanche.from_order(self.grains, order)
         return None
@@ -489,11 +489,7 @@ def global_density_column(p: int, n: int) -> int:
 
 def trace_leftmost(p: int, n: int, on_fire=None) -> FixedPoint:
     """Leftmost stabilization calling ``on_fire(i)``, if given, after each firing."""
-    check_p(p)
-    check_grains(n)
-    cap = _capacity(p, n)
-    slopes = [0] * cap
-    slopes[0] = n
-    shot = [0] * cap
-    _settle(p, slopes, shot, on_fire)
-    return _fixed_point(p, n, slopes, shot, "leftmost")
+    pile = IncrementalStabilizer(p, expect=n)
+    pile._drop(n, on_fire)
+    # not ``snapshot``, where benchmarks/tracing.py counts a grown pile's firings
+    return _fixed_point(p, n, pile.slopes, pile.shot, "leftmost")

@@ -193,6 +193,27 @@ def test_scan_documents_are_pinned(tmp_path, capsys, n_max, stride, mode, fmt):
         assert plot.read_bytes() == (GOLDEN / "scan_p2_n400_s3.plot.csv").read_bytes()
 
 
+# Whole stabilize, avalanche and verify documents, byte for byte.
+PINNED_DOCUMENTS = {
+    **{
+        f"stabilize_p4_n2000_{s}.json": f"stabilize --p 4 --n 2000 --strategy {s}"
+        for s in ("batch", "leftmost", "random", "incremental")
+    },
+    "stabilize_p4_n2000.csv": "stabilize --p 4 --n 2000 --format csv",
+    "avalanche_p3_k5489.json": "avalanche --p 3 --k 5489",
+    "avalanche_p3_k5489.csv": "avalanche --p 3 --k 5489 --format csv",
+    "verify_p4_n2000.json": "verify --p 4 --n 2000",
+    "verify_p4_n2000.csv": "verify --p 4 --n 2000 --format csv",
+}
+
+
+@pytest.mark.parametrize("golden", PINNED_DOCUMENTS)
+def test_documents_are_pinned(capsys, golden):
+    rc, out, err = run_cli(capsys, *PINNED_DOCUMENTS[golden].split())
+    assert (rc, err) == (0, "")
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
 # ---------------------------------------------------------------- spectral
 
 
@@ -391,12 +412,39 @@ def test_usage_errors_exit_2(argv, capsys):
     ],
 )
 @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
-def test_unwritable_output_path_exits_2(tmp_path, capsys, argv, flag, where):
+def test_unwritable_output_path_exits_2(
+    tmp_path, capsys, monkeypatch, argv, flag, where
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started before its output path was checked")
+
+    monkeypatch.setattr(cli, "stabilize", no_work)
+    monkeypatch.setattr(analyzer, "scan_rows", no_work)
     path = tmp_path / "missing" / "out" if where == "missing-directory" else tmp_path
     rc, out, err = run_cli(capsys, *argv, flag, str(path))
     assert rc == 2 and out == ""
     assert err.startswith(f"error: cannot write {path}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_a_refused_plot_path_leaves_the_output_file_untouched(tmp_path, capsys):
+    kept = tmp_path / "out.json"
+    kept.write_text("kept\n")
+    rc, _, err = run_cli(
+        capsys,
+        "scan", "--p", "2", "--n-max", "50", "--stride", "5",
+        "--output", str(kept), "--emit-plot-data", str(tmp_path / "missing" / "p.csv"),
+    )
+    assert rc == 2 and err.startswith("error: cannot write ")
+    assert kept.read_text() == "kept\n"
+
+
+def test_output_to_dev_null_is_accepted(capsys):
+    # /dev/null is tested as the file it is, not by its directory
+    argv = ["stabilize", "--p", "2", "--n", "5", "--output", os.devnull]
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (0, "", "")
 
 
 def test_capacity_limit_exit_3(capsys):

@@ -8,6 +8,7 @@ from conftest import GOLDEN_P2_N24_SHOT, GOLDEN_P2_N24_SLOPES
 from kspm import dds, spectral
 from lemma_audits import uniform_index
 from kspm.errors import Divergence, NonIntegral
+from kspm.model import SlopeConfig
 from kspm.stabilizer import stabilize
 
 ints = st.integers(min_value=-50, max_value=50)
@@ -201,19 +202,17 @@ def test_trajectory_spread0():
 
 
 def test_reconstruct_golden_with_ground_truth():
-    r = dds.reconstruct_fixed_point(2, 24, 8, dds.GroundTruthResolver(GOLDEN_P2_N24_SLOPES))
+    truth = SlopeConfig(GOLDEN_P2_N24_SLOPES).__getitem__
+    r = dds.reconstruct_fixed_point(2, 24, 8, truth)
     assert r.slopes.slopes == GOLDEN_P2_N24_SLOPES
     assert r.shot == GOLDEN_P2_N24_SHOT
     assert r.ambiguous_positions == (0, 2, 4)
-    assert r.authoritative
 
 
 @pytest.mark.parametrize("p,n", [(2, 100), (3, 500), (4, 2000), (5, 77), (6, 1234)])
 def test_reconstruct_matches_stabilizer(p, n):
     fp = stabilize(p, n)
-    r = dds.reconstruct_fixed_point(
-        p, n, fp.shot_at(0), dds.GroundTruthResolver(fp.slopes.slopes)
-    )
+    r = dds.reconstruct_fixed_point(p, n, fp.shot_at(0), fp.slopes.__getitem__)
     assert r.slopes == fp.slopes
     assert r.shot == fp.shot
 
@@ -222,12 +221,11 @@ def test_reconstruct_n_zero():
     r = dds.reconstruct_fixed_point(3, 0, 0, lambda i: 0)
     assert r.slopes.slopes == ()
     assert r.shot == ()
-    assert not r.authoritative
 
 
 def test_reconstruct_stable_pile_without_firings():
     # N = p grains: stable as dropped, every position ambiguous, truth resolves
-    r = dds.reconstruct_fixed_point(2, 2, 0, dds.GroundTruthResolver((2,)))
+    r = dds.reconstruct_fixed_point(2, 2, 0, SlopeConfig((2,)).__getitem__)
     assert r.slopes.slopes == (2,)
     assert r.shot == ()
 
@@ -235,7 +233,6 @@ def test_reconstruct_stable_pile_without_firings():
 def test_assume_zero_succeeds_when_ambiguous_columns_hold_zero():
     fp = stabilize(2, 4)  # slopes (1, 1, 1): the one ambiguous column is a true 0
     r = dds.reconstruct_fixed_point(2, 4, fp.shot_at(0), lambda i: 0)
-    assert not r.authoritative
     assert r.slopes == fp.slopes
     assert r.ambiguous_positions == (1,)
 
@@ -254,8 +251,6 @@ def test_reconstruct_divergence_on_bad_a0():
 
 def test_reconstruct_rejects_bad_resolver_value():
     class Bad:
-        authoritative = True
-
         def __call__(self, i):
             return 1
 

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from functools import partial
 from math import isqrt
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from conftest import (
     GOLDEN_P2_N24_SLOPES,
     GOLDEN_P4_N2000_SLOPES,
 )
-from kspm import analyzer, stabilizer
+from kspm import analyzer, cli, stabilizer
 from kspm.errors import CapacityError
 from kspm.model import (
     MAX_GRAINS,
@@ -451,12 +452,32 @@ def test_the_preflight_reruns_only_past_the_largest_checked_target(monkeypatch):
     assert calls == [10, 20, 25, 40]
 
 
-@pytest.mark.parametrize("strategy", ["batch", "random"])
-def test_engines_refuse_kicks_past_their_arrays(monkeypatch, strategy):
-    # neither engine grows its arrays, so an undersized bound must fail loudly
+def test_advance_reruns_the_preflight_past_the_largest_checked_target(monkeypatch):
+    calls = count_preflights(monkeypatch)
+    inc = IncrementalStabilizer(2, expect=10)
+    while inc.grains < 15:
+        inc.advance()
+    assert calls == [10, 11, 12, 13, 14, 15]
+    assert inc.snapshot() == stabilize(2, 15, "incremental")
+
+
+OVERRUN_ENTRY_POINTS = {
+    **{
+        s: partial(stabilize, 2, 100, s)
+        for s in ("batch", "leftmost", "random", "incremental")
+    },
+    "scan-incremental": partial(analyzer.scan_rows, 2, [50, 100], incremental=True),
+    "scan-direct": partial(analyzer.scan_rows, 2, [50, 100], incremental=False),
+    "avalanche": partial(cli.main, ["avalanche", "--p", "2", "--k", "100"]),
+}
+
+
+@pytest.mark.parametrize("entry", OVERRUN_ENTRY_POINTS)
+def test_engines_refuse_kicks_past_their_arrays(monkeypatch, entry):
+    # no engine grows its arrays, so an undersized bound must fail loudly
     monkeypatch.setattr(stabilizer, "_capacity", lambda p, n: 2 * p + 1)
     with pytest.raises(RuntimeError, match="past the 5 columns allocated"):
-        stabilize(2, 100, strategy)
+        OVERRUN_ENTRY_POINTS[entry]()
 
 
 @pytest.mark.parametrize("module", ["kspm", "kspm.stabilizer"])
@@ -482,7 +503,8 @@ def test_trace_leftmost_counts_firings():
 
 
 def test_incremental_capacity_growth():
-    # deliberately undersized: must grow instead of crashing
+    # deliberately undersized: each advance_to past the checked target
+    # allocates up to the support bound at its preflight, before settling
     inc = IncrementalStabilizer(2, expect=0)
     inc.advance_to(500)
     assert inc.snapshot().slopes == stabilize(2, 500).slopes
