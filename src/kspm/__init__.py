@@ -20,25 +20,19 @@ from .errors import (
     RecurrenceMismatch,
 )
 from .model import (
-    HeightConfig,
     SlopeConfig,
-    add_grain_col0,
     fire,
     fireable,
     grain_count,
     heights_from_slopes,
     is_stable,
-    slopes_from_heights,
 )
 from .stabilizer import (
     Avalanche,
     FixedPoint,
     IncrementalStabilizer,
     density_column,
-    global_density_column,
-    leftmost_avalanche,
     stabilize,
-    stabilize_incremental,
 )
 
 __version__ = "0.1.0"
@@ -48,7 +42,6 @@ __all__ = [
     "CapacityError",
     "Divergence",
     "FixedPoint",
-    "HeightConfig",
     "IncrementalStabilizer",
     "InsufficientData",
     "KSPMError",
@@ -57,16 +50,11 @@ __all__ = [
     "NotFireable",
     "RecurrenceMismatch",
     "SlopeConfig",
-    "add_grain_col0",
     "density_column",
     "fire",
     "fireable",
-    "global_density_column",
     "grain_count",
     "heights_from_slopes",
     "is_stable",
-    "leftmost_avalanche",
-    "slopes_from_heights",
     "stabilize",
-    "stabilize_incremental",
 ]

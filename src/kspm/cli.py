@@ -109,7 +109,7 @@ def _describe_fixed_point(fp) -> dict:
         "N": fp.n_grains,
         "strategy": fp.strategy,
         "slopes": list(fp.slopes.slopes),
-        "heights": list(heights_from_slopes(fp.slopes).heights),
+        "heights": list(heights_from_slopes(fp.slopes)),
         "shot": list(fp.shot),
         "w": stats.width,
         "n_strict": stats.n_strict,
@@ -263,7 +263,7 @@ def cmd_spectral(args) -> int:
 def cmd_avalanche(args) -> int:
     inc = IncrementalStabilizer(args.p, expect=args.k)
     inc.jump_to(args.k - 1)
-    av = inc.advance(record=True)
+    av = inc.advance()
     doc = {
         "meta": _meta("avalanche", {"p": args.p, "k": args.k}),
         "result": {
@@ -325,11 +325,21 @@ def _verification_checks(p: int, n: int, seed: int) -> list[dict]:
         )
     with replaying("trajectory_invariants"):
         rep = dds.trajectory_report(p, direct.slopes, direct.shot_at(0), n)
+        violations = list(rep.violations)
+        # the replay is the independent check of the scan statistics
+        if stats is not None and (rep.uniform_index, rep.ambiguous_count) != (
+            stats.uniform_index,
+            stats.ambiguous_count,
+        ):
+            violations.append(
+                f"replay reads uniform_index {rep.uniform_index} and ambiguous_count "
+                f"{rep.ambiguous_count}, the row statistics {stats.uniform_index} "
+                f"and {stats.ambiguous_count}"
+            )
         add(
             "trajectory_invariants",
-            not rep.violations,
-            "; ".join(rep.violations)
-            or "determinations, commutation and envelopes hold",
+            not violations,
+            "; ".join(violations) or "determinations, commutation and envelopes hold",
         )
     if stats is None:
         add("wave_tail", False, "no wave statistics without the shot balance")

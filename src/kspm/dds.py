@@ -29,10 +29,9 @@ checks this walk's uniform column is test-side, in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 from .errors import Divergence, NonIntegral
-from .model import SlopeConfig, check_grains, check_p, trimmed
+from .model import SlopeConfig, check_grains, check_p, support_bound, trimmed
 
 
 def next_shot(p: int, a_back: int, a_here: int, b: int) -> int:
@@ -277,7 +276,8 @@ def reconstruct_fixed_point(p: int, n: int, a0: int, resolver) -> Reconstruction
             raise ValueError(f"resolver returned {b!r}; must be 0 or {p}")
         return b
 
-    bound = (p + 1) * (isqrt(n) + 1) + p + 2
+    # the closing window lies at most one column past the support bound
+    bound = support_bound(p, n) + 1
     slopes: list[int] = []
     shots: list[int] = []
     for i, window, b in _walk(p, n, a0, slope_at, bound, Divergence):

@@ -14,6 +14,8 @@ exchange immutable configurations at their boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from math import isqrt
 
 from .errors import CapacityError, NotFireable
 
@@ -31,6 +33,11 @@ def check_grains(n: int) -> int:
     if n > MAX_GRAINS:
         raise CapacityError(f"grain count {n} exceeds the 2**62 limit")
     return n
+
+
+def support_bound(p: int, n: int) -> int:
+    """Most columns the fixed point of ``n`` grains can occupy."""
+    return (p + 1) * (isqrt(n) + 1) + p + 1
 
 
 def trimmed(values) -> tuple[int, ...]:
@@ -80,40 +87,9 @@ class SlopeConfig:
         return iter(self.slopes)
 
     def __getitem__(self, i: int) -> int:
-        if isinstance(i, slice):
-            return self.slopes[i]
         if i < 0:
             raise ValueError("column indices start at 0")
         return self.slopes[i] if i < len(self.slopes) else 0
-
-
-@dataclass(frozen=True)
-class HeightConfig:
-    """Immutable column heights: non-negative, non-increasing, finitely many."""
-
-    heights: tuple[int, ...]
-
-    def __init__(self, heights=()):
-        vals = trimmed(heights)
-        prev = None
-        for v in vals:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"heights must be non-negative integers, got {v!r}")
-            if prev is not None and v > prev:
-                raise ValueError("heights must be non-increasing")
-            prev = v
-        object.__setattr__(self, "heights", vals)
-
-    def __len__(self) -> int:
-        return len(self.heights)
-
-    def __iter__(self):
-        return iter(self.heights)
-
-    def __getitem__(self, i: int) -> int:
-        if i < 0:
-            raise ValueError("column indices start at 0")
-        return self.heights[i] if i < len(self.heights) else 0
 
 
 def fireable(p: int, c: SlopeConfig, i: int) -> bool:
@@ -156,34 +132,6 @@ def grain_count(c: SlopeConfig) -> int:
     return total
 
 
-def add_grain_col0(c: SlopeConfig) -> SlopeConfig:
-    """Drop a single grain on column 0 (slope 0 increases by one)."""
-    if not c.slopes:
-        return SlopeConfig((1,))
-    return SlopeConfig((c.slopes[0] + 1,) + c.slopes[1:])
-
-
-def heights_from_slopes(c: SlopeConfig) -> HeightConfig:
+def heights_from_slopes(c: SlopeConfig) -> tuple[int, ...]:
     """Heights are the suffix sums of the slopes."""
-    out = []
-    acc = 0
-    for v in reversed(c.slopes):
-        acc += v
-        out.append(acc)
-    out.reverse()
-    return HeightConfig(out)
-
-
-def slopes_from_heights(h) -> SlopeConfig:
-    """Slopes are consecutive height differences; rejects increasing steps.
-
-    Accepts a :class:`HeightConfig` or any plain sequence of heights.
-    """
-    vals = trimmed(h)
-    out = []
-    for i, v in enumerate(vals):
-        nxt = vals[i + 1] if i + 1 < len(vals) else 0
-        if v < nxt:
-            raise ValueError("heights must be non-increasing")
-        out.append(v - nxt)
-    return SlopeConfig(out)
+    return tuple(accumulate(reversed(c.slopes)))[::-1]

@@ -18,22 +18,21 @@ Four ways to reach the unique fixed point of ``N`` grains:
 
 All engines record the shot vector (number of firings per column).  The
 fixed point itself does not depend on the strategy; the firing order
-does, and is kept only where ``advance(record=True)`` returns it.  An
-avalanche's density column comes from its shot prefix before and after
-the settle instead.  The leftmost walk stays wherever the order is the
-output or a grown pile takes a small jump, where a sweep over the whole
-pile costs more.
+does, and is kept only where ``advance()`` returns it.  An avalanche's
+density column comes from its shot prefix before and after the settle
+instead.  The leftmost walk stays wherever the order is the output or a
+grown pile takes a small jump, where a sweep over the whole pile costs
+more.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import isqrt
 from operator import eq
 
 from .errors import CapacityError
-from .model import SlopeConfig, check_grains, check_p, trimmed
+from .model import SlopeConfig, check_grains, check_p, support_bound, trimmed
 
 
 #: Most columns any engine or audit allocates up front.
@@ -73,7 +72,8 @@ def check_work(p: int, n: int) -> int:
     times the firings is twice the grains' first moment, at most ``n``
     times the last column.  Returns that bound on the firings.
     """
-    bound = 2 * n * ((p + 1) * (isqrt(n) + 1) + p) // (p * (p + 1))
+    # ``support_bound - 1`` is the last column the support can reach
+    bound = 2 * n * (support_bound(p, n) - 1) // (p * (p + 1))
     if bound > MAX_FIRINGS:
         raise CapacityError(
             f"{n} grains may need {bound} firings, over the {MAX_FIRINGS}-firing limit"
@@ -82,11 +82,9 @@ def check_work(p: int, n: int) -> int:
 
 
 def _capacity(p: int, n: int) -> int:
-    """Columns to allocate for ``n`` grains; refuse runs past either limit.
-
-    The support is at most ``(p+1)*(isqrt(n)+1) + p + 1`` columns.
-    """
-    columns = check_columns((p + 1) * (isqrt(n) + 1) + 2 * p + 4)
+    """Columns to allocate for ``n`` grains; refuse runs past either limit."""
+    # the support bound plus room for the last kick, ``p`` columns right of it
+    columns = check_columns(support_bound(p, n) + p + 3)
     check_work(p, n)
     return columns
 
@@ -376,14 +374,12 @@ class IncrementalStabilizer:
             self.shot += grow
             self._checked = target
 
-    def advance(self, record: bool = False) -> Avalanche | None:
-        """Add one grain to column 0 and settle the avalanche."""
+    def advance(self) -> Avalanche:
+        """Add one grain to column 0, settle it and return its avalanche."""
         self._check_target(self.grains + 1)
         order: list[int] = []
-        self._drop(1, order.append if record else None)
-        if record:
-            return Avalanche.from_order(self.grains, order)
-        return None
+        self._drop(1, order.append)
+        return Avalanche.from_order(self.grains, order)
 
     def advance_to(self, target: int) -> int:
         """Add grains one at a time up to ``target``, settling each avalanche.
@@ -419,15 +415,11 @@ class IncrementalStabilizer:
         reach = self._reach
         return trimmed(self.slopes[:reach]), trimmed(self.shot[:reach])
 
-    def snapshot(self, strategy: str = "incremental") -> FixedPoint:
+    def snapshot(self) -> FixedPoint:
         reach = self._reach
         return _fixed_point(
-            self.p, self.grains, self.slopes[:reach], self.shot[:reach], strategy
+            self.p, self.grains, self.slopes[:reach], self.shot[:reach], "incremental"
         )
-
-    @property
-    def support(self) -> int:
-        return len(trimmed(self.slopes[: self._reach]))
 
 
 def stabilize(p: int, n: int, strategy: str = "batch", seed: int = 0) -> FixedPoint:
@@ -452,39 +444,6 @@ def stabilize(p: int, n: int, strategy: str = "batch", seed: int = 0) -> FixedPo
         inc.advance_to(n)
         return inc.snapshot()
     raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def stabilize_incremental(p: int, n: int) -> tuple[FixedPoint, list[Avalanche]]:
-    """Stabilize grain by grain, returning every avalanche.
-
-    Keeps all ``n`` avalanche records in memory; for large sweeps drive
-    :class:`IncrementalStabilizer` directly and discard records as you go.
-    """
-    check_p(p)
-    check_grains(n)
-    inc = IncrementalStabilizer(p, expect=n)
-    avalanches = [inc.advance(record=True) for _ in range(n)]
-    return inc.snapshot(), avalanches
-
-
-def leftmost_avalanche(prev: FixedPoint) -> Avalanche:
-    """Avalanche caused by one more grain on top of the fixed point ``prev``."""
-    p = prev.p
-    cap = _capacity(p, prev.n_grains + 1)
-    slopes = list(prev.slopes.slopes) + [0] * (cap - prev.slopes.support)
-    slopes[0] += 1
-    order: list[int] = []
-    _settle(p, slopes, [0] * len(slopes), order.append)
-    return Avalanche.from_order(prev.n_grains + 1, order)
-
-
-def global_density_column(p: int, n: int) -> int:
-    """Largest avalanche density column over the first ``n`` grains."""
-    check_p(p)
-    check_grains(n)
-    inc = IncrementalStabilizer(p, expect=n, track_density=True)
-    inc.advance_to(n)
-    return inc.density_max
 
 
 def trace_leftmost(p: int, n: int, on_fire=None) -> FixedPoint:

@@ -18,7 +18,7 @@ from conftest import (
     GOLDEN_P4_N2000_ZERO_AT,
 )
 from kspm import analyzer, dds, spectral
-from kspm.stabilizer import IncrementalStabilizer, stabilize, stabilize_incremental
+from kspm.stabilizer import IncrementalStabilizer, stabilize
 from lemma_audits import check_plateaus_along_leftmost
 
 _REG: list[tuple[int, int, int]] = []  # (p, n, width) of every stabilized pile
@@ -208,7 +208,9 @@ def test_criterion_10_avalanche_invariants():
     details = []
     prev_all = last_all = 0.0
     for p in (2, 3, 4):
-        fp, avalanches = stabilize_incremental(p, 10**4)
+        inc = IncrementalStabilizer(p, expect=10**4)
+        avalanches = [inc.advance() for _ in range(10**4)]
+        fp = inc.snapshot()
         _register(fp)
         assert fp.slopes == stabilize(p, 10**4).slopes
         assert analyzer.support_bounds(p, fp.n_grains, fp.slopes.support)

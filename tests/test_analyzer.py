@@ -25,9 +25,7 @@ from lemma_audits import (
 )
 from kspm.stabilizer import (
     IncrementalStabilizer,
-    leftmost_avalanche,
     stabilize,
-    stabilize_incremental,
     trace_leftmost,
 )
 
@@ -271,8 +269,7 @@ def test_climbing_zero_scan_p2():
     inc = IncrementalStabilizer(2, expect=250)
     prev = inc.snapshot()
     for k in range(1, 251):
-        av = leftmost_avalanche(prev)
-        inc.advance()
+        av = inc.advance()
         nxt = inc.snapshot()
         rep = climbing_zero_check(prev, nxt, av)
         assert rep.ok, (k, rep)
@@ -284,17 +281,18 @@ def test_climbing_zero_scan_p4_spot():
     inc = IncrementalStabilizer(4, expect=400)
     prev = inc.snapshot()
     for _ in range(400):
-        av = leftmost_avalanche(prev)
-        inc.advance()
+        av = inc.advance()
         nxt = inc.snapshot()
         assert climbing_zero_check(prev, nxt, av).ok
         prev = nxt
 
 
 def test_climbing_zero_not_applicable_for_short_avalanche():
-    prev = stabilize(4, 1999)
-    nxt = stabilize(4, 2000)
-    av = leftmost_avalanche(prev)
+    inc = IncrementalStabilizer(4, expect=2000)
+    inc.jump_to(1999)
+    prev = inc.snapshot()
+    av = inc.advance()
+    nxt = inc.snapshot()
     rep = climbing_zero_check(prev, nxt, av)
     assert rep.ok
     if not rep.applicable:
@@ -322,7 +320,8 @@ def replayed_statistics(fp):
 
 def from_scratch_rows(p, targets):
     """Oracle rows: each sample stabilized on its own, density replayed once."""
-    _, avalanches = stabilize_incremental(p, max(targets))
+    inc = IncrementalStabilizer(p, expect=max(targets))
+    avalanches = [inc.advance() for _ in range(max(targets))]
     running = list(itertools.accumulate((a.density_column for a in avalanches), max))
     rows = []
     for n in targets:
@@ -568,4 +567,4 @@ def test_decade_regression_needs_both_decades():
 
 def test_heights_of_golden():
     fp = stabilize(2, 24)
-    assert heights_from_slopes(fp.slopes).heights == GOLDEN_P2_N24_HEIGHTS
+    assert heights_from_slopes(fp.slopes) == GOLDEN_P2_N24_HEIGHTS

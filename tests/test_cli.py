@@ -16,7 +16,7 @@ from conftest import GOLDEN_P2_N24_SHOT, GOLDEN_P2_N24_SLOPES
 import kspm
 from kspm import analyzer, cli, spectral
 from kspm.errors import RecurrenceMismatch
-from kspm.stabilizer import leftmost_avalanche, stabilize
+from kspm.stabilizer import IncrementalStabilizer
 
 
 def run_cli(capsys, *argv):
@@ -279,7 +279,8 @@ def test_avalanche_matches_library(capsys):
     rc, out, _ = run_cli(capsys, "avalanche", "--p", "3", "--k", "12")
     assert rc == 0
     res = json.loads(out)["result"]
-    want = leftmost_avalanche(stabilize(3, 11))
+    inc = IncrementalStabilizer(3)
+    want = [inc.advance() for _ in range(12)][-1]
     assert tuple(res["fired"]) == want.fired
     assert res["max_fired"] == want.max_fired
     assert res["k"] == 12
@@ -345,6 +346,33 @@ def test_verify_wave_tail_needs_the_loose_start_at_the_uniform_window(
     assert err == "verification violated: wave_tail\n"
     bad = [c["name"] for c in json.loads(out)["result"]["checks"] if not c["ok"]]
     assert bad == ["wave_tail"]
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda s: {"ambiguous_count": s.ambiguous_count + 1},
+        # moving both keeps wave_tail's n_loose == uniform_index
+        lambda s: {"uniform_index": s.uniform_index + 1, "n_loose": s.n_loose + 1},
+    ],
+    ids=["ambiguous_count", "uniform_index"],
+)
+def test_verify_checks_the_row_statistics_against_the_replay(
+    monkeypatch, capsys, tamper
+):
+    real = analyzer.row_statistics
+
+    def tampered(*args):
+        stats = real(*args)
+        return dataclasses.replace(stats, **tamper(stats))
+
+    monkeypatch.setattr(analyzer, "row_statistics", tampered)
+    rc, out, err = run_cli(capsys, "verify", "--p", "4", "--n", "2000")
+    assert rc == 5
+    assert err == "verification violated: trajectory_invariants\n"
+    bad = [c for c in json.loads(out)["result"]["checks"] if not c["ok"]]
+    assert [c["name"] for c in bad] == ["trajectory_invariants"]
+    assert "row statistics" in bad[0]["detail"]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

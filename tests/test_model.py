@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from kspm.errors import CapacityError, NotFireable
 from kspm.model import (
-    HeightConfig,
     SlopeConfig,
-    add_grain_col0,
     check_grains,
     check_p,
     fire,
@@ -16,7 +14,6 @@ from kspm.model import (
     grain_count,
     heights_from_slopes,
     is_stable,
-    slopes_from_heights,
 )
 
 slope_lists = st.lists(st.integers(min_value=0, max_value=12), max_size=8)
@@ -152,43 +149,17 @@ def test_diamond_property(vals, p):
 
 
 def test_heights_are_suffix_sums():
-    h = heights_from_slopes(SlopeConfig((2, 1, 2, 1, 2)))
-    assert h.heights == (8, 6, 5, 3, 2)
-    assert heights_from_slopes(SlopeConfig(())).heights == ()
+    assert heights_from_slopes(SlopeConfig((2, 1, 2, 1, 2))) == (8, 6, 5, 3, 2)
+    assert heights_from_slopes(SlopeConfig(())) == ()
 
 
 def test_heights_with_zero_slope_inside():
     # slope 0 between nonzero slopes keeps the height flat, not zero
-    h = heights_from_slopes(SlopeConfig((1, 0, 1)))
-    assert h.heights == (2, 1, 1)
+    assert heights_from_slopes(SlopeConfig((1, 0, 1))) == (2, 1, 1)
 
 
 @given(slope_lists)
 def test_heights_round_trip(vals):
     c = SlopeConfig(vals)
-    assert slopes_from_heights(heights_from_slopes(c)) == c
-
-
-def test_slopes_from_heights_rejects_increasing():
-    with pytest.raises(ValueError):
-        slopes_from_heights([1, 2])
-    with pytest.raises(ValueError):
-        HeightConfig((1, 2))
-
-
-def test_height_config_indexing():
-    h = HeightConfig((5, 2, 2))
-    assert h[0] == 5 and h[2] == 2 and h[3] == 0
-    with pytest.raises(ValueError):
-        h[-1]
-
-
-def test_add_grain_examples():
-    assert add_grain_col0(SlopeConfig(())).slopes == (1,)
-    assert add_grain_col0(SlopeConfig((2, 1))).slopes == (3, 1)
-
-
-@given(slope_lists)
-def test_add_grain_increments_count(vals):
-    c = SlopeConfig(vals)
-    assert grain_count(add_grain_col0(c)) == grain_count(c) + 1
+    h = heights_from_slopes(c)
+    assert tuple(a - b for a, b in zip(h, h[1:] + (0,))) == c.slopes

@@ -30,11 +30,8 @@ from kspm.stabilizer import (
     MAX_FIRINGS,
     IncrementalStabilizer,
     density_column,
-    global_density_column,
     holes,
-    leftmost_avalanche,
     stabilize,
-    stabilize_incremental,
     trace_leftmost,
 )
 
@@ -147,7 +144,8 @@ def test_random_strategy_is_reproducible():
 def test_avalanche_replay_is_leftmost():
     """Each recorded avalanche must replay move for move under the fire op,
     always choosing the least fireable column, and land on the next pile."""
-    fp, avs = stabilize_incremental(2, 30)
+    inc = IncrementalStabilizer(2, expect=30)
+    avs = [inc.advance() for _ in range(30)]
     c = SlopeConfig(())
     for k, av in enumerate(avs, start=1):
         c = SlopeConfig((c[0] + 1,) + c.slopes[1:]) if c.slopes else SlopeConfig((1,))
@@ -157,11 +155,12 @@ def test_avalanche_replay_is_leftmost():
             c = fire(2, c, i)
         assert is_stable(2, c)
         assert c == stabilize(2, k).slopes
-    assert fp.slopes == c
+    assert inc.snapshot().slopes == c
 
 
 def test_avalanche_records():
-    _, avs = stabilize_incremental(2, 24)
+    inc = IncrementalStabilizer(2)
+    avs = [inc.advance() for _ in range(24)]
     assert avs[0].fired == ()  # one grain sits still
     assert avs[0].k == 1
     nonempty = [a for a in avs if a.fired]
@@ -173,22 +172,27 @@ def test_avalanche_records():
 
 
 def test_leftmost_avalanche_from_fixed_point():
-    prev = stabilize(2, 23)
-    av = leftmost_avalanche(prev)
+    jumped = IncrementalStabilizer(2, expect=24)
+    jumped.jump_to(23)
+    av = jumped.advance()
     assert av.k == 24
-    _, avs = stabilize_incremental(2, 24)
+    stepped = IncrementalStabilizer(2, expect=24)
+    avs = [stepped.advance() for _ in range(24)]
     assert av.fired == avs[-1].fired
 
 
 def test_leftmost_avalanche_trivial_cases():
+    pile = IncrementalStabilizer(3, expect=4)
+    pile.jump_to(1)
+    # an empty avalanche has no maximum and density 0
+    quiet = pile.advance()
     # a pile holding exactly p grains is one grain below the threshold,
     # so the next grain fires column 0 exactly once
-    av = leftmost_avalanche(stabilize(3, 3))
+    pile.jump_to(3)
+    av = pile.advance()
     assert av.fired == (0,)
     assert av.density_column == 0
     assert av.max_fired == 0
-    # an empty avalanche has no maximum and density 0
-    quiet = leftmost_avalanche(stabilize(3, 1))
     assert quiet.fired == ()
     assert quiet.max_fired is None
     assert quiet.density_column == 0
@@ -229,16 +233,19 @@ def test_holes():
 
 
 def test_global_density_column_tracks_avalanches():
-    _, avs = stabilize_incremental(2, 200)
-    expect = max(a.density_column for a in avs)
-    assert global_density_column(2, 200) == expect
-    assert global_density_column(2, 100) <= expect
+    stepped = IncrementalStabilizer(2, expect=200)
+    avs = [stepped.advance() for _ in range(200)]
+    tracked = IncrementalStabilizer(2, expect=200, track_density=True)
+    for n in (100, 200):
+        tracked.advance_to(n)
+        assert tracked.density_max == max(a.density_column for a in avs[:n])
 
 
 def test_track_density_flag():
     inc = IncrementalStabilizer(3, expect=150, track_density=True)
     inc.advance_to(150)
-    _, avs = stabilize_incremental(3, 150)
+    stepped = IncrementalStabilizer(3, expect=150)
+    avs = [stepped.advance() for _ in range(150)]
     assert inc.density_max == max(a.density_column for a in avs)
 
 
@@ -252,9 +259,8 @@ def test_advance_to_matches_grain_by_grain(p, track_density):
         while stepped.grains < n:
             stepped.advance()
         assert batched.columns() == stepped.columns()
-        assert (batched.grains, batched.support, batched.density_max) == (
+        assert (batched.grains, batched.density_max) == (
             stepped.grains,
-            stepped.support,
             stepped.density_max,
         )
     assert batched.grains == 1500
@@ -262,7 +268,8 @@ def test_advance_to_matches_grain_by_grain(p, track_density):
 
 def test_advance_to_settles_once_per_avalanche(monkeypatch):
     p, n = 30, 5000
-    _, avalanches = stabilize_incremental(p, n)
+    stepped = IncrementalStabilizer(p, expect=n)
+    avalanches = [stepped.advance() for _ in range(n)]
     started = sum(1 for av in avalanches if av.fired)
     calls = {"settle": 0, "drop": 0}
 
@@ -294,7 +301,7 @@ def test_density_from_the_shot_prefix_matches_the_firing_order(p):
     holed = 0
     for n in range(1, 2001):
         recorded.density_max = advanced.density_max = 0
-        av = recorded.advance(record=True)
+        av = recorded.advance()
         advanced.advance_to(n)
         assert recorded.density_max == advanced.density_max == density_column(av.fired)
         holed += av.density_column > 0
@@ -337,7 +344,6 @@ def test_pile_reach_covers_the_whole_fixed_point(p):
         want = stabilize(p, n)
         for pile in (jumped, stepped):
             assert pile.columns() == (want.slopes.slopes, want.shot)
-            assert pile.support == want.slopes.support
 
 
 def test_jump_to_refuses_density_tracking():
@@ -396,7 +402,7 @@ def firing_bound(p, n):
 def test_firings_move_the_first_moment(p, n):
     """Each firing moves p grains right by 1..p columns, which bounds the work."""
     fp = stabilize(p, n)
-    moment = sum(j * h for j, h in enumerate(heights_from_slopes(fp.slopes).heights))
+    moment = sum(j * h for j, h in enumerate(heights_from_slopes(fp.slopes)))
     assert p * (p + 1) * sum(fp.shot) == 2 * moment
     assert sum(fp.shot) <= firing_bound(p, n)
 
@@ -419,7 +425,7 @@ def test_firing_limit_is_checked_before_settling(p):
     ):
         with pytest.raises(CapacityError, match="firing limit"):
             refused()
-    assert inc.grains == 0 and inc.support == 0
+    assert inc.grains == 0 and inc.columns() == ((), ())
 
 
 def count_preflights(monkeypatch) -> list:
@@ -493,6 +499,17 @@ def test_import_does_not_load_numpy(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_star_import_binds_every_public_name():
+    import kspm
+
+    assert [name for name in kspm.__all__ if not hasattr(kspm, name)] == []
+    namespace: dict = {}
+    exec("from kspm import *", namespace)
+    assert {name: namespace[name] for name in kspm.__all__} == {
+        name: getattr(kspm, name) for name in kspm.__all__
+    }
 
 
 def test_trace_leftmost_counts_firings():
