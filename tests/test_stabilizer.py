@@ -25,6 +25,7 @@ from kspm.model import (
     grain_count,
     heights_from_slopes,
     is_stable,
+    support_bound,
 )
 from kspm.stabilizer import (
     MAX_FIRINGS,
@@ -88,6 +89,14 @@ def test_small_piles_need_no_fire(p):
         fp = stabilize(p, n)
         assert fp.slopes.slopes == ((n,) if n else ())
         assert fp.shot == ()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 6])
+def test_support_bound_covers_every_fixed_point(p):
+    for n in [*range(0, 300), 2000]:
+        fp = stabilize(p, n)
+        assert fp.slopes.support <= support_bound(p, n), (p, n)
+        assert len(fp.shot) < support_bound(p, n), (p, n)
 
 
 def test_incremental_equals_direct_along_the_way():
