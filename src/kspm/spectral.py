@@ -9,15 +9,18 @@ positive ascending coefficients.  Those roots stay strictly inside the
 unit disk (modulus at most ``(p-1)/p``), which is why the difference
 vector freezes after logarithmically many columns.
 
-Matrices hold ``fractions.Fraction`` entries.  Characteristic
-polynomials come from the Hessenberg recurrence in Python integers, after
-scaling by the common denominator, and are checked in tests against
-Faddeev-LeVerrier and sympy.  The centered contraction comes from its
-closed form in integers, checked against the product definition in
-tests.  Floating point only enters for root finding, eigenvalues,
-residuals and the perturbation bound.  :func:`z_trajectory` replays a
-pile's centered trajectory exactly and reports the first columns where
-it falls within that bound.
+Polynomials are tuples of integer coefficients in ascending order:
+:func:`poly_R` is ``p`` times the root polynomial, :func:`poly_S` its
+reversal, and the Bezout certificate of simple roots is an identity
+between integer polynomials.  Matrices hold ``fractions.Fraction``
+entries.  Characteristic polynomials come from the Hessenberg recurrence
+in Python integers, after scaling by the common denominator, and are
+checked in tests against Faddeev-LeVerrier and sympy.  The centered
+contraction comes from its closed form in integers, checked against the
+product definition in tests.  Floating point only enters for root
+finding, eigenvalues, residuals and the perturbation bound that the
+``spectral`` command reports.  :func:`z_trajectory` replays a pile's
+centered trajectory exactly in integers and checks its initial spread.
 """
 
 from __future__ import annotations
@@ -35,77 +38,6 @@ from . import dds
 from .errors import NoConvergence, RecurrenceMismatch
 from .model import check_grains, check_p
 from .stabilizer import check_matrix
-
-
-class RationalPolynomial:
-    """Univariate polynomial over the rationals, coefficients ascending."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        vals = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while vals and vals[-1] == 0:
-            vals.pop()
-        object.__setattr__(self, "coeffs", tuple(vals))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalPolynomial is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"RationalPolynomial({list(self.coeffs)!r})"
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, RationalPolynomial):
-            if not self.coeffs or not other.coeffs:
-                return RationalPolynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return RationalPolynomial(out)
-        f = Fraction(other)
-        return RationalPolynomial([f * c for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial(
-            [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
-
-    def __call__(self, x):
-        # Horner; Fraction arithmetic mixes natively with float and complex
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def float_coeffs_desc(self) -> list[float]:
-        return [float(c) for c in reversed(self.coeffs)]
 
 
 class ExactMatrix:
@@ -164,13 +96,14 @@ class ExactMatrix:
             raise ValueError("shape mismatch")
         return tuple(sum(a * v for a, v in zip(row, vec)) for row in self.rows)
 
-    def charpoly(self) -> RationalPolynomial:
+    def charpoly(self) -> tuple[Fraction, ...]:
         """Characteristic polynomial ``det(xI - self)``, monic, exact.
 
-        Only Hessenberg matrices (upper or lower) are accepted.  The
-        matrix is scaled to integers ``h = d * self`` by the lcm ``d`` of
-        its denominators, a lower Hessenberg one is transposed to upper,
-        and the Hessenberg recurrence (Cohen, *A Course in Computational
+        The coefficients come back ascending, as ``Fraction``s.  Only
+        Hessenberg matrices (upper or lower) are accepted.  The matrix is
+        scaled to integers ``h = d * self`` by the lcm ``d`` of its
+        denominators, a lower Hessenberg one is transposed to upper, and
+        the Hessenberg recurrence (Cohen, *A Course in Computational
         Algebraic Number Theory*, 1993, section 2.2)
 
             P_m = (x - h_mm) P_{m-1}
@@ -205,55 +138,47 @@ class ExactMatrix:
                     new[e] -= f * c
             polys.append(new)
         dn = d**n
-        return RationalPolynomial(
-            [Fraction(c * d**e, dn) for e, c in enumerate(polys[n])]
-        )
+        return tuple(Fraction(c * d**e, dn) for e, c in enumerate(polys[n]))
 
 
-def poly_R(p: int) -> RationalPolynomial:
-    """The contraction's root polynomial: ascending ``k/p`` then leading 1."""
-    check_p(p)
-    return RationalPolynomial(
-        [Fraction(k, p) for k in range(1, p)] + [Fraction(1)]
-    )
+def _polymul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Product of two polynomials given by ascending coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
 
 
-def poly_S(p: int) -> RationalPolynomial:
-    """Reciprocal companion of :func:`poly_R`: coefficients ``p, p-1, ..., 1``."""
-    check_p(p)
-    return RationalPolynomial([Fraction(p - k) for k in range(p)])
+def poly_R(p: int) -> tuple[int, ...]:
+    """``p`` times the contraction's root polynomial ``R``: ascending ``1, ..., p``.
 
-
-@dataclass(frozen=True)
-class BezoutWitness:
-    """Certificate that ``poly_S`` and its derivative are coprime."""
-
-    p: int
-    ok: bool
-    linear: RationalPolynomial
-    quadratic: RationalPolynomial
-    combination: RationalPolynomial
-
-
-def bezout_witness(p: int) -> BezoutWitness:
-    """Exhibit ``a * S + b * S' = 1`` with explicit small multipliers.
-
-    Coprimality of ``S`` with its derivative certifies that ``S`` (and
-    hence ``poly_R``) is squarefree, so all roots are simple.
+    ``R`` itself has the coefficients ``k/p`` and leading coefficient 1.
     """
     check_p(p)
-    q = p * (p + 1)
-    a = RationalPolynomial([Fraction(1, p), Fraction(1 - p, q)])
-    b = RationalPolynomial([0, Fraction(-1, q), Fraction(1, q)])
+    return tuple(range(1, p + 1))
+
+
+def poly_S(p: int) -> tuple[int, ...]:
+    """Reciprocal companion of :func:`poly_R`: ascending ``p, p-1, ..., 1``."""
+    check_p(p)
+    return tuple(range(p, 0, -1))
+
+
+def bezout_witness(p: int) -> bool:
+    """Check ``(p+1 + (1-p) x) S + (x^2 - x) S' = p (p+1)`` in integers.
+
+    A nonzero constant combination shows that ``S`` is coprime with its
+    derivative, so ``S`` (and hence ``poly_R``, its reversal) is
+    squarefree and all roots are simple.
+    """
+    check_p(p)
     s = poly_S(p)
-    combo = a * s + b * s.derivative()
-    return BezoutWitness(
-        p=p,
-        ok=combo == RationalPolynomial([1]),
-        linear=a,
-        quadratic=b,
-        combination=combo,
-    )
+    ds = [k * c for k, c in enumerate(s)][1:]
+    combo = list(_polymul((p + 1, 1 - p), s))
+    for e, c in enumerate(_polymul((0, -1, 1), ds)):
+        combo[e] += c
+    return combo == [p * (p + 1)] + [0] * p
 
 
 def shot_step_matrix(p: int) -> ExactMatrix:
@@ -324,16 +249,13 @@ class RootSet:
         return max((abs(z) for z in self.roots), default=0.0)
 
 
-def _root_quality(poly: RationalPolynomial, roots) -> RootSet:
+def _root_quality(coeffs_desc: list[float], roots) -> RootSet:
     roots = tuple(sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12))))
-    coeffs = poly.float_coeffs_desc()
     residuals = []
     for z in roots:
-        # the Horner of RationalPolynomial.__call__, without Fraction's
-        # complex fallback; every step rounds the same way, so bit-identical
         x = complex(z)
         acc = 0 * x
-        for c in coeffs:
+        for c in coeffs_desc:
             acc = acc * x + c
         residuals.append(abs(acc))
     residuals = tuple(residuals)
@@ -341,8 +263,13 @@ def _root_quality(poly: RationalPolynomial, roots) -> RootSet:
     return RootSet(roots=roots, residuals=residuals, min_separation=sep)
 
 
+def _R_floats(p: int) -> list[float]:
+    """Coefficients ``k/p`` of ``R``, descending, each correctly rounded."""
+    return [c / p for c in reversed(poly_R(p))]
+
+
 def roots_R(p: int) -> RootSet:
-    """Roots of :func:`poly_R`, all of modulus at most ``(p-1)/p``.
+    """Roots of ``R``, all of modulus at most ``(p-1)/p``.
 
     Found as companion-matrix eigenvalues by ``numpy.roots``; the
     residuals and the separation are the caller's acceptance gate.  A
@@ -350,10 +277,8 @@ def roots_R(p: int) -> RootSet:
     """
     check_p(p)
     check_matrix(p)
-    poly = poly_R(p)
-    return _root_quality(
-        poly, [complex(z) for z in np.roots(poly.float_coeffs_desc())]
-    )
+    coeffs = _R_floats(p)
+    return _root_quality(coeffs, [complex(z) for z in np.roots(coeffs)])
 
 
 def eigvals_O(p: int) -> RootSet:
@@ -364,8 +289,7 @@ def eigvals_O(p: int) -> RootSet:
     identity and the eigenvalue accuracy at once.
     """
     eigs = np.linalg.eigvals(_centered_floats(p)[0])
-    xr = RationalPolynomial([Fraction(0)] + list(poly_R(p).coeffs))
-    return _root_quality(xr, [complex(v) for v in eigs])
+    return _root_quality(_R_floats(p) + [0.0], [complex(v) for v in eigs])
 
 
 def pair_distance(
@@ -386,9 +310,13 @@ def pair_distance(
 
 #: Terms of the perturbation series computed per numpy call.
 _SERIES_BLOCK = 64
+#: A term below this fraction of the running sum (or of 1) ends the series.
+_SERIES_TOL = 1e-15
+#: Terms after which the series is declared divergent.
+_SERIES_CAP = 100000
 
 
-def perturbation_bound(p: int, tol: float = 1e-15, cap: int = 100000) -> float:
+def perturbation_bound(p: int) -> float:
     """Tail-sum bound ``sum_j ||O^j L||_inf`` for the centered recurrence.
 
     The matrix's own infinity norm may exceed 1, so the bound is taken
@@ -399,13 +327,13 @@ def perturbation_bound(p: int, tol: float = 1e-15, cap: int = 100000) -> float:
     rows = np.empty((_SERIES_BLOCK + 1, v.size))
     rows[0] = v
     total = 0.0
-    for start in range(0, cap, _SERIES_BLOCK):
-        n = min(_SERIES_BLOCK, cap - start)
+    for start in range(0, _SERIES_CAP, _SERIES_BLOCK):
+        n = min(_SERIES_BLOCK, _SERIES_CAP - start)
         for i in range(n):
             np.matmul(o, rows[i], out=rows[i + 1])
         for t in np.abs(rows[:n]).max(axis=1).tolist():
             total += t
-            if t < tol * max(1.0, total):
+            if t < _SERIES_TOL * max(1.0, total):
                 return total
         rows[0] = rows[n]
     raise NoConvergence("perturbation series did not converge")
@@ -415,40 +343,31 @@ def perturbation_bound(p: int, tol: float = 1e-15, cap: int = 100000) -> float:
 class ZTrajectoryReport:
     """Centered difference vector along a real fixed-point trajectory.
 
-    The recurrence is replayed exactly, on the centered vectors scaled
-    by ``p`` into integers, and compared entry by entry with directly
-    centered data; a mismatch raises :class:`RecurrenceMismatch` (it
-    would mean an implementation bug, not bad data).
+    ``steps`` counts the window advances replayed, and ``spread0`` is
+    the min/max spread of the first difference vector, which equals
+    ``N + a0`` whenever ``p > 1``.
     """
 
-    p: int
-    n_grains: int
     steps: int
-    perturbation_bound: float
-    n0_znorm: int
-    n0_spread: int
     spread0: int
     spread0_identity_ok: bool
 
 
 def z_trajectory(p: int, n: int, slopes, a0: int) -> ZTrajectoryReport:
-    """Audit the centered difference trajectory of a stabilized pile.
+    """Replay the centered difference trajectory of a stabilized pile.
 
-    ``n0_znorm`` is the first column where the centered sup-norm falls
-    within the perturbation tail bound; ``n0_spread`` the first where
-    the raw min/max spread falls within twice that bound.  Both exist because
-    the trajectory ends identically zero.
+    The recurrence is replayed exactly, on the centered vectors scaled
+    by ``p`` into integers, and compared entry by entry with directly
+    centered data; a mismatch raises :class:`RecurrenceMismatch` (it
+    would mean an implementation bug, not bad data).
     """
     check_p(p)
     check_grains(n)
-    bound = perturbation_bound(p)
     # Z = p * z = p * y - sum(y) is integral, and Z' = O Z + b * kick, so
     # p^2 Z' = (p^2 O) Z + p b (p kick) holds exactly in integers
     pp = p * p
     o_int, kick_int = _centered_scaled(p)
 
-    n0_z = -1
-    n0_s = -1
     for i, window, b in dds.iter_windows(p, slopes, a0, n):
         y = dds.to_averaging(window)
         total = sum(y)
@@ -460,22 +379,12 @@ def z_trajectory(p: int, n: int, slopes, a0: int) -> ZTrajectoryReport:
                     raise RecurrenceMismatch(
                         f"centered recurrence mismatch at column {i}"
                     )
-        spread = max(y) - min(y)
-        if i == 0:
-            spread0 = spread
-        if n0_z < 0 and max(map(abs, zs)) / p <= bound:
-            n0_z = i
-        if n0_s < 0 and spread <= 2 * bound:
-            n0_s = i
+        else:
+            spread0 = max(y) - min(y)
         zs_prev = zs
         b_prev = b
     return ZTrajectoryReport(
-        p=p,
-        n_grains=n,
         steps=i,
-        perturbation_bound=bound,
-        n0_znorm=n0_z,
-        n0_spread=n0_s,
         spread0=spread0,
         spread0_identity_ok=(p == 1) or (spread0 == n + a0),
     )

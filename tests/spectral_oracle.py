@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from kspm.model import check_p
-from kspm.spectral import ExactMatrix, RationalPolynomial, shot_step_matrix
+from kspm.spectral import ExactMatrix, shot_step_matrix
 
 
 def identity(n: int) -> ExactMatrix:
@@ -32,8 +32,10 @@ def to_float(m: ExactMatrix) -> np.ndarray:
     return np.array([[float(c) for c in row] for row in m.rows], dtype=float)
 
 
-def faddeev_leverrier(m: ExactMatrix) -> RationalPolynomial:
+def faddeev_leverrier(m: ExactMatrix) -> tuple[Fraction, ...]:
     """``det(xI - m)`` of any square matrix, in rational arithmetic.
+
+    The coefficients come back ascending, as :meth:`ExactMatrix.charpoly` gives them.
 
     Repeatedly multiply by the matrix and read each coefficient off a
     trace: ``c_{n-k} = -tr(m @ M_{k-1}) / k`` with
@@ -51,7 +53,7 @@ def faddeev_leverrier(m: ExactMatrix) -> RationalPolynomial:
         coeffs[n - k] = ck
         if k < n:
             mk = m @ add(mk, ident.scaled(ck))
-    return RationalPolynomial(coeffs)
+    return tuple(coeffs)
 
 
 def cumulative_basis(p: int) -> ExactMatrix:

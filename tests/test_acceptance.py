@@ -240,11 +240,12 @@ def test_criterion_10_avalanche_invariants():
 def test_criterion_11_spectral_certificates():
     t0 = time.perf_counter()
     for p in range(2, 31):
-        assert spectral.bezout_witness(p).ok, p
-        want = spectral.RationalPolynomial([-1, 1]) * spectral.poly_R(p)
-        assert spectral.averaging_matrix(p).charpoly() == want, p
-        want = spectral.RationalPolynomial([-1, 1]) * want
-        assert spectral.shot_step_matrix(p).charpoly() == want, p
+        assert spectral.bezout_witness(p), p
+        # p * charpoly against p * (x - 1) * R, then p * (x - 1)^2 * R
+        want = spectral._polymul((-1, 1), spectral.poly_R(p))
+        assert tuple(p * c for c in spectral.averaging_matrix(p).charpoly()) == want, p
+        want = spectral._polymul((-1, 1), want)
+        assert tuple(p * c for c in spectral.shot_step_matrix(p).charpoly()) == want, p
         rs = spectral.roots_R(p)
         assert rs.max_modulus <= (p - 1) / p + 1e-9, p
         assert rs.min_separation > 1e-8, p

@@ -263,6 +263,40 @@ def test_spectral_impossible_tolerance_fails_gate(capsys):
     assert "residual" in err or "gate" in err
 
 
+def change_one_coefficient_of_R(monkeypatch):
+    poly_R = spectral.poly_R
+
+    def changed(p):
+        coeffs = list(poly_R(p))
+        coeffs[p // 2] += 1
+        return tuple(coeffs)
+
+    monkeypatch.setattr(spectral, "poly_R", changed)
+
+
+def change_one_entry_of_O(monkeypatch):
+    centered_scaled = spectral._centered_scaled
+
+    def changed(p):
+        matrix, kick = centered_scaled(p)
+        matrix[1][0] += 1
+        return matrix, kick
+
+    monkeypatch.setattr(spectral, "_centered_scaled", changed)
+
+
+# p = 20 is past both charpoly columns, so the float gates alone must fail
+@pytest.mark.parametrize("p", [5, 20])
+@pytest.mark.parametrize("tamper", [change_one_coefficient_of_R, change_one_entry_of_O])
+def test_spectral_gate_fails_on_a_changed_R_or_O(monkeypatch, capsys, tamper, p):
+    tamper(monkeypatch)
+    rc, out, err = run_cli(capsys, "spectral", "--p-min", str(p), "--p-max", str(p))
+    assert rc == 4
+    assert err == f"spectral gate failed at p={p}\n"
+    (row,) = json.loads(out)["result"]["rows"]
+    assert row["ok"] is False and row["eig_match_distance"] > 1e-8
+
+
 # --------------------------------------------------------------- avalanche
 
 
@@ -329,6 +363,26 @@ def test_verify_reports_a_failed_replay_as_a_violation(monkeypatch, capsys):
         "ok": False,
         "detail": "centered recurrence mismatch at column 3",
     }
+
+
+@pytest.mark.parametrize("p", [5, 20])
+def test_verify_replay_fails_on_a_changed_O(monkeypatch, capsys, p):
+    change_one_entry_of_O(monkeypatch)
+    rc, out, err = run_cli(capsys, "verify", "--p", str(p), "--n", "2000")
+    assert rc == 5
+    assert err == "verification violated: centered_recurrence\n"
+    bad = [c["name"] for c in json.loads(out)["result"]["checks"] if not c["ok"]]
+    assert bad == ["centered_recurrence"]
+
+
+def test_verify_never_computes_the_perturbation_bound(monkeypatch, capsys):
+    def refuse(p):
+        raise AssertionError("verify computed the perturbation bound")
+
+    monkeypatch.setattr(spectral, "perturbation_bound", refuse)
+    rc, out, err = run_cli(capsys, "verify", "--p", "4", "--n", "2000")
+    assert (rc, err) == (0, "")
+    assert out.encode() == (GOLDEN / "verify_p4_n2000.json").read_bytes()
 
 
 def test_verify_wave_tail_needs_the_loose_start_at_the_uniform_window(
