@@ -233,7 +233,7 @@ def _spectral_row(p: int, tol: float) -> dict:
         "min_separation": rootset.min_separation,
         "max_residual": max_residual,
         "eig_match_distance": match,
-        "spectral_radius": eigs.max_modulus,
+        "spectral_radius": max(map(abs, eigs)),
         "perturbation_bound": spectral.perturbation_bound(p),
     }
 

@@ -92,6 +92,12 @@ def determine_slope_from_mean(p: int, y) -> int | None:
     return (-sum(y)) % p or None
 
 
+def _check_a0(a0: int) -> None:
+    """Validate the shot count of column 0 (a non-negative integer)."""
+    if not isinstance(a0, int) or isinstance(a0, bool) or a0 < 0:
+        raise ValueError(f"a0 must be a non-negative integer, got {a0!r}")
+
+
 def _walk(p, n, a0, slope_at, limit, overrun, support=0):
     """Yield ``(i, window, b_i)`` from column 0 until the window closes.
 
@@ -128,9 +134,11 @@ def iter_windows(p: int, slopes, a0: int, n: int):
     Raises :class:`NonIntegral` when the inputs are not a fixed point: a
     shot value fails to divide, the window closes before the last nonzero
     slope, or it does not close within ``2p + 2`` columns past it.
+    A non-integer or negative ``a0`` raises ``ValueError`` at the call.
     """
     check_p(p)
     check_grains(n)
+    _check_a0(a0)
     seq = trimmed(slopes)
     w = len(seq)
     return _walk(
@@ -148,8 +156,6 @@ class TrajectoryReport:
     ``violations`` is empty when all audited invariants held.
     """
 
-    p: int
-    n_grains: int
     steps: int
     uniform_index: int
     uniform_value: int
@@ -220,8 +226,6 @@ def trajectory_report(p, slopes, a0, n) -> TrajectoryReport:
             violations.append(f"i={j}: envelope width did not shrink within {p} steps")
 
     return TrajectoryReport(
-        p=p,
-        n_grains=n,
         steps=i,
         uniform_index=uniform_at,
         uniform_value=uniform_val,
@@ -240,8 +244,6 @@ class Reconstruction:
     consulted.
     """
 
-    p: int
-    n_grains: int
     slopes: SlopeConfig
     shot: tuple[int, ...]
     ambiguous_positions: tuple[int, ...]
@@ -262,8 +264,7 @@ def reconstruct_fixed_point(p: int, n: int, a0: int, resolver) -> Reconstruction
     """
     check_p(p)
     check_grains(n)
-    if not isinstance(a0, int) or isinstance(a0, bool) or a0 < 0:
-        raise ValueError(f"a0 must be a non-negative integer, got {a0!r}")
+    _check_a0(a0)
     consulted: list[int] = []
 
     def slope_at(i, window):
@@ -284,8 +285,6 @@ def reconstruct_fixed_point(p: int, n: int, a0: int, resolver) -> Reconstruction
         slopes.append(b)
         shots.append(window[-1])
     return Reconstruction(
-        p=p,
-        n_grains=n,
         slopes=SlopeConfig(slopes),
         shot=trimmed(shots),
         ambiguous_positions=tuple(consulted),

@@ -18,9 +18,10 @@ in Python integers, after scaling by the common denominator, and are
 checked in tests against Faddeev-LeVerrier and sympy.  The centered
 contraction comes from its closed form in integers, checked against the
 product definition in tests.  Floating point only enters for root
-finding, eigenvalues, residuals and the perturbation bound that the
-``spectral`` command reports.  :func:`z_trajectory` replays a pile's
-centered trajectory exactly in integers and checks its initial spread.
+finding (with residuals and separation), the bare eigenvalues of the
+contraction and the perturbation bound that the ``spectral`` command
+reports.  :func:`z_trajectory` replays a pile's centered trajectory
+exactly in integers and checks its initial spread.
 """
 
 from __future__ import annotations
@@ -52,10 +53,7 @@ class ExactMatrix:
         )
         if norm and any(len(r) != len(norm[0]) for r in norm):
             raise ValueError("rows must have equal length")
-        object.__setattr__(self, "rows", norm)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
+        self.rows = norm
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -65,9 +63,6 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return f"ExactMatrix({[list(r) for r in self.rows]!r})"
@@ -249,23 +244,11 @@ class RootSet:
         return max((abs(z) for z in self.roots), default=0.0)
 
 
-def _root_quality(coeffs_desc: list[float], roots) -> RootSet:
-    roots = tuple(sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12))))
-    residuals = []
-    for z in roots:
-        x = complex(z)
-        acc = 0 * x
-        for c in coeffs_desc:
-            acc = acc * x + c
-        residuals.append(abs(acc))
-    residuals = tuple(residuals)
-    sep = min((abs(a - b) for a, b in combinations(roots, 2)), default=inf)
-    return RootSet(roots=roots, residuals=residuals, min_separation=sep)
-
-
-def _R_floats(p: int) -> list[float]:
-    """Coefficients ``k/p`` of ``R``, descending, each correctly rounded."""
-    return [c / p for c in reversed(poly_R(p))]
+def _sorted_roots(values) -> tuple[complex, ...]:
+    """``values`` as complex numbers, in the order :func:`pair_distance` matches."""
+    return tuple(
+        sorted(map(complex, values), key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    )
 
 
 def roots_R(p: int) -> RootSet:
@@ -277,27 +260,31 @@ def roots_R(p: int) -> RootSet:
     """
     check_p(p)
     check_matrix(p)
-    coeffs = _R_floats(p)
-    return _root_quality(coeffs, [complex(z) for z in np.roots(coeffs)])
+    # the coefficients k/p, descending, each correctly rounded
+    coeffs = [c / p for c in reversed(poly_R(p))]
+    roots = _sorted_roots(np.roots(coeffs))
+    residuals = []
+    for z in roots:
+        acc = 0 * z
+        for c in coeffs:
+            acc = acc * z + c
+        residuals.append(abs(acc))
+    sep = min((abs(a - b) for a, b in combinations(roots, 2)), default=inf)
+    return RootSet(roots=roots, residuals=tuple(residuals), min_separation=sep)
 
 
-def eigvals_O(p: int) -> RootSet:
-    """Eigenvalues of the centered contraction, measured against ``x * R(x)``.
+def eigvals_O(p: int) -> tuple[complex, ...]:
+    """Eigenvalues of the centered contraction, sorted as :func:`roots_R` sorts.
 
-    The residuals evaluate the predicted characteristic polynomial at
-    the numerically computed eigenvalues, so they check the spectrum
-    identity and the eigenvalue accuracy at once.
+    They should be ``0`` together with the roots of ``R``; the caller
+    measures that with :func:`pair_distance`.
     """
-    eigs = np.linalg.eigvals(_centered_floats(p)[0])
-    return _root_quality(_R_floats(p) + [0.0], [complex(v) for v in eigs])
+    return _sorted_roots(np.linalg.eigvals(_centered_floats(p)[0]))
 
 
-def pair_distance(
-    a: RootSet | Sequence[complex], b: RootSet | Sequence[complex]
-) -> float:
+def pair_distance(xs: Sequence[complex], ys: Sequence[complex]) -> float:
     """Greedy matching distance between two root multisets of equal size."""
-    xs = list(a.roots if isinstance(a, RootSet) else a)
-    ys = list(b.roots if isinstance(b, RootSet) else b)
+    ys = list(ys)
     if len(xs) != len(ys):
         raise ValueError("root sets differ in size")
     worst = 0.0

@@ -127,16 +127,6 @@ class Avalanche:
     density_column: int
     max_fired: int | None
 
-    @classmethod
-    def from_order(cls, k: int, order) -> "Avalanche":
-        fired = tuple(order)
-        return cls(
-            k=k,
-            fired=fired,
-            density_column=density_column(fired),
-            max_fired=max(fired) if fired else None,
-        )
-
 
 def density_column(fired) -> int:
     """Start of the trailing contiguous block of fired columns.
@@ -310,22 +300,21 @@ class IncrementalStabilizer:
     added so far, so the cumulative work over all avalanches equals one
     direct stabilization of the final grain count.  ``slopes`` and
     ``shot`` are its live column lists, with trailing zeros, for callers
-    to read between steps.
+    to read between steps.  They are sized once, for ``expect`` grains,
+    and a target past ``expect`` is refused before any grain is added.
     """
 
-    def __init__(self, p: int, expect: int = 0, track_density: bool = False):
+    def __init__(self, p: int, expect: int, track_density: bool = False):
         check_p(p)
         self.p = p
+        self.expect = check_grains(expect)
         self.grains = 0
         self.track_density = track_density
         self.density_max = 0
-        self.slopes: list[int] = []
-        self.shot: list[int] = []
+        self.slopes = [0] * _capacity(p, expect)
+        self.shot = [0] * len(self.slopes)
         # every column at or past ``_reach`` holds slope 0 and shot 0
         self._reach = 1
-        # the largest target the preflight has passed, and sized the lists for
-        self._checked = -1
-        self._check_target(expect)
 
     def _drop(self, k: int, on_fire=None) -> int:
         """Add ``k`` grains to column 0 and settle the pile if column 0 tips.
@@ -360,26 +349,29 @@ class IncrementalStabilizer:
         return extent
 
     def _check_target(self, target: int) -> None:
-        """Refuse a target below the grains already added, or past either limit."""
+        """Refuse a target below the grains already added, or past ``expect``."""
         check_grains(target)
         if target < self.grains:
             raise ValueError(
                 f"target {target} is below the {self.grains} grains already added"
             )
-        # both limits and the support bound grow with the grain count, so only
-        # a target past the largest one checked reruns them and grows the lists
-        if target > self._checked:
-            grow = [0] * (_capacity(self.p, target) - len(self.slopes))
-            self.slopes += grow
-            self.shot += grow
-            self._checked = target
+        if target > self.expect:
+            raise ValueError(
+                f"target {target} is past the {self.expect} grains the pile is sized for"
+            )
 
     def advance(self) -> Avalanche:
         """Add one grain to column 0, settle it and return its avalanche."""
         self._check_target(self.grains + 1)
         order: list[int] = []
         self._drop(1, order.append)
-        return Avalanche.from_order(self.grains, order)
+        fired = tuple(order)
+        return Avalanche(
+            k=self.grains,
+            fired=fired,
+            density_column=density_column(fired),
+            max_fired=max(fired) if fired else None,
+        )
 
     def advance_to(self, target: int) -> int:
         """Add grains one at a time up to ``target``, settling each avalanche.
@@ -409,11 +401,6 @@ class IncrementalStabilizer:
             raise ValueError("jump_to skips the avalanches density tracking needs")
         self._check_target(target)
         return self._drop(target - self.grains) if target > self.grains else 1
-
-    def columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Slopes and shot vector of the current fixed point, without trailing zeros."""
-        reach = self._reach
-        return trimmed(self.slopes[:reach]), trimmed(self.shot[:reach])
 
     def snapshot(self) -> FixedPoint:
         reach = self._reach

@@ -390,35 +390,26 @@ def test_scan_rows_both_modes_match_from_scratch(p, targets):
     assert direct == [{**r, "density_column": None} for r in want]
 
 
-def tracked_statistics(p, targets, incremental, expect=None):
+def tracked_statistics(p, targets, incremental):
     """Per sample: the tracker's statistics and a full-width check of the same pile."""
-    expect = max(targets) if expect is None else expect
-    inc = IncrementalStabilizer(p, expect=expect, track_density=incremental)
+    inc = IncrementalStabilizer(p, expect=max(targets), track_density=incremental)
     tracker = analyzer.WaveTracker(p)
     for n in targets:
         touched = inc.advance_to(n) if incremental else inc.jump_to(n)
         got = tracker.update(n, inc.slopes, inc.shot, touched)
-        yield got, analyzer.row_statistics(p, n, *inc.columns())
+        fp = inc.snapshot()
+        yield got, analyzer.row_statistics(p, n, fp.slopes.slopes, fp.shot)
 
 
 @pytest.mark.parametrize("p", range(1, 9))
 @pytest.mark.parametrize("incremental", [True, False], ids=["advance", "jump"])
 @pytest.mark.parametrize(
-    "targets,expect",
-    [
-        (range(1, 2001), None),
-        (range(1, 2001), 0),
-        (range(7, 3001, 7), None),
-        (range(37, 3001, 37), 0),
-        ([2345], None),
-    ],
-    ids=["stride1", "stride1-grown", "stride7", "stride37-grown", "one-sample"],
+    "targets",
+    [range(1, 2001), range(7, 3001, 7), range(37, 3001, 37), [2345]],
+    ids=["stride1", "stride7", "stride37", "one-sample"],
 )
-def test_tracked_statistics_match_a_full_check_at_every_sample(
-    p, incremental, targets, expect
-):
-    # expect=0 starts the lists short, so the settles grow them under the tracker
-    for got, want in tracked_statistics(p, targets, incremental, expect):
+def test_tracked_statistics_match_a_full_check_at_every_sample(p, incremental, targets):
+    for got, want in tracked_statistics(p, targets, incremental):
         assert got == want
 
 
@@ -432,7 +423,7 @@ def test_tracked_statistics_match_a_full_check_at_every_sample(
 def test_tracked_statistics_match_for_any_scan(p, stride, n_max, incremental):
     targets = range(stride, n_max + 1, stride)
     full = []
-    for got, want in tracked_statistics(p, targets, incremental, expect=0):
+    for got, want in tracked_statistics(p, targets, incremental):
         assert got == want
         full.append(want)
     rows = analyzer.scan_rows(p, targets, incremental=incremental)
@@ -447,7 +438,7 @@ def test_tracked_statistics_match_for_any_scan(p, stride, n_max, incremental):
 
 @pytest.mark.parametrize("p", range(1, 7))
 def test_tracker_checks_the_balance_across_the_whole_touched_extent(p):
-    inc = IncrementalStabilizer(p, track_density=True)
+    inc = IncrementalStabilizer(p, expect=1499, track_density=True)
     tracker = analyzer.WaveTracker(p)
     settled = 0
     for n in range(1, 1500):

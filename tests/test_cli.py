@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -217,6 +218,53 @@ def test_documents_are_pinned(capsys, golden):
 # ---------------------------------------------------------------- spectral
 
 
+def same_document(got, want) -> bool:
+    """Equal documents, with floats equal to about nine digits.
+
+    Roots and eigenvalues come from LAPACK, whose last bits may differ
+    between numpy builds; a wrong sort or matching moves
+    ``eig_match_distance`` by far more than that.
+    """
+    if isinstance(want, float):
+        return type(got) is float and math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
+    if isinstance(want, dict):
+        return (
+            type(got) is dict
+            and list(got) == list(want)
+            and all(same_document(got[k], want[k]) for k in want)
+        )
+    if isinstance(want, list):
+        return (
+            type(got) is list
+            and len(got) == len(want)
+            and all(same_document(g, w) for g, w in zip(got, want))
+        )
+    return type(got) is type(want) and got == want
+
+
+def test_spectral_document_is_pinned(capsys):
+    rc, out, err = run_cli(capsys, "spectral", "--p-min", "1", "--p-max", "30")
+    assert (rc, err) == (0, "")
+    want = json.loads((GOLDEN / "spectral_p1_p30.json").read_text())
+    assert same_document(json.loads(out), want)
+
+
+def test_pinned_spectral_document_check_is_not_vacuous():
+    want = json.loads((GOLDEN / "spectral_p1_p30.json").read_text())
+    assert same_document(want, want)
+    for key, change in (
+        ("eig_match_distance", lambda v: v + 1e-9),
+        ("spectral_radius", lambda v: v * (1 + 1e-8)),
+        ("root_count", lambda v: v + 1),
+        ("charpoly_window_ok", lambda v: None),
+        ("ok", lambda v: 1),  # True == 1, but not the same document
+    ):
+        got = json.loads(json.dumps(want))
+        row = got["result"]["rows"][4]  # p = 5, where every column is printed
+        row[key] = change(row[key])
+        assert not same_document(got, want), key
+
+
 def test_spectral_small_range_passes(capsys):
     rc, out, err = run_cli(capsys, "spectral", "--p-max", "6")
     assert rc == 0 and err == ""
@@ -313,7 +361,7 @@ def test_avalanche_matches_library(capsys):
     rc, out, _ = run_cli(capsys, "avalanche", "--p", "3", "--k", "12")
     assert rc == 0
     res = json.loads(out)["result"]
-    inc = IncrementalStabilizer(3)
+    inc = IncrementalStabilizer(3, expect=12)
     want = [inc.advance() for _ in range(12)][-1]
     assert tuple(res["fired"]) == want.fired
     assert res["max_fired"] == want.max_fired

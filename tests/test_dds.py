@@ -258,6 +258,19 @@ def test_reconstruct_rejects_bad_resolver_value():
         dds.reconstruct_fixed_point(2, 24, 8, Bad())
 
 
+@pytest.mark.parametrize("a0", [8.0, True, -1])
+def test_every_replay_refuses_an_a0_that_is_not_a_count(a0):
+    slopes = SlopeConfig(GOLDEN_P2_N24_SLOPES)
+    for replay in (
+        lambda: dds.iter_windows(2, slopes, a0, 24),  # at the call, not at next()
+        lambda: dds.trajectory_report(2, slopes, a0, 24),
+        lambda: spectral.z_trajectory(2, 24, slopes, a0),
+        lambda: dds.reconstruct_fixed_point(2, 24, a0, slopes.__getitem__),
+    ):
+        with pytest.raises(ValueError, match="a0 must be a non-negative integer"):
+            replay()
+
+
 def test_reconstruct_validates_inputs():
     with pytest.raises(ValueError):
         dds.reconstruct_fixed_point(2, 24, -1, lambda i: 0)

@@ -37,6 +37,12 @@ from kspm.stabilizer import (
 )
 
 
+def columns(pile):
+    """Slopes and shot vector of a pile's current fixed point."""
+    fp = pile.snapshot()
+    return fp.slopes.slopes, fp.shot
+
+
 def naive_leftmost(p, n):
     """Reference stabilizer built only on the value-semantic fire op.
 
@@ -168,7 +174,7 @@ def test_avalanche_replay_is_leftmost():
 
 
 def test_avalanche_records():
-    inc = IncrementalStabilizer(2)
+    inc = IncrementalStabilizer(2, expect=24)
     avs = [inc.advance() for _ in range(24)]
     assert avs[0].fired == ()  # one grain sits still
     assert avs[0].k == 1
@@ -261,13 +267,13 @@ def test_track_density_flag():
 @pytest.mark.parametrize("track_density", [False, True])
 @pytest.mark.parametrize("p", range(1, 9))
 def test_advance_to_matches_grain_by_grain(p, track_density):
-    batched = IncrementalStabilizer(p, track_density=track_density)
-    stepped = IncrementalStabilizer(p, track_density=track_density)
+    batched = IncrementalStabilizer(p, expect=1500, track_density=track_density)
+    stepped = IncrementalStabilizer(p, expect=1500, track_density=track_density)
     for n in (0, 1, p, p + 1, p + 2, 37, 38, 38, 211, 999, 1500):
         batched.advance_to(n)
         while stepped.grains < n:
             stepped.advance()
-        assert batched.columns() == stepped.columns()
+        assert columns(batched) == columns(stepped)
         assert (batched.grains, batched.density_max) == (
             stepped.grains,
             stepped.density_max,
@@ -305,8 +311,8 @@ def test_advance_to_settles_once_per_avalanche(monkeypatch):
 def test_density_from_the_shot_prefix_matches_the_firing_order(p):
     # each pile's maximum is reset before every grain, so it reads the
     # density column of that grain's avalanche alone
-    recorded = IncrementalStabilizer(p, track_density=True)
-    advanced = IncrementalStabilizer(p, track_density=True)
+    recorded = IncrementalStabilizer(p, expect=2000, track_density=True)
+    advanced = IncrementalStabilizer(p, expect=2000, track_density=True)
     holed = 0
     for n in range(1, 2001):
         recorded.density_max = advanced.density_max = 0
@@ -314,14 +320,14 @@ def test_density_from_the_shot_prefix_matches_the_firing_order(p):
         advanced.advance_to(n)
         assert recorded.density_max == advanced.density_max == density_column(av.fired)
         holed += av.density_column > 0
-    assert recorded.columns() == advanced.columns()
+    assert columns(recorded) == columns(advanced)
     assert p == 1 or holed > 20  # no p = 1 avalanche here leaves a hole
 
 
 @pytest.mark.parametrize("p", range(1, 7))
 def test_jump_to_matches_advance_to(p):
-    jumped = IncrementalStabilizer(p)
-    stepped = IncrementalStabilizer(p)
+    jumped = IncrementalStabilizer(p, expect=1500)
+    stepped = IncrementalStabilizer(p, expect=1500)
     for n in (0, 5, 5, 37, 38, 200, 999, 1500):
         jumped.jump_to(n)
         stepped.advance_to(n)
@@ -333,26 +339,26 @@ def test_jump_to_matches_advance_to(p):
 def test_backward_targets_are_refused():
     inc = IncrementalStabilizer(2, expect=100)
     inc.advance_to(50)
-    before = inc.columns()
+    before = columns(inc)
     for move, target in ((inc.advance_to, 10), (inc.jump_to, 5)):
         with pytest.raises(ValueError, match="below the 50 grains"):
             move(target)
         move(50)  # the current count stays a no-op
-    assert inc.grains == 50 and inc.columns() == before
+    assert inc.grains == 50 and columns(inc) == before
 
 
 @pytest.mark.parametrize("p", range(1, 7))
 def test_pile_reach_covers_the_whole_fixed_point(p):
-    # columns() reads only the columns before the pile's reach; a reach
+    # snapshot() reads only the columns before the pile's reach; a reach
     # that fell short would cut slopes or shots the batch engine keeps
-    jumped = IncrementalStabilizer(p, expect=0)
-    stepped = IncrementalStabilizer(p, expect=0)
+    jumped = IncrementalStabilizer(p, expect=2000)
+    stepped = IncrementalStabilizer(p, expect=2000)
     for n in (0, 1, p, p + 1, 40, 41, 300, 2000):
         jumped.jump_to(n)
         stepped.advance_to(n)
         want = stabilize(p, n)
         for pile in (jumped, stepped):
-            assert pile.columns() == (want.slopes.slopes, want.shot)
+            assert columns(pile) == (want.slopes.slopes, want.shot)
 
 
 def test_jump_to_refuses_density_tracking():
@@ -426,15 +432,17 @@ def test_firing_limit_is_checked_before_settling(p):
     inc = IncrementalStabilizer(p, expect=n)  # allowed: allocates, settles nothing
     for refused in (
         lambda: IncrementalStabilizer(p, expect=n + 1),
-        lambda: inc.jump_to(n + 1),
-        lambda: inc.advance_to(n + 1),
         lambda: stabilize(p, n + 1, "batch"),
         lambda: stabilize(p, n + 1, "leftmost"),
         lambda: stabilize(p, n + 1, "random"),
     ):
         with pytest.raises(CapacityError, match="firing limit"):
             refused()
-    assert inc.grains == 0 and inc.columns() == ((), ())
+    # the pile passed the preflight for n grains only
+    for move in (inc.jump_to, inc.advance_to):
+        with pytest.raises(ValueError, match="past the"):
+            move(n + 1)
+    assert inc.grains == 0 and columns(inc) == ((), ())
 
 
 def count_preflights(monkeypatch) -> list:
@@ -455,25 +463,22 @@ def test_a_scan_runs_the_preflight_once(monkeypatch):
     assert calls == [20000]  # the pile's constructor, at the largest sample
 
 
-def test_the_preflight_reruns_only_past_the_largest_checked_target(monkeypatch):
+def test_a_pile_is_sized_once_and_refuses_targets_past_expect(monkeypatch):
     calls = count_preflights(monkeypatch)
-    inc = IncrementalStabilizer(2, expect=10)
-    for target in (5, 10, 20, 20, 25):
-        inc.advance_to(target)
-    inc.jump_to(40)
-    assert calls == [10, 20, 25, 40]
-    with pytest.raises(ValueError, match="below"):
-        inc.advance_to(39)
-    assert calls == [10, 20, 25, 40]
-
-
-def test_advance_reruns_the_preflight_past_the_largest_checked_target(monkeypatch):
-    calls = count_preflights(monkeypatch)
-    inc = IncrementalStabilizer(2, expect=10)
-    while inc.grains < 15:
+    inc = IncrementalStabilizer(2, expect=40)
+    assert calls == [40]  # the constructor, and nothing after it
+    inc.advance_to(20)
+    while inc.grains < 25:
         inc.advance()
-    assert calls == [10, 11, 12, 13, 14, 15]
-    assert inc.snapshot() == stabilize(2, 15, "incremental")
+    inc.jump_to(40)
+    assert calls == [40]
+    before = (inc.grains, list(inc.slopes), list(inc.shot))
+    for move in (inc.advance, partial(inc.advance_to, 41), partial(inc.jump_to, 50)):
+        with pytest.raises(ValueError, match="past the 40 grains"):
+            move()
+        assert (inc.grains, inc.slopes, inc.shot) == before
+    assert calls == [40]
+    assert inc.snapshot() == stabilize(2, 40, "incremental")
 
 
 OVERRUN_ENTRY_POINTS = {
@@ -526,14 +531,6 @@ def test_trace_leftmost_counts_firings():
     fp = trace_leftmost(2, 24, seen.append)
     assert len(seen) == sum(fp.shot)
     assert fp.slopes.slopes == GOLDEN_P2_N24_SLOPES
-
-
-def test_incremental_capacity_growth():
-    # deliberately undersized: each advance_to past the checked target
-    # allocates up to the support bound at its preflight, before settling
-    inc = IncrementalStabilizer(2, expect=0)
-    inc.advance_to(500)
-    assert inc.snapshot().slopes == stabilize(2, 500).slopes
 
 
 @settings(max_examples=25)
