@@ -249,20 +249,24 @@ def test_spectral_document_is_pinned(capsys):
     assert same_document(json.loads(out), want)
 
 
-def test_pinned_spectral_document_check_is_not_vacuous():
-    want = json.loads((GOLDEN / "spectral_p1_p30.json").read_text())
-    assert same_document(want, want)
-    for key, change in (
+@pytest.mark.parametrize(
+    "key,change",
+    [
         ("eig_match_distance", lambda v: v + 1e-9),
         ("spectral_radius", lambda v: v * (1 + 1e-8)),
         ("root_count", lambda v: v + 1),
         ("charpoly_window_ok", lambda v: None),
         ("ok", lambda v: 1),  # True == 1, but not the same document
-    ):
-        got = json.loads(json.dumps(want))
-        row = got["result"]["rows"][4]  # p = 5, where every column is printed
-        row[key] = change(row[key])
-        assert not same_document(got, want), key
+    ],
+    ids=["eig_match_distance", "spectral_radius", "root_count", "charpoly_window_ok", "ok"],
+)
+def test_pinned_spectral_document_check_is_not_vacuous(key, change):
+    want = json.loads((GOLDEN / "spectral_p1_p30.json").read_text())
+    assert same_document(want, want)
+    got = json.loads(json.dumps(want))
+    row = got["result"]["rows"][4]  # p = 5, where every column is printed
+    row[key] = change(row[key])
+    assert not same_document(got, want)
 
 
 def test_spectral_small_range_passes(capsys):

@@ -258,7 +258,7 @@ def test_reconstruct_rejects_bad_resolver_value():
         dds.reconstruct_fixed_point(2, 24, 8, Bad())
 
 
-@pytest.mark.parametrize("a0", [8.0, True, -1])
+@pytest.mark.parametrize("a0", [8.0, 8.5, "8", None, True, False, -1])
 def test_every_replay_refuses_an_a0_that_is_not_a_count(a0):
     slopes = SlopeConfig(GOLDEN_P2_N24_SLOPES)
     for replay in (

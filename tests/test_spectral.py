@@ -293,6 +293,17 @@ def test_eigvals_of_centered_matrix(p):
     assert spectral.pair_distance(eig, want) < 1e-8
 
 
+@pytest.mark.parametrize("p", [2, 5, 12, 30])
+def test_eigenvalues_and_roots_come_in_one_order(p):
+    # pair_distance matches greedily in the order of its first argument,
+    # so both sets must come sorted by the same key
+    eig = spectral.eigvals_O(p)
+    roots = spectral.roots_R(p).roots
+    assert type(eig) is tuple and len(eig) == p
+    for zs in (eig, roots):
+        assert zs == spectral._sorted_roots(reversed(zs))
+
+
 @pytest.mark.parametrize("p", [4097, 100000])
 @pytest.mark.parametrize(
     "build", [spectral._centered_scaled, spectral.centered_matrix, spectral.roots_R]

@@ -463,9 +463,10 @@ def test_a_scan_runs_the_preflight_once(monkeypatch):
     assert calls == [20000]  # the pile's constructor, at the largest sample
 
 
-def test_a_pile_is_sized_once_and_refuses_targets_past_expect(monkeypatch):
+@pytest.mark.parametrize("p", range(1, 7))
+def test_a_pile_is_sized_once_and_refuses_targets_past_expect(monkeypatch, p):
     calls = count_preflights(monkeypatch)
-    inc = IncrementalStabilizer(2, expect=40)
+    inc = IncrementalStabilizer(p, expect=40)
     assert calls == [40]  # the constructor, and nothing after it
     inc.advance_to(20)
     while inc.grains < 25:
@@ -478,7 +479,7 @@ def test_a_pile_is_sized_once_and_refuses_targets_past_expect(monkeypatch):
             move()
         assert (inc.grains, inc.slopes, inc.shot) == before
     assert calls == [40]
-    assert inc.snapshot() == stabilize(2, 40, "incremental")
+    assert inc.snapshot() == stabilize(p, 40, "incremental")
 
 
 OVERRUN_ENTRY_POINTS = {
