@@ -11,8 +11,13 @@ Exit codes: 0 success, 2 bad arguments or an unwritable output path,
 violation.
 
 Output is JSON (default) or CSV, written to stdout or ``--output``.
-Documents are byte-stable across runs: timing fields are zero unless
-``--timing`` is given.
+A JSON document is ``{"meta": {"tool", "version", "command", "config"},
+"result"}``, where ``config`` holds every parsed argument except
+``--format``, ``--output`` and ``--emit-plot-data``.  CSV writes
+``stabilize`` and ``avalanche`` results as ``field,value`` rows (a list
+space-separated), ``scan`` rows followed by one ``# fit`` line per fit,
+``spectral`` rows and ``verify`` checks.  Documents are byte-stable
+across runs: timing fields are zero unless ``--timing`` is given.
 """
 
 from __future__ import annotations
@@ -35,10 +40,6 @@ from .stabilizer import IncrementalStabilizer, check_matrix, holes, stabilize
 
 class _Unwritable(Exception):
     """An ``--output`` or ``--emit-plot-data`` path that cannot be written."""
-
-
-def _meta(command: str, config: dict) -> dict:
-    return {"tool": "kspm", "version": __version__, "command": command, "config": config}
 
 
 @contextmanager
@@ -69,7 +70,33 @@ def _check_writable(path: str) -> None:
         raise _Unwritable(f"cannot write {path}: {os.strerror(code)}")
 
 
-def _emit(args, text: str) -> None:
+# argparse bookkeeping and output settings; every other parsed argument is config
+_NOT_CONFIG = ("command", "func", "format", "output", "emit_plot_data")
+
+
+def _emit(args, result: dict, records=None, trailer: str = "") -> None:
+    """Write the document to ``--output`` or stdout.
+
+    JSON is ``{"meta": …, "result": result}``.  CSV is ``records`` with the
+    first record's keys as header (``None`` is written as ``""``), then
+    ``trailer``; with no ``records`` it is the result as ``field,value``
+    rows, a list written space-separated.
+    """
+    if args.format == "json":
+        meta = {"tool": "kspm", "version": __version__, "command": args.command}
+        meta["config"] = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+        text = json.dumps({"meta": meta, "result": result}, indent=2) + "\n"
+    else:
+        if records is None:
+            records = [
+                {"field": k, "value": " ".join(map(str, v)) if isinstance(v, list) else v}
+                for k, v in result.items()
+            ]
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(records[0])
+        w.writerows(r.values() for r in records)
+        text = buf.getvalue() + trailer
     if args.output:
         with _writing(args.output) as fh:
             fh.write(text)
@@ -77,29 +104,13 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(args, doc: dict) -> None:
-    _emit(args, json.dumps(doc, indent=2) + "\n")
-
-
-def _csv_table(records) -> str:
-    """CSV with the first record's keys as header; ``None`` is written as ``""``."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(records[0])
-    w.writerows(r.values() for r in records)
-    return buf.getvalue()
-
-
-def _emit_doc(args, doc: dict) -> None:
-    """The document as JSON, or its result as ``field,value`` CSV records."""
-    if args.format == "json":
-        return _emit_json(args, doc)
-    records = []
-    for key, value in doc["result"].items():
-        if isinstance(value, (list, tuple)):
-            value = " ".join(str(v) for v in value)
-        records.append({"field": key, "value": value})
-    _emit(args, _csv_table(records))
+def _exit_code(records, key: str, message: str, code: int) -> int:
+    """``code`` after naming the first record that is not ok on stderr, else 0."""
+    for r in records:
+        if not r["ok"]:
+            print(f"{message}{r[key]}", file=sys.stderr)
+            return code
+    return 0
 
 
 def _describe_fixed_point(fp) -> dict:
@@ -123,14 +134,7 @@ def _describe_fixed_point(fp) -> dict:
 
 def cmd_stabilize(args) -> int:
     fp = stabilize(args.p, args.n, strategy=args.strategy, seed=args.seed)
-    doc = {
-        "meta": _meta(
-            "stabilize",
-            {"p": args.p, "n": args.n, "strategy": args.strategy, "seed": args.seed},
-        ),
-        "result": _describe_fixed_point(fp),
-    }
-    _emit_doc(args, doc)
+    _emit(args, _describe_fixed_point(fp))
     return 0
 
 
@@ -154,32 +158,16 @@ def cmd_scan(args) -> int:
     }
     if args.mode == "incremental":
         fits["density_column"] = _fit_dict(rows, "density_column")
-    config = {
-        "p": args.p,
-        "n_max": args.n_max,
-        "stride": args.stride,
-        "mode": args.mode,
-        "timing": args.timing,
-    }
     if args.emit_plot_data:
         _write_plot_data(args.emit_plot_data, rows)
-    if args.format == "json":
-        doc = {
-            "meta": _meta("scan", config),
-            "result": {"rows": rows, "fits": fits},
-        }
-        _emit_json(args, doc)
-    else:
-        text = _csv_table(rows)
-        for field, fit in fits.items():
-            if fit["ok"]:
-                text += (
-                    f"# fit {field}: c={fit['c']!r} d={fit['d']!r}"
-                    f" max_ratio={fit['max_ratio']!r} points={fit['points']}\n"
-                )
-            else:
-                text += f"# fit {field}: unavailable ({fit['reason']})\n"
-        _emit(args, text)
+    trailer = "".join(
+        f"# fit {field}: c={fit['c']!r} d={fit['d']!r}"
+        f" max_ratio={fit['max_ratio']!r} points={fit['points']}\n"
+        if fit["ok"]
+        else f"# fit {field}: unavailable ({fit['reason']})\n"
+        for field, fit in fits.items()
+    )
+    _emit(args, {"rows": rows, "fits": fits}, rows, trailer)
     return 0
 
 
@@ -242,40 +230,24 @@ def cmd_spectral(args) -> int:
     # every row builds p-by-p matrices; refuse the largest before any row
     check_matrix(args.p_max)
     rows = [_spectral_row(p, args.tol) for p in range(args.p_min, args.p_max + 1)]
-    all_ok = all(r["ok"] for r in rows)
-    config = {"p_min": args.p_min, "p_max": args.p_max, "tol": args.tol}
-    if args.format == "json":
-        doc = {
-            "meta": _meta("spectral", config),
-            "result": {"ok": all_ok, "rows": rows},
-        }
-        _emit_json(args, doc)
-    else:
-        _emit(args, _csv_table(rows))
-    if not all_ok:
-        bad = next(r["p"] for r in rows if not r["ok"])
-        print(f"spectral gate failed at p={bad}", file=sys.stderr)
-        return 4
-    return 0
+    _emit(args, {"ok": all(r["ok"] for r in rows), "rows": rows}, rows)
+    return _exit_code(rows, "p", "spectral gate failed at p=", 4)
 
 
 def cmd_avalanche(args) -> int:
     inc = IncrementalStabilizer(args.p, expect=args.k)
     inc.jump_to(args.k - 1)
     av = inc.advance()
-    doc = {
-        "meta": _meta("avalanche", {"p": args.p, "k": args.k}),
-        "result": {
-            "p": args.p,
-            "k": av.k,
-            "fired": list(av.fired),
-            "fired_count": len(av.fired),
-            "max_fired": av.max_fired,
-            "density_column": av.density_column,
-            "holes": list(holes(av.fired)),
-        },
+    result = {
+        "p": args.p,
+        "k": av.k,
+        "fired": list(av.fired),
+        "fired_count": len(av.fired),
+        "max_fired": av.max_fired,
+        "density_column": av.density_column,
+        "holes": list(holes(av.fired)),
     }
-    _emit_doc(args, doc)
+    _emit(args, result)
     return 0
 
 
@@ -367,20 +339,8 @@ def _verification_checks(p: int, n: int, seed: int) -> list[dict]:
 
 def cmd_verify(args) -> int:
     checks = _verification_checks(args.p, args.n, args.seed)
-    ok = all(c["ok"] for c in checks)
-    doc = {
-        "meta": _meta("verify", {"p": args.p, "n": args.n, "seed": args.seed}),
-        "result": {"ok": ok, "checks": checks},
-    }
-    if args.format == "json":
-        _emit_json(args, doc)
-    else:
-        _emit(args, _csv_table(checks))
-    if not ok:
-        bad = next(c["name"] for c in checks if not c["ok"])
-        print(f"verification violated: {bad}", file=sys.stderr)
-        return 5
-    return 0
+    _emit(args, {"ok": all(c["ok"] for c in checks), "checks": checks}, checks)
+    return _exit_code(checks, "name", "verification violated: ", 5)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -151,16 +151,14 @@ class TrajectoryReport:
     """Summary of one exact window trajectory and its invariant audit.
 
     ``uniform_index`` is the first column whose difference vector is
-    constant and ``uniform_value`` that constant.  ``ambiguous_count``
-    counts positions where the residue alone does not pin the slope.
+    constant.  ``ambiguous_count`` counts positions where the residue
+    alone does not pin the slope.
     ``violations`` is empty when all audited invariants held.
     """
 
     steps: int
     uniform_index: int
-    uniform_value: int
     ambiguous_count: int
-    spread0: int
     violations: tuple[str, ...]
 
 
@@ -181,7 +179,6 @@ def trajectory_report(p, slopes, a0, n) -> TrajectoryReport:
     spreads: list[int] = []
     nonuniform: list[int] = []
     uniform_at = -1
-    uniform_val = 0
     ambiguous = 0
     for i, window, b in iter_windows(p, slopes, a0, n):
         if i == 0:
@@ -204,7 +201,6 @@ def trajectory_report(p, slopes, a0, n) -> TrajectoryReport:
         if mn == mx:
             if uniform_at < 0:
                 uniform_at = i
-                uniform_val = mn
         else:
             nonuniform.append(i)
 
@@ -228,10 +224,8 @@ def trajectory_report(p, slopes, a0, n) -> TrajectoryReport:
     return TrajectoryReport(
         steps=i,
         uniform_index=uniform_at,
-        uniform_value=uniform_val,
         # the closing window has residue 0 but reads no slope
         ambiguous_count=ambiguous - 1,
-        spread0=spreads[0],
         violations=tuple(violations),
     )
 

@@ -215,6 +215,45 @@ def test_documents_are_pinned(capsys, golden):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+# ------------------------------------------------------------ meta.config
+
+# output settings come first and the rest out of order on each command line,
+# so the config order is the parser's, not the command line's
+CONFIG_CASES = {
+    "stabilize": (
+        "stabilize --output OUT --seed 7 --strategy random --n 24 --p 2",
+        [("p", 2), ("n", 24), ("strategy", "random"), ("seed", 7)],
+    ),
+    "scan": (
+        "scan --output OUT --emit-plot-data PLOT --timing --mode direct --stride 3 "
+        "--n-max 30 --p 2",
+        [("p", 2), ("n_max", 30), ("stride", 3), ("mode", "direct"), ("timing", True)],
+    ),
+    "spectral": (
+        "spectral --output OUT --tol 1e-6 --p-max 4 --p-min 3",
+        [("p_min", 3), ("p_max", 4), ("tol", 1e-6)],
+    ),
+    "avalanche": ("avalanche --output OUT --k 10 --p 3", [("p", 3), ("k", 10)]),
+    "verify": ("verify --output OUT --seed 3 --n 24 --p 2", [("p", 2), ("n", 24), ("seed", 3)]),
+}
+
+
+@pytest.mark.parametrize("command", CONFIG_CASES)
+def test_config_holds_every_parsed_argument_but_the_output_settings(
+    tmp_path, capsys, command
+):
+    line, want = CONFIG_CASES[command]
+    line = line.replace("OUT", str(tmp_path / "out")).replace("PLOT", str(tmp_path / "plot"))
+    rc, out, err = run_cli(capsys, *line.split())
+    assert (rc, out, err) == (0, "", "")
+    meta = json.loads((tmp_path / "out").read_text())["meta"]
+    assert list(meta) == ["tool", "version", "command", "config"]
+    assert (meta["tool"], meta["version"], meta["command"]) == ("kspm", kspm.__version__, command)
+    # the types too: ``timing`` must stay a bool, not read back as 1
+    got = [(k, v, type(v)) for k, v in meta["config"].items()]
+    assert got == [(k, v, type(v)) for k, v in want]
+
+
 # ---------------------------------------------------------------- spectral
 
 
