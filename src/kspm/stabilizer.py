@@ -4,7 +4,8 @@ Four ways to reach the unique fixed point of ``N`` grains:
 
 * ``batch`` -- the default: fire every column ``slope // (p+1)`` times
   at once, in whole-array numpy sweeps over the columns that can still
-  be unstable.  It takes one step per sweep instead of one per firing.
+  be unstable.  It takes one step per sweep instead of one per firing,
+  and checks stability and widens its columns once per block of sweeps.
 * ``leftmost`` -- always fire the smallest fireable column, found by a
   pointer that walks left only onto a column the last firing pushed
   over the threshold.
@@ -41,6 +42,8 @@ MAX_COLUMNS = 2**24
 MAX_FIRINGS = 2**40
 #: Largest ``p**3`` of any dense p-by-p matrix work: p up to 1000.
 MAX_MATRIX_WORK = 10**9
+#: Batch sweeps between two checks for stability and widening.
+_BLOCK = 8
 
 
 def check_columns(count: int) -> int:
@@ -213,8 +216,19 @@ def _run_batch(p: int, n: int):
     run of firings in any order, and by the least action principle the
     sweeps end on the same fixed point and shot vector as any other
     order.  Sweeps work on the prefix ``[0, hi)`` that can hold unstable
-    columns; ``hi`` widens by ``p`` when a kick pushes a column of
-    ``[hi, hi+p)`` over ``p``.
+    columns.  Only columns below ``hi`` fire, so kicks reach no further
+    than ``[hi, hi+p)`` and every column past it stays 0.
+
+    Stability and widening are checked once per block of ``_BLOCK``
+    sweeps, not after each one, which saves two numpy calls per sweep.
+    After a block, ``hi`` widens by ``p`` if a column of ``[hi, hi+p)``
+    is over ``p``; otherwise the run ends if no column below ``hi`` is.
+    This stays legal: such a column waits at most one block to fire,
+    other firings never lower its slope meanwhile, so every firing is
+    still of a column over ``p`` and the run ends at the same place.
+    One widening by ``p`` covers every column that can be over ``p``,
+    and a sweep with nothing over ``p`` fires nothing, so the sweeps
+    left in the last block change nothing.
     """
     # imported here, not at the top, so that ``import kspm`` does not load numpy
     import numpy as np
@@ -237,16 +251,17 @@ def _run_batch(p: int, n: int):
         f_next, back = fire[1:hi], kick[: hi - 1]
         left, right, edge = slopes[: hi - 1], slopes[p : hi + p], slopes[hi : hi + p]
         while True:
-            np.divmod(s, pp1, out=(f, s))
-            if not np.count_nonzero(f):
-                return slopes[: hi + p].tolist(), a.tolist()
-            a += f
-            np.multiply(f_next, p, out=back)
-            left += back
-            right += f
+            for _ in range(_BLOCK):
+                np.divmod(s, pp1, out=(f, s))
+                a += f
+                np.multiply(f_next, p, out=back)
+                left += back
+                right += f
             if edge.max() > p:
                 hi += p
                 break
+            if s.max() <= p:
+                return slopes[: hi + p].tolist(), a.tolist()
 
 
 def _run_random(p: int, n: int, seed: int):

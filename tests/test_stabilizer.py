@@ -150,6 +150,20 @@ def test_three_strategies_agree(p, n, seed):
     assert a.shot == b.shot == c.shot == d.shot
 
 
+@pytest.mark.parametrize(
+    "p,n",
+    [(1, 20000), (2, 40000), (2, 40399), (3, 20000), (30, 100000), (30, 100399)],
+)
+def test_batch_agrees_with_leftmost_at_scale(p, n):
+    """The batch engine, which checks stability once per block of sweeps,
+    ends on the leftmost walk's slopes and whole shot vector at the
+    fixed-point and verify-wide sizes; p = 1 widens one column per block."""
+    batch = stabilize(p, n, "batch")
+    walk = stabilize(p, n, "leftmost")
+    assert batch.slopes == walk.slopes
+    assert batch.shot == walk.shot
+
+
 def test_random_strategy_is_reproducible():
     a = stabilize(3, 500, "random", seed=9)
     b = stabilize(3, 500, "random", seed=9)
@@ -499,6 +513,16 @@ def test_engines_refuse_kicks_past_their_arrays(monkeypatch, entry):
     monkeypatch.setattr(stabilizer, "_capacity", lambda p, n: 2 * p + 1)
     with pytest.raises(RuntimeError, match="past the 5 columns allocated"):
         OVERRUN_ENTRY_POINTS[entry]()
+
+
+def test_batch_refuses_a_kick_past_its_arrays_late_in_the_run(monkeypatch):
+    # the prefix widens only between blocks of sweeps, so the guard must
+    # still trip when the arrays run out at the last widening, one column
+    # short of the fixed point's support, not just at the start
+    cap = stabilize(2, 40000, "leftmost").slopes.support - 1
+    monkeypatch.setattr(stabilizer, "_capacity", lambda p, n: cap)
+    with pytest.raises(RuntimeError, match=f"past the {cap} columns allocated"):
+        stabilize(2, 40000)
 
 
 @pytest.mark.parametrize("module", ["kspm", "kspm.stabilizer"])
