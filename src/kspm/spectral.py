@@ -21,7 +21,8 @@ product definition in tests.  Floating point only enters for root
 finding (with residuals and separation), the bare eigenvalues of the
 contraction and the perturbation bound that the ``spectral`` command
 reports.  :func:`z_trajectory` replays a pile's centered trajectory
-exactly in integers and checks its initial spread.
+exactly in integers, in ``O(p)`` per column through the shift plus
+rank 2 form of the contraction, and checks its initial spread.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import inf, lcm
-from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -340,32 +340,75 @@ class ZTrajectoryReport:
     spread0_identity_ok: bool
 
 
+def _scaled_step(p: int, zs: list[int], pb: int, kick: list[int]) -> list[int]:
+    """``(p**2 O) Z + pb kick`` through the form ``p**2 J + U V^T``, in ``O(p)``.
+
+    Row ``r < p - 1`` of ``(p**2 O) Z`` is ``p**2 Z[r + 1] - v`` and the
+    last row is ``p s - v``, with ``s = sum(Z)`` and ``v = V[:, 0] . Z``.
+    """
+    pp = p * p
+    s = sum(zs)
+    # V[:, 0] is 1 at j = 0 and p + 1 after it
+    v = s + p * (s - zs[0])
+    step = [pp * z - v + pb * k for z, k in zip(zs[1:], kick)]
+    step.append(p * s - v + pb * kick[p - 1])
+    return step
+
+
+def _first_difference(i: int, row, form) -> str:
+    """Name the first entry where row ``i`` of ``p**2 O`` leaves its form."""
+    if len(row) != len(form):
+        return f"p^2 O row {i} has {len(row)} entries, not {len(form)}"
+    j, entry, want = next((j, a, b) for j, (a, b) in enumerate(zip(row, form)) if a != b)
+    return f"p^2 O entry ({i}, {j}) is {entry}, not {want} as in p^2 J + U V^T"
+
+
 def z_trajectory(p: int, n: int, slopes, a0: int) -> ZTrajectoryReport:
     """Replay the centered difference trajectory of a stabilized pile.
 
     The recurrence is replayed exactly, on the centered vectors scaled
     by ``p`` into integers, and compared entry by entry with directly
     centered data; a mismatch raises :class:`RecurrenceMismatch` (it
-    would mean an implementation bug, not bad data).
+    would mean an implementation bug, not bad data).  The scaled matrix
+    ``p**2 O`` is read once and checked entry by entry against its shift
+    plus rank 2 form ``p**2 J + U V^T``, where ``J`` is the upper shift,
+    ``U = (-1, p e_last)`` and ``V = ((p [j >= 1] + 1)_j, 1)``; a differing
+    entry raises :class:`RecurrenceMismatch` naming it.  Each column is
+    then replayed through that form in ``O(p)`` steps, not a dense product.
     """
     check_p(p)
     check_grains(n)
     # Z = p * z = p * y - sum(y) is integral, and Z' = O Z + b * kick, so
     # p^2 Z' = (p^2 O) Z + p b (p kick) holds exactly in integers
     pp = p * p
+    last = p - 1
     o_int, kick_int = _centered_scaled(p)
+    if len(o_int) != p:
+        raise RecurrenceMismatch(f"p^2 O has {len(o_int)} rows, not {p}")
+    # row i of U V^T is -V[:, 0] + p [i = last] V[:, 1], and V[:, 1] is all ones
+    minus_v0 = [-(p * (j >= 1) + 1) for j in range(p)]
+    for i, row in enumerate(o_int):
+        if i < last:
+            form = minus_v0[:]
+            form[i + 1] += pp
+        else:
+            form = [u + p for u in minus_v0]
+        row = list(row)
+        if row != form:
+            raise RecurrenceMismatch(_first_difference(i, row, form))
 
     for i, window, b in dds.iter_windows(p, slopes, a0, n):
-        y = dds.to_averaging(window)
+        if i:
+            # differencing the window incrementally, as trajectory_report does
+            y = y[1:] + (window[-1] - window[-2],)
+        else:
+            y = dds.to_averaging(window)
         total = sum(y)
         zs = [p * v - total for v in y]
         if i:
-            pb = p * b_prev
-            for z, row, k in zip(zs, o_int, kick_int):
-                if pp * z != sum(map(mul, row, zs_prev)) + pb * k:
-                    raise RecurrenceMismatch(
-                        f"centered recurrence mismatch at column {i}"
-                    )
+            step = _scaled_step(p, zs_prev, p * b_prev, kick_int)
+            if [pp * z for z in zs] != step:
+                raise RecurrenceMismatch(f"centered recurrence mismatch at column {i}")
         else:
             spread0 = max(y) - min(y)
         zs_prev = zs

@@ -277,6 +277,8 @@ def _run_random(p: int, n: int, seed: int):
         fireable.append(0)
         pos[0] = 0
     pp1 = p + 1
+    # the rightmost column that ever became fireable: no kick lands past top + p
+    top = 0
     while fireable:
         m = len(fireable)
         idx = int(rnd() * m)
@@ -305,7 +307,9 @@ def _run_random(p: int, n: int, seed: int):
         if v > p and pos[k] < 0:
             pos[k] = len(fireable)
             fireable.append(k)
-    return slopes, shot
+            if k > top:
+                top = k
+    return slopes[: top + p + 1], shot[: top + p + 1]
 
 
 class IncrementalStabilizer:
@@ -453,4 +457,5 @@ def trace_leftmost(p: int, n: int, on_fire=None) -> FixedPoint:
     pile = IncrementalStabilizer(p, expect=n)
     pile._drop(n, on_fire)
     # not ``snapshot``, where benchmarks/tracing.py counts a grown pile's firings
-    return _fixed_point(p, n, pile.slopes, pile.shot, "leftmost")
+    reach = pile._reach
+    return _fixed_point(p, n, pile.slopes[:reach], pile.shot[:reach], "leftmost")

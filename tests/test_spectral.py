@@ -1,6 +1,7 @@
 """Exact linear algebra, characteristic polynomials, root finding, contraction."""
 
 import cmath
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -397,3 +398,76 @@ def test_z_trajectory_replay_detects_a_wrong_kick(monkeypatch):
     )
     with pytest.raises(RecurrenceMismatch, match="at column"):
         spectral.z_trajectory(3, 200, fp.slopes.slopes, fp.shot_at(0))
+
+
+@pytest.mark.parametrize("p", list(range(1, 31)) + [100, 1000])
+def test_structured_step_matches_the_dense_product(p):
+    """Shift plus rank 2 equals the dense ``p**2 O`` on any integer vector,
+    centered or not, so no term may lean on ``sum(Z) = 0``."""
+    rng = np.random.default_rng(p)
+    matrix, kick = spectral._centered_scaled(p)
+    for _ in range(3 if p == 1000 else 10):
+        zs = [int(v) for v in rng.integers(-(10**6), 10**6, size=p)]
+        product = [sum(map(operator.mul, row, zs)) for row in matrix]
+        pb = int(rng.integers(-50, 50))
+        for b in (0, pb):
+            dense = [o + b * k for o, k in zip(product, kick)]
+            assert spectral._scaled_step(p, zs, b, kick) == dense
+
+
+class CountingRow(list):
+    """A matrix row that counts how often it is iterated."""
+
+    def __init__(self, values, reads):
+        super().__init__(values)
+        self.reads = reads
+
+    def __iter__(self):
+        self.reads.append(id(self))
+        return super().__iter__()
+
+
+def test_replay_reads_each_row_of_O_once_not_once_per_column(monkeypatch):
+    centered_scaled = spectral._centered_scaled
+    reads = []
+    rows = []
+
+    def counted(p):
+        matrix, kick = centered_scaled(p)
+        rows[:] = [CountingRow(row, reads) for row in matrix]
+        return rows, kick
+
+    monkeypatch.setattr(spectral, "_centered_scaled", counted)
+    fp = stabilize(12, 54321)
+    rep = spectral.z_trajectory(12, 54321, fp.slopes.slopes, fp.shot_at(0))
+    assert rep.steps == 131
+    # a dense product would read every row once per replayed column
+    assert max(reads.count(id(row)) for row in rows) <= 1
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 12])
+@pytest.mark.parametrize("entry", ["first", "shift", "last"])
+def test_z_trajectory_names_the_entry_of_O_that_leaves_its_form(monkeypatch, p, entry):
+    i, j = {"first": (0, 0), "shift": (0, min(1, p - 1)), "last": (p - 1, p - 1)}[entry]
+    centered_scaled = spectral._centered_scaled
+
+    def changed(q):
+        matrix, kick = centered_scaled(q)
+        matrix[i][j] -= 1
+        return matrix, kick
+
+    fp = stabilize(p, 500)
+    monkeypatch.setattr(spectral, "_centered_scaled", changed)
+    with pytest.raises(RecurrenceMismatch, match=rf"entry \({i}, {j}\)"):
+        spectral.z_trajectory(p, 500, fp.slopes.slopes, fp.shot_at(0))
+
+
+def test_z_trajectory_refuses_a_matrix_of_the_wrong_shape(monkeypatch):
+    centered_scaled = spectral._centered_scaled
+    fp = stabilize(4, 500)
+    for cut in (lambda m: m[:-1], lambda m: m[:-1] + [m[-1][:-1]]):
+        monkeypatch.setattr(
+            spectral, "_centered_scaled", lambda q: (cut(centered_scaled(q)[0]), [])
+        )
+        with pytest.raises(RecurrenceMismatch, match="rows, not 4|entries, not 4"):
+            spectral.z_trajectory(4, 500, fp.slopes.slopes, fp.shot_at(0))

@@ -26,6 +26,7 @@ from kspm.model import (
     heights_from_slopes,
     is_stable,
     support_bound,
+    trimmed,
 )
 from kspm.stabilizer import (
     MAX_FIRINGS,
@@ -162,6 +163,19 @@ def test_batch_agrees_with_leftmost_at_scale(p, n):
     walk = stabilize(p, n, "leftmost")
     assert batch.slopes == walk.slopes
     assert batch.shot == walk.shot
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("p,n", [(2, 40000), (30, 100000), (30, 100399)])
+def test_random_agrees_with_batch_at_scale(p, n, seed):
+    """The random engine, which returns its lists cut just past the last
+    column that could fire, ends on the batch engine's slopes and whole
+    shot vector; the cut keeps at most ``p`` columns past the last firing."""
+    batch = stabilize(p, n, "batch")
+    slopes, shot = stabilizer._run_random(p, n, seed)
+    assert SlopeConfig(trimmed(slopes)) == batch.slopes
+    assert trimmed(shot) == batch.shot
+    assert len(slopes) == len(shot) <= len(batch.shot) + p
 
 
 def test_random_strategy_is_reproducible():
