@@ -252,7 +252,8 @@ def cmd_avalanche(args) -> int:
 
 
 def _verification_checks(p: int, n: int, seed: int) -> list[dict]:
-    # the centered recurrence needs a p-by-p matrix; refuse it before any engine runs
+    # the replay builds no p-by-p matrix, but verify keeps spectral's p <= 1000
+    # limit as it is (ROADMAP item 9 revisits it); refuse before any engine runs
     check_matrix(p)
     checks: list[dict] = []
 

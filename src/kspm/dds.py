@@ -262,7 +262,7 @@ def reconstruct_fixed_point(p: int, n: int, a0: int, resolver) -> Reconstruction
     consulted: list[int] = []
 
     def slope_at(i, window):
-        r = (window[0] - window[-1]) % p
+        r = determine_slope(p, window[0], window[-1])
         if r:
             return r
         consulted.append(i)

@@ -16,13 +16,15 @@ between integer polynomials.  Matrices hold ``fractions.Fraction``
 entries.  Characteristic polynomials come from the Hessenberg recurrence
 in Python integers, after scaling by the common denominator, and are
 checked in tests against Faddeev-LeVerrier and sympy.  The centered
-contraction comes from its closed form in integers, checked against the
-product definition in tests.  Floating point only enters for root
+contraction is written down once, as its ``O(p)`` integer step
+:func:`_scaled_step` through the shift plus rank 2 form; the dense
+matrix is read off that step column by column, and tests check it
+against the product definition.  Floating point only enters for root
 finding (with residuals and separation), the bare eigenvalues of the
 contraction and the perturbation bound that the ``spectral`` command
 reports.  :func:`z_trajectory` replays a pile's centered trajectory
-exactly in integers, in ``O(p)`` per column through the shift plus
-rank 2 form of the contraction, and checks its initial spread.
+exactly in integers through the same step, without a dense matrix,
+and checks its initial spread.
 """
 
 from __future__ import annotations
@@ -199,20 +201,44 @@ def averaging_matrix(p: int) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
+def _scaled_step(p: int, zs: list[int], pb: int) -> list[int]:
+    """``(p**2 O) Z + pb (p kick)`` in ``O(p)``, the one definition of ``O``.
+
+    Centering the averaging advance subtracts each column's mean, which
+    gives ``p**2 O = p**2 J + U V^T`` with ``J`` the upper shift,
+    ``U = (-1, p e_last)`` and ``V = ((p [j >= 1] + 1)_j, 1)``, and the
+    kick ``p kick = p e_last - 1``.  So row ``r < p - 1`` of the step is
+    ``p**2 Z[r + 1] - v - pb`` and the last row is ``p s - v + (p - 1) pb``,
+    with ``s = sum(Z)`` and ``v = V[:, 0] . Z``.  No term leans on
+    ``s = 0``, so the step is linear on every integer vector, and the
+    dense matrix of :func:`_centered_scaled` is read off it.
+    """
+    pp = p * p
+    s = sum(zs)
+    # V[:, 0] is 1 at j = 0 and p + 1 after it
+    v = s + p * (s - zs[0])
+    step = [pp * z - v - pb for z in zs[1:]]
+    step.append(p * s - v + (p - 1) * pb)
+    return step
+
+
 def _centered_scaled(p: int) -> tuple[list[list[int]], list[int]]:
     """``p**2`` times the centered contraction, and ``p`` times its kick.
 
-    Centering subtracts each column's mean: ``([j >= 1] + 1/p) / p`` from
-    the averaging matrix and ``1/p`` from the averaging kick.  Refuses,
-    before building it, a matrix past the limits of :func:`check_matrix`.
+    Both are read off :func:`_scaled_step`, the one place their
+    coefficients are written: column ``j`` of the matrix is the step of
+    the ``j``-th unit vector without a kick, and the kick is the step of
+    the zero vector with ``pb = 1``.  Refuses, before building it, a
+    matrix past the limits of :func:`check_matrix`.
     """
     check_p(p)
-    pp = check_matrix(p)
-    matrix = [
-        [(pp * (j == i + 1) if i < p - 1 else p) - p * (j >= 1) - 1 for j in range(p)]
-        for i in range(p)
-    ]
-    return matrix, [p * (i == p - 1) - 1 for i in range(p)]
+    check_matrix(p)
+    columns = []
+    for j in range(p):
+        unit = [0] * p
+        unit[j] = 1
+        columns.append(_scaled_step(p, unit, 0))
+    return [list(row) for row in zip(*columns)], _scaled_step(p, [0] * p, 1)
 
 
 def _centered_floats(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -340,63 +366,23 @@ class ZTrajectoryReport:
     spread0_identity_ok: bool
 
 
-def _scaled_step(p: int, zs: list[int], pb: int, kick: list[int]) -> list[int]:
-    """``(p**2 O) Z + pb kick`` through the form ``p**2 J + U V^T``, in ``O(p)``.
-
-    Row ``r < p - 1`` of ``(p**2 O) Z`` is ``p**2 Z[r + 1] - v`` and the
-    last row is ``p s - v``, with ``s = sum(Z)`` and ``v = V[:, 0] . Z``.
-    """
-    pp = p * p
-    s = sum(zs)
-    # V[:, 0] is 1 at j = 0 and p + 1 after it
-    v = s + p * (s - zs[0])
-    step = [pp * z - v + pb * k for z, k in zip(zs[1:], kick)]
-    step.append(p * s - v + pb * kick[p - 1])
-    return step
-
-
-def _first_difference(i: int, row, form) -> str:
-    """Name the first entry where row ``i`` of ``p**2 O`` leaves its form."""
-    if len(row) != len(form):
-        return f"p^2 O row {i} has {len(row)} entries, not {len(form)}"
-    j, entry, want = next((j, a, b) for j, (a, b) in enumerate(zip(row, form)) if a != b)
-    return f"p^2 O entry ({i}, {j}) is {entry}, not {want} as in p^2 J + U V^T"
-
-
 def z_trajectory(p: int, n: int, slopes, a0: int) -> ZTrajectoryReport:
     """Replay the centered difference trajectory of a stabilized pile.
 
     The recurrence is replayed exactly, on the centered vectors scaled
     by ``p`` into integers, and compared entry by entry with directly
     centered data; a mismatch raises :class:`RecurrenceMismatch` (it
-    would mean an implementation bug, not bad data).  The scaled matrix
-    ``p**2 O`` is read once and checked entry by entry against its shift
-    plus rank 2 form ``p**2 J + U V^T``, where ``J`` is the upper shift,
-    ``U = (-1, p e_last)`` and ``V = ((p [j >= 1] + 1)_j, 1)``; a differing
-    entry raises :class:`RecurrenceMismatch` naming it.  Each column is
-    then replayed through that form in ``O(p)`` steps, not a dense product.
+    would mean an implementation bug, not bad data).  Each column goes
+    through :func:`_scaled_step` in ``O(p)``; no ``p``-by-``p`` matrix is
+    built.  A ``p`` past the limits of :func:`check_matrix` is still
+    refused up front, as ``verify`` refuses it.
     """
     check_p(p)
     check_grains(n)
+    check_matrix(p)
     # Z = p * z = p * y - sum(y) is integral, and Z' = O Z + b * kick, so
     # p^2 Z' = (p^2 O) Z + p b (p kick) holds exactly in integers
     pp = p * p
-    last = p - 1
-    o_int, kick_int = _centered_scaled(p)
-    if len(o_int) != p:
-        raise RecurrenceMismatch(f"p^2 O has {len(o_int)} rows, not {p}")
-    # row i of U V^T is -V[:, 0] + p [i = last] V[:, 1], and V[:, 1] is all ones
-    minus_v0 = [-(p * (j >= 1) + 1) for j in range(p)]
-    for i, row in enumerate(o_int):
-        if i < last:
-            form = minus_v0[:]
-            form[i + 1] += pp
-        else:
-            form = [u + p for u in minus_v0]
-        row = list(row)
-        if row != form:
-            raise RecurrenceMismatch(_first_difference(i, row, form))
-
     for i, window, b in dds.iter_windows(p, slopes, a0, n):
         if i:
             # differencing the window incrementally, as trajectory_report does
@@ -406,7 +392,7 @@ def z_trajectory(p: int, n: int, slopes, a0: int) -> ZTrajectoryReport:
         total = sum(y)
         zs = [p * v - total for v in y]
         if i:
-            step = _scaled_step(p, zs_prev, p * b_prev, kick_int)
+            step = _scaled_step(p, zs_prev, p * b_prev)
             if [pp * z for z in zs] != step:
                 raise RecurrenceMismatch(f"centered recurrence mismatch at column {i}")
         else:

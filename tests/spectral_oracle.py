@@ -5,7 +5,8 @@ by rational matrix products and traces, independently of the library's
 Hessenberg recurrence.  The change-of-basis and centering builders
 rebuild the window advance and the centered contraction from their
 product definitions, against which the library's closed forms are
-checked.
+checked.  An entrywise closed form of the scaled centered contraction
+checks the matrix that the library reads off its ``O(p)`` step.
 """
 
 from fractions import Fraction
@@ -79,6 +80,21 @@ def averaging_kick(p: int) -> tuple[Fraction, ...]:
     """Slope coupling of the difference advance: 1 in the last slot."""
     check_p(p)
     return (Fraction(0),) * (p - 1) + (Fraction(1),)
+
+
+def centered_scaled_entrywise(p: int) -> tuple[list[list[int]], list[int]]:
+    """``p**2 O`` and ``p`` times its kick, written entry by entry.
+
+    Centering subtracts each column's mean: ``([j >= 1] + 1/p) / p`` from
+    the averaging matrix and ``1/p`` from the averaging kick.
+    """
+    check_p(p)
+    pp = p * p
+    matrix = [
+        [(pp * (j == i + 1) if i < p - 1 else p) - p * (j >= 1) - 1 for j in range(p)]
+        for i in range(p)
+    ]
+    return matrix, [p * (i == p - 1) - 1 for i in range(p)]
 
 
 def mean_centering(p: int) -> ExactMatrix:

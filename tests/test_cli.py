@@ -366,14 +366,15 @@ def change_one_coefficient_of_R(monkeypatch):
 
 
 def change_one_entry_of_O(monkeypatch):
-    centered_scaled = spectral._centered_scaled
+    # entry (1, 0) of p^2 O, changed in the one step both commands use
+    scaled_step = spectral._scaled_step
 
-    def changed(p):
-        matrix, kick = centered_scaled(p)
-        matrix[1][0] += 1
-        return matrix, kick
+    def changed(p, zs, pb):
+        step = scaled_step(p, zs, pb)
+        step[1] += zs[0]
+        return step
 
-    monkeypatch.setattr(spectral, "_centered_scaled", changed)
+    monkeypatch.setattr(spectral, "_scaled_step", changed)
 
 
 # p = 20 is past both charpoly columns, so the float gates alone must fail

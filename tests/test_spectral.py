@@ -2,6 +2,7 @@
 
 import cmath
 import operator
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -392,18 +393,19 @@ def test_z_trajectory_detects_tampered_slopes():
 
 def test_z_trajectory_replay_detects_a_wrong_kick(monkeypatch):
     fp = stabilize(3, 200)
-    matrix, kick = spectral._centered_scaled(3)
+    scaled_step = spectral._scaled_step
     monkeypatch.setattr(
-        spectral, "_centered_scaled", lambda p: (matrix, [2 * k for k in kick])
+        spectral, "_scaled_step", lambda p, zs, pb: scaled_step(p, zs, 2 * pb)
     )
-    with pytest.raises(RecurrenceMismatch, match="at column"):
+    with pytest.raises(RecurrenceMismatch, match="at column 1$"):
         spectral.z_trajectory(3, 200, fp.slopes.slopes, fp.shot_at(0))
 
 
 @pytest.mark.parametrize("p", list(range(1, 31)) + [100, 1000])
 def test_structured_step_matches_the_dense_product(p):
-    """Shift plus rank 2 equals the dense ``p**2 O`` on any integer vector,
-    centered or not, so no term may lean on ``sum(Z) = 0``."""
+    """The step is linear: it equals the dense ``p**2 O`` read off its unit
+    vectors on any integer vector, centered or not, so no term may lean on
+    ``sum(Z) = 0``."""
     rng = np.random.default_rng(p)
     matrix, kick = spectral._centered_scaled(p)
     for _ in range(3 if p == 1000 else 10):
@@ -412,62 +414,37 @@ def test_structured_step_matches_the_dense_product(p):
         pb = int(rng.integers(-50, 50))
         for b in (0, pb):
             dense = [o + b * k for o, k in zip(product, kick)]
-            assert spectral._scaled_step(p, zs, b, kick) == dense
+            assert spectral._scaled_step(p, zs, b) == dense
 
 
-class CountingRow(list):
-    """A matrix row that counts how often it is iterated."""
-
-    def __init__(self, values, reads):
-        super().__init__(values)
-        self.reads = reads
-
-    def __iter__(self):
-        self.reads.append(id(self))
-        return super().__iter__()
+@pytest.mark.parametrize("p", list(range(1, 31)) + [100, 1000])
+def test_step_built_matrix_matches_the_entrywise_closed_form(p):
+    assert spectral._centered_scaled(p) == oracle.centered_scaled_entrywise(p)
 
 
-def test_replay_reads_each_row_of_O_once_not_once_per_column(monkeypatch):
-    centered_scaled = spectral._centered_scaled
-    reads = []
-    rows = []
+def test_z_trajectory_builds_no_dense_matrix(monkeypatch):
+    def refuse(p):
+        raise AssertionError("z_trajectory built the dense p^2 O")
 
-    def counted(p):
-        matrix, kick = centered_scaled(p)
-        rows[:] = [CountingRow(row, reads) for row in matrix]
-        return rows, kick
-
-    monkeypatch.setattr(spectral, "_centered_scaled", counted)
+    monkeypatch.setattr(spectral, "_centered_scaled", refuse)
     fp = stabilize(12, 54321)
     rep = spectral.z_trajectory(12, 54321, fp.slopes.slopes, fp.shot_at(0))
     assert rep.steps == 131
-    # a dense product would read every row once per replayed column
-    assert max(reads.count(id(row)) for row in rows) <= 1
+    # a dense p^2 O at p = 1000 holds 10**6 Python ints, tens of MiB
+    fp = stabilize(1000, 10)
+    tracemalloc.start()
+    try:
+        spectral.z_trajectory(1000, 10, fp.slopes.slopes, fp.shot_at(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
-@pytest.mark.parametrize("p", [1, 2, 5, 12])
-@pytest.mark.parametrize("entry", ["first", "shift", "last"])
-def test_z_trajectory_names_the_entry_of_O_that_leaves_its_form(monkeypatch, p, entry):
-    i, j = {"first": (0, 0), "shift": (0, min(1, p - 1)), "last": (p - 1, p - 1)}[entry]
-    centered_scaled = spectral._centered_scaled
+def test_z_trajectory_refuses_cubic_matrix_work_before_walking(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("z_trajectory walked before its capacity check")
 
-    def changed(q):
-        matrix, kick = centered_scaled(q)
-        matrix[i][j] -= 1
-        return matrix, kick
-
-    fp = stabilize(p, 500)
-    monkeypatch.setattr(spectral, "_centered_scaled", changed)
-    with pytest.raises(RecurrenceMismatch, match=rf"entry \({i}, {j}\)"):
-        spectral.z_trajectory(p, 500, fp.slopes.slopes, fp.shot_at(0))
-
-
-def test_z_trajectory_refuses_a_matrix_of_the_wrong_shape(monkeypatch):
-    centered_scaled = spectral._centered_scaled
-    fp = stabilize(4, 500)
-    for cut in (lambda m: m[:-1], lambda m: m[:-1] + [m[-1][:-1]]):
-        monkeypatch.setattr(
-            spectral, "_centered_scaled", lambda q: (cut(centered_scaled(q)[0]), [])
-        )
-        with pytest.raises(RecurrenceMismatch, match="rows, not 4|entries, not 4"):
-            spectral.z_trajectory(4, 500, fp.slopes.slopes, fp.shot_at(0))
+    monkeypatch.setattr(dds, "iter_windows", refuse)
+    with pytest.raises(CapacityError, match="matrix work"):
+        spectral.z_trajectory(1001, 10, (0,), 0)
