@@ -2,7 +2,7 @@
 
 Subcommands: ``stabilize`` (one fixed point, fully described),
 ``scan`` (sampled grain counts with pattern statistics and log fits),
-``spectral`` (exact certificates and root/eigenvalue gates per p),
+``spectral`` (one row per p, decided by ``spectral.certify``),
 ``avalanche`` (detail of the avalanche triggered by grain k), and
 ``verify`` (consolidated invariant check for one pile).
 
@@ -39,7 +39,7 @@ from .stabilizer import IncrementalStabilizer, check_matrix, holes, stabilize
 
 
 class _Unwritable(Exception):
-    """An ``--output`` or ``--emit-plot-data`` path that cannot be written."""
+    """An output path that cannot be written, or one file named by both."""
 
 
 @contextmanager
@@ -182,54 +182,10 @@ def _write_plot_data(path: str, rows) -> None:
             w.writerow(["w_vs_sqrtN", repr(sqrt(r["N"])), r["w"]])
 
 
-def _spectral_row(p: int, tol: float) -> dict:
-    bezout_ok = spectral.bezout_witness(p)
-    rootset = spectral.roots_R(p)
-    eigs = spectral.eigvals_O(p)
-    match = spectral.pair_distance(eigs, (0j,) + rootset.roots)
-    bound = (p - 1) / p
-    charpoly_avg_ok = None
-    charpoly_win_ok = None
-    # p * charpoly against p * (x - 1) * R, then p * (x - 1)^2 * R
-    if p <= 12:
-        want = spectral._polymul((-1, 1), spectral.poly_R(p))
-        got = spectral.averaging_matrix(p).charpoly()
-        charpoly_avg_ok = tuple(p * c for c in got) == want
-    if p <= 8:
-        want = spectral._polymul((-1, 1), want)
-        got = spectral.shot_step_matrix(p).charpoly()
-        charpoly_win_ok = tuple(p * c for c in got) == want
-    max_residual = max(rootset.residuals, default=0.0)
-    ok = (
-        bezout_ok
-        and charpoly_avg_ok is not False
-        and charpoly_win_ok is not False
-        and max_residual < tol
-        and rootset.max_modulus <= bound + 1e-9
-        and (rootset.min_separation > 1e-8)
-        and match <= 1e-8
-    )
-    return {
-        "p": p,
-        "ok": ok,
-        "bezout_ok": bezout_ok,
-        "charpoly_averaging_ok": charpoly_avg_ok,
-        "charpoly_window_ok": charpoly_win_ok,
-        "root_count": len(rootset.roots),
-        "max_root_modulus": rootset.max_modulus,
-        "modulus_bound": bound,
-        "min_separation": rootset.min_separation,
-        "max_residual": max_residual,
-        "eig_match_distance": match,
-        "spectral_radius": max(map(abs, eigs)),
-        "perturbation_bound": spectral.perturbation_bound(p),
-    }
-
-
 def cmd_spectral(args) -> int:
     # every row builds p-by-p matrices; refuse the largest before any row
     check_matrix(args.p_max)
-    rows = [_spectral_row(p, args.tol) for p in range(args.p_min, args.p_max + 1)]
+    rows = [spectral.certify(p, args.tol) for p in range(args.p_min, args.p_max + 1)]
     _emit(args, {"ok": all(r["ok"] for r in rows), "rows": rows}, rows)
     return _exit_code(rows, "p", "spectral gate failed at p=", 4)
 
@@ -446,9 +402,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _validate(parser, args)
     try:
-        for path in (args.output, getattr(args, "emit_plot_data", None)):
-            if path:
-                _check_writable(path)
+        paths = list(filter(None, (args.output, getattr(args, "emit_plot_data", None))))
+        for path in paths:
+            _check_writable(path)
+        if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+            raise _Unwritable(f"--output and --emit-plot-data name one file: {paths[1]}")
         return args.func(args)
     except _Unwritable as exc:
         print(f"error: {exc}", file=sys.stderr)

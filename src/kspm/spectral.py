@@ -20,9 +20,11 @@ contraction is written down once, as its ``O(p)`` integer step
 :func:`_scaled_step` through the shift plus rank 2 form; the dense
 matrix is read off that step column by column, and tests check it
 against the product definition.  Floating point only enters for root
-finding (with residuals and separation), the bare eigenvalues of the
-contraction and the perturbation bound that the ``spectral`` command
-reports.  :func:`z_trajectory` replays a pile's centered trajectory
+finding, the bare eigenvalues of the contraction and the perturbation
+bound.  :func:`certify` decides one row of the ``spectral`` command: it
+runs every certificate, measures the roots' residuals and separation,
+and builds the float contraction once for the eigenvalues and the
+bound.  :func:`z_trajectory` replays a pile's centered trajectory
 exactly in integers through the same step, without a dense matrix,
 and checks its initial spread.
 """
@@ -252,24 +254,6 @@ def centered_matrix(p: int) -> ExactMatrix:
     return ExactMatrix(_centered_scaled(p)[0]).scaled(Fraction(1, p * p))
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """Roots of a polynomial with quality measures.
-
-    ``residuals`` are the polynomial's absolute values at the roots and
-    ``min_separation`` the smallest pairwise distance (``inf`` when fewer
-    than two roots).
-    """
-
-    roots: tuple[complex, ...]
-    residuals: tuple[float, ...]
-    min_separation: float
-
-    @property
-    def max_modulus(self) -> float:
-        return max((abs(z) for z in self.roots), default=0.0)
-
-
 def _sorted_roots(values) -> tuple[complex, ...]:
     """``values`` as complex numbers, in the order :func:`pair_distance` matches."""
     return tuple(
@@ -277,35 +261,26 @@ def _sorted_roots(values) -> tuple[complex, ...]:
     )
 
 
-def roots_R(p: int) -> RootSet:
-    """Roots of ``R``, all of modulus at most ``(p-1)/p``.
+def roots_R(p: int) -> tuple[complex, ...]:
+    """Roots of ``R``, sorted as :func:`eigvals_O` sorts its eigenvalues.
 
-    Found as companion-matrix eigenvalues by ``numpy.roots``; the
-    residuals and the separation are the caller's acceptance gate.  A
+    Found as companion-matrix eigenvalues by ``numpy.roots``;
+    :func:`certify` measures their residuals and separation.  A
     companion matrix past the limits of :func:`check_matrix` is refused.
     """
     check_p(p)
     check_matrix(p)
     # the coefficients k/p, descending, each correctly rounded
-    coeffs = [c / p for c in reversed(poly_R(p))]
-    roots = _sorted_roots(np.roots(coeffs))
-    residuals = []
-    for z in roots:
-        acc = 0 * z
-        for c in coeffs:
-            acc = acc * z + c
-        residuals.append(abs(acc))
-    sep = min((abs(a - b) for a, b in combinations(roots, 2)), default=inf)
-    return RootSet(roots=roots, residuals=tuple(residuals), min_separation=sep)
+    return _sorted_roots(np.roots([c / p for c in reversed(poly_R(p))]))
 
 
-def eigvals_O(p: int) -> tuple[complex, ...]:
-    """Eigenvalues of the centered contraction, sorted as :func:`roots_R` sorts.
+def eigvals_O(o: np.ndarray) -> tuple[complex, ...]:
+    """Eigenvalues of the float contraction ``o`` of :func:`_centered_floats`.
 
-    They should be ``0`` together with the roots of ``R``; the caller
-    measures that with :func:`pair_distance`.
+    They should be ``0`` and the roots of :func:`roots_R`, sorted alike;
+    :func:`certify` measures that with :func:`pair_distance`.
     """
-    return _sorted_roots(np.linalg.eigvals(_centered_floats(p)[0]))
+    return _sorted_roots(np.linalg.eigvals(o))
 
 
 def pair_distance(xs: Sequence[complex], ys: Sequence[complex]) -> float:
@@ -329,13 +304,13 @@ _SERIES_TOL = 1e-15
 _SERIES_CAP = 100000
 
 
-def perturbation_bound(p: int) -> float:
+def perturbation_bound(o: np.ndarray, v: np.ndarray) -> float:
     """Tail-sum bound ``sum_j ||O^j L||_inf`` for the centered recurrence.
 
-    The matrix's own infinity norm may exceed 1, so the bound is taken
-    over powers, which decay at the spectral radius ``<= (p-1)/p``.
+    ``o`` and ``v`` come from :func:`_centered_floats`.  The matrix's own
+    infinity norm may exceed 1, so the bound is taken over powers, which
+    decay at the spectral radius ``<= (p-1)/p``.
     """
-    o, v = _centered_floats(p)
     # terms are taken a block of rows at a time: row i + 1 is O times row i
     rows = np.empty((_SERIES_BLOCK + 1, v.size))
     rows[0] = v
@@ -350,6 +325,62 @@ def perturbation_bound(p: int) -> float:
                 return total
         rows[0] = rows[n]
     raise NoConvergence("perturbation series did not converge")
+
+
+def certify(p: int, tol: float) -> dict:
+    """One row of ``kspm spectral``: every certificate and gate at ``p``.
+
+    A charpoly column past its cap (12 averaging, 8 window) is ``None``.
+    The float ``O`` is built once, for the eigenvalues and the bound.
+    """
+    bezout_ok = bezout_witness(p)
+    roots = roots_R(p)
+    coeffs = [c / p for c in reversed(poly_R(p))]
+    residuals = []
+    for z in roots:
+        acc = 0 * z
+        for c in coeffs:
+            acc = acc * z + c
+        residuals.append(abs(acc))
+    separation = min((abs(a - b) for a, b in combinations(roots, 2)), default=inf)
+    modulus = max((abs(z) for z in roots), default=0.0)
+    o, kick = _centered_floats(p)
+    eigs = eigvals_O(o)
+    match = pair_distance(eigs, (0j,) + roots)
+    bound = (p - 1) / p
+    charpoly_avg_ok = charpoly_win_ok = None
+    # p * charpoly against p * (x - 1) * R, then p * (x - 1)^2 * R
+    if p <= 12:
+        want = _polymul((-1, 1), poly_R(p))
+        charpoly_avg_ok = tuple(p * c for c in averaging_matrix(p).charpoly()) == want
+    if p <= 8:
+        want = _polymul((-1, 1), want)
+        charpoly_win_ok = tuple(p * c for c in shot_step_matrix(p).charpoly()) == want
+    max_residual = max(residuals, default=0.0)
+    ok = (
+        bezout_ok
+        and charpoly_avg_ok is not False
+        and charpoly_win_ok is not False
+        and max_residual < tol
+        and modulus <= bound + 1e-9
+        and separation > 1e-8
+        and match <= 1e-8
+    )
+    return {
+        "p": p,
+        "ok": ok,
+        "bezout_ok": bezout_ok,
+        "charpoly_averaging_ok": charpoly_avg_ok,
+        "charpoly_window_ok": charpoly_win_ok,
+        "root_count": len(roots),
+        "max_root_modulus": modulus,
+        "modulus_bound": bound,
+        "min_separation": separation,
+        "max_residual": max_residual,
+        "eig_match_distance": match,
+        "spectral_radius": max(map(abs, eigs)),
+        "perturbation_bound": perturbation_bound(o, kick),
+    }
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ soundness) accumulates in ``_TRAJ`` for the structural criterion.
 """
 
 import time
-from math import log2
+from itertools import combinations
+from math import inf, log2
 
 from conftest import (
     GOLDEN_P2_N24_SHOT,
@@ -246,11 +247,11 @@ def test_criterion_11_spectral_certificates():
         assert tuple(p * c for c in spectral.averaging_matrix(p).charpoly()) == want, p
         want = spectral._polymul((-1, 1), want)
         assert tuple(p * c for c in spectral.shot_step_matrix(p).charpoly()) == want, p
-        rs = spectral.roots_R(p)
-        assert rs.max_modulus <= (p - 1) / p + 1e-9, p
-        assert rs.min_separation > 1e-8, p
-        eig = spectral.eigvals_O(p)
-        assert spectral.pair_distance(eig, (0j,) + rs.roots) <= 1e-8, p
+        roots = spectral.roots_R(p)
+        assert max(map(abs, roots)) <= (p - 1) / p + 1e-9, p
+        assert min((abs(a - b) for a, b in combinations(roots, 2)), default=inf) > 1e-8, p
+        eig = spectral.eigvals_O(spectral._centered_floats(p)[0])
+        assert spectral.pair_distance(eig, (0j,) + roots) <= 1e-8, p
     dt = time.perf_counter() - t0
     _verdict(
         11,

@@ -319,12 +319,40 @@ def test_spectral_small_range_passes(capsys):
     )
 
 
+SPECTRAL_COLUMNS = [
+    "p", "ok", "bezout_ok", "charpoly_averaging_ok", "charpoly_window_ok", "root_count",
+    "max_root_modulus", "modulus_bound", "min_separation", "max_residual",
+    "eig_match_distance", "spectral_radius", "perturbation_bound",
+]
+
+
 def test_spectral_csv(capsys):
-    rc, out, _ = run_cli(capsys, "spectral", "--p-min", "2", "--p-max", "3", "--format", "csv")
+    rc, out, err = run_cli(
+        capsys, "spectral", "--p-min", "7", "--p-max", "13", "--format", "csv"
+    )
+    assert (rc, err) == (0, "")
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == SPECTRAL_COLUMNS
+    # a charpoly column past its cap is None, written as an empty cell
+    assert [r[:6] for r in rows] == [
+        [str(p), "True", "True", "True" if p <= 12 else "", "True" if p <= 8 else "", str(p - 1)]
+        for p in range(7, 14)
+    ]
+
+
+def test_spectral_builds_the_float_O_once_per_row(monkeypatch, capsys):
+    # the eigenvalues and the perturbation bound share one dense float O
+    calls = []
+    centered_floats = spectral._centered_floats
+
+    def counted(p):
+        calls.append(p)
+        return centered_floats(p)
+
+    monkeypatch.setattr(spectral, "_centered_floats", counted)
+    rc, _, _ = run_cli(capsys, "spectral", "--p-min", "2", "--p-max", "6")
     assert rc == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("p,")
-    assert len(lines) == 3
+    assert calls == [2, 3, 4, 5, 6]
 
 
 def test_spectral_charpoly_ranges_are_pinned(capsys):
@@ -614,6 +642,27 @@ def test_a_refused_plot_path_leaves_the_output_file_untouched(tmp_path, capsys):
     assert kept.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("plot", ["P", "./P", "absolute"])
+def test_one_file_for_the_document_and_the_plot_data_exits_2(
+    tmp_path, capsys, monkeypatch, plot
+):
+    # the document would overwrite the plot data, so the scan must not start
+    def no_work(*args, **kwargs):
+        raise AssertionError("the scan started with both outputs on one file")
+
+    monkeypatch.setattr(analyzer, "scan_rows", no_work)
+    monkeypatch.chdir(tmp_path)
+    plot = str(tmp_path / "P") if plot == "absolute" else plot
+    rc, out, err = run_cli(
+        capsys,
+        "scan", "--p", "2", "--n-max", "50", "--stride", "5",
+        "--output", "P", "--emit-plot-data", plot,
+    )
+    assert (rc, out) == (2, "")
+    assert err == f"error: --output and --emit-plot-data name one file: {plot}\n"
+    assert not (tmp_path / "P").exists()
+
+
 def test_output_to_dev_null_is_accepted(capsys):
     # /dev/null is tested as the file it is, not by its directory
     argv = ["stabilize", "--p", "2", "--n", "5", "--output", os.devnull]
@@ -730,3 +779,30 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_spans_every_certificate_of_each_spectral_row():
+    # spectral.certify reaches each traced name through the module, so the
+    # tracer's per-layer spectral metrics see every row
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import collections, json, os, sys\n"
+        f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'benchmarks')!r}]\n"
+        "import tracing\n"
+        "from kspm import cli\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer)\n"
+        "argv = ['spectral', '--p-min', '2', '--p-max', '9', '--output', os.devnull]\n"
+        "assert cli.main(argv) == 0\n"
+        "print(json.dumps(collections.Counter(span[0] for span in tracer.spans)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(proc.stdout)
+    rows = 8  # p = 2..9
+    for name in ("bezout", "roots", "eigvals", "perturbation_bound"):
+        assert spans[f"spectral.{name}"] == rows, name
+    # averaging at p = 2..9 and the window at p = 2..8
+    assert spans["spectral.charpoly"] == 15

@@ -1,6 +1,7 @@
 """Exact linear algebra, characteristic polynomials, root finding, contraction."""
 
 import cmath
+import math
 import operator
 import tracemalloc
 from fractions import Fraction
@@ -254,44 +255,47 @@ def test_averaging_kick_layout():
 
 
 def test_roots_p1_none():
-    rs = spectral.roots_R(1)  # poly_R(1) is the constant 1
-    assert rs.roots == ()
-    assert rs.max_modulus == 0.0
+    assert spectral.roots_R(1) == ()  # poly_R(1) is the constant 1
+    row = spectral.certify(1, 1e-9)
+    assert (row["root_count"], row["max_root_modulus"], row["max_residual"]) == (0, 0.0, 0.0)
+    assert row["min_separation"] == math.inf
 
 
 def test_roots_p2_closed_form():
-    rs = spectral.roots_R(2)
-    assert len(rs.roots) == 1
-    assert abs(rs.roots[0] - (-0.5)) < 1e-14
-    assert rs.max_modulus == pytest.approx(0.5, abs=1e-14)
+    roots = spectral.roots_R(2)
+    assert len(roots) == 1
+    assert abs(roots[0] - (-0.5)) < 1e-14
+    assert spectral.certify(2, 1e-9)["max_root_modulus"] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_roots_p3_closed_form():
     # roots of x^2 + (2/3)x + 1/3: (-1 ± i*sqrt(2)) / 3
-    rs = spectral.roots_R(3)
+    roots = spectral.roots_R(3)
     want = sorted([complex(-1, -(2**0.5)) / 3, complex(-1, 2**0.5) / 3], key=lambda z: z.imag)
-    got = sorted(rs.roots, key=lambda z: z.imag)
+    got = sorted(roots, key=lambda z: z.imag)
     for g, w in zip(got, want):
         assert abs(g - w) < 1e-12
-    assert rs.max_modulus == pytest.approx(1 / 3**0.5, abs=1e-12)
+    modulus = spectral.certify(3, 1e-9)["max_root_modulus"]
+    assert modulus == pytest.approx(1 / 3**0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", list(range(2, 31)))
 def test_roots_match_numpy_and_stay_inside_disc(p):
     """``roots_R`` uses ``numpy.roots``; sympy's ``nroots`` is the reference."""
-    rs = spectral.roots_R(p)
+    roots = spectral.roots_R(p)
     ref = sym_poly(spectral.poly_R(p)).nroots()
-    assert spectral.pair_distance(rs.roots, [complex(z) for z in ref]) < 1e-8
-    assert rs.max_modulus <= (p - 1) / p + 1e-9
-    assert max(rs.residuals) < 1e-9
+    assert spectral.pair_distance(roots, [complex(z) for z in ref]) < 1e-8
+    row = spectral.certify(p, 1e-9)
+    assert row["max_root_modulus"] <= (p - 1) / p + 1e-9
+    assert row["max_residual"] < 1e-9
     if p > 2:
-        assert rs.min_separation > 1e-8
+        assert row["min_separation"] > 1e-8
 
 
 @pytest.mark.parametrize("p", [2, 5, 12, 30])
 def test_eigvals_of_centered_matrix(p):
-    eig = spectral.eigvals_O(p)
-    want = [0j] + list(spectral.roots_R(p).roots)
+    eig = spectral.eigvals_O(spectral._centered_floats(p)[0])
+    want = [0j] + list(spectral.roots_R(p))
     assert spectral.pair_distance(eig, want) < 1e-8
 
 
@@ -299,9 +303,10 @@ def test_eigvals_of_centered_matrix(p):
 def test_eigenvalues_and_roots_come_in_one_order(p):
     # pair_distance matches greedily in the order of its first argument,
     # so both sets must come sorted by the same key
-    eig = spectral.eigvals_O(p)
-    roots = spectral.roots_R(p).roots
+    eig = spectral.eigvals_O(spectral._centered_floats(p)[0])
+    roots = spectral.roots_R(p)
     assert type(eig) is tuple and len(eig) == p
+    assert type(roots) is tuple and len(roots) == p - 1
     for zs in (eig, roots):
         assert zs == spectral._sorted_roots(reversed(zs))
 
@@ -342,14 +347,16 @@ def test_pair_distance_greedy():
 def test_perturbation_bound_respects_term_cap(monkeypatch):
     monkeypatch.setattr(spectral, "_SERIES_CAP", 1)
     with pytest.raises(NoConvergence):
-        spectral.perturbation_bound(4)
+        spectral.perturbation_bound(*spectral._centered_floats(4))
 
 
 def test_perturbation_bound_small_p():
-    assert spectral.perturbation_bound(1) == 0.0
-    b2 = spectral.perturbation_bound(2)
-    assert abs(b2 - 1.0) < 1e-12  # 1/2 + 1/4 + 1/8 + ... exactly
-    assert spectral.perturbation_bound(3) < 10
+    def bound(p):
+        return spectral.perturbation_bound(*spectral._centered_floats(p))
+
+    assert bound(1) == 0.0
+    assert abs(bound(2) - 1.0) < 1e-12  # 1/2 + 1/4 + 1/8 + ... exactly
+    assert bound(3) < 10
 
 
 def test_operator_norm_can_exceed_one():
