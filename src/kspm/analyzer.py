@@ -21,12 +21,14 @@ from dataclasses import dataclass
 from itertools import chain, islice, pairwise, repeat
 from math import inf, log2
 
-from .errors import InsufficientData, NonIntegral, RecurrenceMismatch
+from .errors import CapacityError, InsufficientData, NonIntegral, RecurrenceMismatch
 from .model import check_grains, check_p, trimmed
-from .stabilizer import IncrementalStabilizer
+from .stabilizer import IncrementalStabilizer, check_work
 
 WAVE = "wave"
 ZERO = "zero"
+#: Most samples one scan takes; each keeps a row dict of about 0.3 KB.
+MAX_SAMPLES = 2**21
 
 
 def support(slopes) -> int:
@@ -298,7 +300,9 @@ def scan_rows(
     which firing's abelian property makes the same fixed point, and
     leave ``density_column`` as ``None``.  One :class:`WaveTracker`
     follows the pile; the last sample is checked again over the whole
-    width, and a difference raises :class:`RecurrenceMismatch`.
+    width, and a difference raises :class:`RecurrenceMismatch`.  A scan
+    of more than ``MAX_SAMPLES`` samples raises :class:`CapacityError`
+    before its pile is built, after the pile's own firing preflight.
     """
     check_p(p)
     # a range is already sorted and distinct; left lazy, its largest sample
@@ -309,6 +313,13 @@ def scan_rows(
         targets = sorted(set(n_values))
     if not targets:
         raise ValueError("no grain counts to scan")
+    # the firing preflight the pile repeats answers first; the pile can take
+    # MAX_COLUMNS columns, so the sample count is refused before it is built
+    check_work(p, check_grains(targets[-1]))
+    if len(targets) > MAX_SAMPLES:
+        raise CapacityError(
+            f"{len(targets)} samples exceed the {MAX_SAMPLES}-sample limit of one scan"
+        )
     inc = IncrementalStabilizer(p, expect=targets[-1], track_density=incremental)
     step = inc.advance_to if incremental else inc.jump_to
     tracker = WaveTracker(p)

@@ -13,7 +13,9 @@ violation.
 Output is JSON (default) or CSV, written to stdout or ``--output``.
 A JSON document is ``{"meta": {"tool", "version", "command", "config"},
 "result"}``, where ``config`` holds every parsed argument except
-``--format``, ``--output`` and ``--emit-plot-data``.  CSV writes
+``--format``, ``--output`` and ``--emit-plot-data``; its text is
+``json.dumps(doc, indent=2)`` byte for byte, written through the C
+encoder by ``_json``.  CSV writes
 ``stabilize`` and ``avalanche`` results as ``field,value`` rows (a list
 space-separated), ``scan`` rows followed by one ``# fit`` line per fit,
 ``spectral`` rows and ``verify`` checks.  Documents are byte-stable
@@ -73,6 +75,90 @@ def _check_writable(path: str) -> None:
 # argparse bookkeeping and output settings; every other parsed argument is config
 _NOT_CONFIG = ("command", "func", "format", "output", "emit_plot_data")
 
+# CPython runs its C encoder only without ``indent``, so scalars go through these.
+# With ``ensure_ascii`` every string escapes its control characters, so the raw
+# newline between the items of ``_encode_items`` cannot occur inside one.
+_encode = json.JSONEncoder().encode
+_encode_items = json.JSONEncoder(separators=("\n", ": ")).encode
+
+
+def _key(k) -> str:
+    """A dict key as ``json.dumps`` writes it; any other key than a string as
+    the string of its JSON text."""
+    if not isinstance(k, str):
+        if not (k is None or isinstance(k, (int, float))):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(k).__name__}"
+            )
+        k = _encode(k)
+    return _encode(k)
+
+
+def _scalar_texts(values):
+    """Each value's JSON text, or None if one is a dict, list or tuple.
+
+    Exact ints are their own text under ``str`` and ``%s`` and come back as
+    they are, which halves the writer's time on scan rows; any other values
+    are one C encoder call, split at its items.
+    """
+    if all(type(v) is int for v in values):
+        return values
+    if any(isinstance(v, (dict, list, tuple)) for v in values):
+        return None
+    return _encode_items(values)[1:-1].split("\n")
+
+
+def _rows(rows, indent: str):
+    """Each row's JSON text through one ``%`` template, or None.
+
+    None unless every row is a dict with the first row's string keys in the
+    same order and no dict, list or tuple value, and None where a value
+    cannot be encoded: the columns meet it in another order than
+    ``json.dumps``, so the rows are left to the recursive path, which raises
+    its error.  ``indent`` is the newline and indentation of the rows' braces.
+    """
+    keys = tuple(rows[0]) if isinstance(rows[0], dict) else ()
+    if not (keys and all(isinstance(k, str) for k in keys)):
+        return None
+    # compare key tuples: ``keys() ==`` ignores the order
+    if not all(isinstance(r, dict) and tuple(r) == keys for r in rows):
+        return None
+    try:
+        columns = [_scalar_texts(c) for c in zip(*[r.values() for r in rows])]
+    except TypeError:
+        return None
+    if any(c is None for c in columns):
+        return None
+    inner = indent + "  "
+    fields = ("," + inner).join(_encode(k).replace("%", "%%") + ": %s" for k in keys)
+    template = "{" + inner + fields + indent + "}"
+    return [template % row for row in zip(*columns)]
+
+
+def _json(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, raising where it raises.
+
+    ``indent`` is the newline and indentation of ``obj``'s closing bracket.  A
+    list of scalars is written in one encoder call, a list of flat dicts that
+    share their keys through one template, and anything else recursively.  A
+    document that contains itself ends in ``RecursionError``, not ``ValueError``.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [_key(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if not isinstance(obj, (list, tuple)):
+        return _encode(obj)
+    if not obj:
+        return "[]"
+    inner = indent + "  "
+    texts = _scalar_texts(obj)
+    if texts is None:
+        texts = _rows(obj, inner) or [_json(v, inner) for v in obj]
+    return "[" + inner + ("," + inner).join(map(str, texts)) + indent + "]"
+
 
 def _emit(args, result: dict, records=None, trailer: str = "") -> None:
     """Write the document to ``--output`` or stdout.
@@ -85,7 +171,7 @@ def _emit(args, result: dict, records=None, trailer: str = "") -> None:
     if args.format == "json":
         meta = {"tool": "kspm", "version": __version__, "command": args.command}
         meta["config"] = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
-        text = json.dumps({"meta": meta, "result": result}, indent=2) + "\n"
+        text = _json({"meta": meta, "result": result}) + "\n"
     else:
         if records is None:
             records = [

@@ -262,6 +262,27 @@ def test_plateau_audit_checks_the_firing_limit_before_allocating():
     assert peak < 2**20
 
 
+def test_scan_refuses_too_many_samples_before_building_its_pile(monkeypatch):
+    # p = 2 up to N = 1e8 passes the firing limit; its 1e8 rows would take about 27 GB
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pile was built")
+
+    monkeypatch.setattr(analyzer, "IncrementalStabilizer", refuse)
+    tracemalloc.start()
+    try:
+        for targets in (range(1, 10**8 + 1), range(analyzer.MAX_SAMPLES + 1)):
+            with pytest.raises(CapacityError, match="sample limit"):
+                analyzer.scan_rows(2, targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the pile alone for N = 1e8 is two lists of about 30,000 columns, 480 KB
+    assert peak < 2**16
+    # the limit itself is admitted, up to the pile
+    with pytest.raises(AssertionError, match="pile was built"):
+        analyzer.scan_rows(2, range(1, analyzer.MAX_SAMPLES + 1))
+
+
 # ---------------------------------------------------------- zero movement
 
 

@@ -6,12 +6,16 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLDEN_P2_N24_SHOT, GOLDEN_P2_N24_SLOPES
 import kspm
@@ -213,6 +217,102 @@ def test_documents_are_pinned(capsys, golden):
     rc, out, err = run_cli(capsys, *PINNED_DOCUMENTS[golden].split())
     assert (rc, err) == (0, "")
     assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+# ------------------------------------------------------------ JSON writer
+
+
+def assert_writes_like_json_dumps(obj):
+    """``cli._json`` writes ``json.dumps(obj, indent=2)``, or raises its error."""
+    try:
+        want = json.dumps(obj, indent=2)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            cli._json(obj)
+    else:
+        assert cli._json(obj) == want
+
+
+@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_json_writer_matches_json_dumps_on_every_pinned_document(golden):
+    doc = json.loads((GOLDEN / golden).read_text(encoding="utf-8"))
+    assert cli._json(doc) == json.dumps(doc, indent=2)
+
+
+# non-ASCII, quote, backslash, control characters and % (the row template's own)
+TEXT = st.text(max_size=5) | st.sampled_from(
+    ['"', "\\", "\n\t\x00\x1f", "%", "%s", "%(a)d", "é€😀"]
+)
+SCALARS = (
+    st.integers(-(2**70), 2**70)
+    | st.booleans()
+    | st.none()
+    | st.floats()
+    | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e16])
+    | TEXT
+)
+KEYS = TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+
+
+@st.composite
+def row_lists(draw):
+    """Flat dicts sharing their keys, with ints mixed with bools and None in a column."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    column = st.sampled_from([st.integers(), st.integers() | st.booleans() | st.none(), SCALARS])
+    values = [draw(column) for _ in keys]
+    return [{k: draw(v) for k, v in zip(keys, values)} for _ in range(draw(st.integers(1, 4)))]
+
+
+DOCUMENTS = st.recursive(
+    SCALARS | row_lists(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DOCUMENTS)
+def test_json_writer_matches_json_dumps_on_generated_documents(doc):
+    assert_writes_like_json_dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        # the same keys in another order, and a subset in the same order
+        [{"a": 1, "b": 2}, {"b": 3, "a": 4}],
+        [{"a": 1, "b": 2}, {"a": 3}],
+        # a bool and None in an otherwise int column
+        [{"n": 1, "b": None}, {"n": True, "b": 2}],
+        # a row holding a list or a dict, and an empty row
+        [{"a": 1, "b": [1, 2]}, {"a": 2, "b": 3}],
+        [{"a": 1, "b": 2}, {"a": 2, "b": {"c": None}}],
+        [{}, {}],
+        [{"a": 1}, 2, [3]],
+        # % in keys and values, and a tuple for a list
+        [{"%s": "%d", "a%%b": 1}, {"%s": "%", "a%%b": 2}],
+        ({"x": (1, 2.5)},),
+        # keys that are not strings, in a dict and as a row's
+        {1: 2, 2.5: [], True: {}, None: "x", math.inf: 0},
+        [{1: 2}, {1: 3}],
+        [{1: 2}, {True: 3}],
+        # int and float subclasses: %s would write np.float64(0.5) under numpy 2
+        np.float64(0.5),
+        [np.float64(0.5), np.float64(math.inf), 1],
+        [{"x": np.float64(0.5), "n": 1}, {"x": 2.0, "n": 2}],
+        [{"n": 1}, {"n": np.int64(2)}],
+        [1, np.int64(2)],
+        {"k": np.int64(2)},
+        {np.float64(1.5): 1},
+        {np.int64(1): 1},
+        {(1, 2): 3},
+        [{"s": {1, 2}}, {"s": 3}],
+        # json.dumps meets the set first, a column-wise walk the np.int64
+        [{"a": 1, "b": set()}, {"a": np.int64(1), "b": 2}],
+    ],
+)
+def test_json_writer_matches_json_dumps_on_traps(obj):
+    assert_writes_like_json_dumps(obj)
 
 
 # ------------------------------------------------------------ meta.config
@@ -697,6 +797,17 @@ def test_huge_scan_is_refused_before_its_samples_are_built():
     )
     assert proc.returncode == 3, proc.stderr
     assert "firing limit" in proc.stderr
+
+
+def test_scan_over_the_sample_limit_exits_3_before_its_first_sample(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pile was built")
+
+    monkeypatch.setattr(analyzer, "IncrementalStabilizer", refuse)
+    argv = ["scan", "--p", "2", "--n-max", str(10**8), "--stride", "1"]
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (3, "")
+    assert err == f"resource limit: 100000000 samples exceed the {2**21}-sample limit of one scan\n"
 
 
 def test_huge_avalanche_index_is_refused_with_exit_3(capsys):
