@@ -37,7 +37,13 @@ from math import isfinite, log2, sqrt
 from . import __version__, analyzer, dds, spectral
 from .errors import CapacityError, Divergence, KSPMError, NonIntegral, RecurrenceMismatch
 from .model import grain_count, heights_from_slopes
-from .stabilizer import IncrementalStabilizer, check_matrix, holes, stabilize
+from .stabilizer import (
+    MAX_MATRIX_WORK,
+    IncrementalStabilizer,
+    check_matrix,
+    holes,
+    stabilize,
+)
 
 
 class _Unwritable(Exception):
@@ -269,8 +275,17 @@ def _write_plot_data(path: str, rows) -> None:
 
 
 def cmd_spectral(args) -> int:
-    # every row builds p-by-p matrices; refuse the largest before any row
+    # every row builds p-by-p matrices; refuse the largest, then a range
+    # whose rows together cost too much, before any row
     check_matrix(args.p_max)
+    # sum of p**3 over the range, as (k (k + 1) / 2)**2 sums it over 1..k
+    hi, lo = args.p_max, args.p_min - 1
+    work = (hi * (hi + 1) // 2) ** 2 - (lo * (lo + 1) // 2) ** 2
+    if work > MAX_MATRIX_WORK:
+        raise CapacityError(
+            f"p={args.p_min}..{args.p_max} needs about {work} steps of p-by-p "
+            f"matrix work, over the {MAX_MATRIX_WORK} limit"
+        )
     rows = [spectral.certify(p, args.tol) for p in range(args.p_min, args.p_max + 1)]
     _emit(args, {"ok": all(r["ok"] for r in rows), "rows": rows}, rows)
     return _exit_code(rows, "p", "spectral gate failed at p=", 4)

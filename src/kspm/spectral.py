@@ -296,7 +296,7 @@ def pair_distance(xs: Sequence[complex], ys: Sequence[complex]) -> float:
     return worst
 
 
-#: Terms of the perturbation series computed per numpy call.
+#: Terms of the perturbation series, one gemv each, between two checks of the stop.
 _SERIES_BLOCK = 64
 #: A term below this fraction of the running sum (or of 1) ends the series.
 _SERIES_TOL = 1e-15
@@ -309,16 +309,22 @@ def perturbation_bound(o: np.ndarray, v: np.ndarray) -> float:
 
     ``o`` and ``v`` come from :func:`_centered_floats`.  The matrix's own
     infinity norm may exceed 1, so the bound is taken over powers, which
-    decay at the spectral radius ``<= (p-1)/p``.
+    decay at the spectral radius ``<= (p-1)/p``.  Each term is one gemv of
+    ``o`` on the term before it, so the sum is the plain ``v = o @ v``
+    series bit for bit.
     """
-    # terms are taken a block of rows at a time: row i + 1 is O times row i
+    # terms are taken a block of rows at a time: row i + 1 is O times row i,
+    # one gemv written in place through views made once per call
     rows = np.empty((_SERIES_BLOCK + 1, v.size))
     rows[0] = v
+    views = tuple(rows)
+    steps = tuple(zip(views, views[1:]))
+    dot = o.dot
     total = 0.0
     for start in range(0, _SERIES_CAP, _SERIES_BLOCK):
         n = min(_SERIES_BLOCK, _SERIES_CAP - start)
-        for i in range(n):
-            np.matmul(o, rows[i], out=rows[i + 1])
+        for x, y in steps[:n]:
+            dot(x, y)
         for t in np.abs(rows[:n]).max(axis=1).tolist():
             total += t
             if t < _SERIES_TOL * max(1.0, total):

@@ -6,13 +6,15 @@ Hessenberg recurrence.  The change-of-basis and centering builders
 rebuild the window advance and the centered contraction from their
 product definitions, against which the library's closed forms are
 checked.  An entrywise closed form of the scaled centered contraction
-checks the matrix that the library reads off its ``O(p)`` step.
+checks the matrix that the library reads off its ``O(p)`` step.  The
+perturbation series is summed one plain ``o @ v`` term at a time.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
+from kspm.errors import NoConvergence
 from kspm.model import check_p
 from kspm.spectral import ExactMatrix, shot_step_matrix
 
@@ -103,3 +105,20 @@ def mean_centering(p: int) -> ExactMatrix:
     return ExactMatrix(
         [[(i == j) - Fraction(1, p) for j in range(p)] for i in range(p)]
     )
+
+
+def perturbation_series(o: np.ndarray, v: np.ndarray, tol: float, cap: int) -> tuple[float, int]:
+    """``sum_j ||o^j v||_inf`` and its number of terms, one term at a time.
+
+    Each term is ``v = o @ v`` on the previous one, and a term below
+    ``tol * max(1, total)`` is the last one summed.  More than ``cap``
+    terms raise :class:`NoConvergence`.
+    """
+    total = 0.0
+    for terms in range(1, cap + 1):
+        t = float(np.abs(v).max())
+        total += t
+        if t < tol * max(1.0, total):
+            return total, terms
+        v = o @ v
+    raise NoConvergence("perturbation series did not converge")

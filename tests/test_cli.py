@@ -857,6 +857,41 @@ def test_spectral_side_refuses_cubic_matrix_work_with_exit_3(capsys, argv):
     assert time.perf_counter() - start < 1
 
 
+def test_spectral_refuses_a_range_too_long_to_finish_before_any_row(monkeypatch, capsys):
+    # each row fits the limit, but 1..1000 together would run for about 40 minutes
+    def refuse(*args):
+        raise AssertionError("a spectral row was computed")
+
+    monkeypatch.setattr(spectral, "certify", refuse)
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "spectral", "--p-min", "1", "--p-max", "1000")
+    assert (rc, out) == (3, "")
+    assert err == (
+        "resource limit: p=1..1000 needs about 250500250000 steps of p-by-p "
+        "matrix work, over the 1000000000 limit\n"
+    )
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "p_min,p_max,rc",
+    [(1, 30, 0), (2, 30, 0), (1000, 1000, 0), (1, 250, 0), (1, 251, 3)],
+)
+def test_spectral_range_limit_sums_p_cubed(monkeypatch, capsys, p_min, p_max, rc):
+    # 1..250 sums 984,390,625 steps of p**3, 1..251 sums 1,000,203,876, and
+    # 1000..1000 is the limit itself; certify stands in for the rows
+    seen = []
+
+    def certify(p, tol):
+        seen.append(p)
+        return {"p": p, "ok": True}
+
+    monkeypatch.setattr(spectral, "certify", certify)
+    argv = ["spectral", "--p-min", str(p_min), "--p-max", str(p_max), "--output", os.devnull]
+    assert run_cli(capsys, *argv)[0] == rc
+    assert seen == (list(range(p_min, p_max + 1)) if rc == 0 else [])
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -350,6 +350,32 @@ def test_perturbation_bound_respects_term_cap(monkeypatch):
         spectral.perturbation_bound(*spectral._centered_floats(4))
 
 
+def series(p: int) -> tuple[float, int]:
+    return oracle.perturbation_series(
+        *spectral._centered_floats(p), spectral._SERIES_TOL, spectral._SERIES_CAP
+    )
+
+
+@pytest.mark.parametrize("p", [*range(1, 41), 100, 300])
+def test_perturbation_bound_is_the_plain_series_bit_for_bit(p):
+    # every term the same gemv of the same float O, summed in the same order
+    bound = spectral.perturbation_bound(*spectral._centered_floats(p))
+    assert bound.hex() == series(p)[0].hex()
+
+
+@pytest.mark.parametrize("p,terms", [(2, 50), (30, 444)])
+def test_perturbation_bound_cap_counts_terms_across_blocks(monkeypatch, p, terms):
+    # 50 terms end inside the first block of 64, 444 = 6 * 64 + 60 inside the seventh
+    o, v = spectral._centered_floats(p)
+    uncapped = spectral.perturbation_bound(o, v)
+    assert series(p) == (uncapped, terms)
+    monkeypatch.setattr(spectral, "_SERIES_CAP", terms)
+    assert spectral.perturbation_bound(o, v) == uncapped
+    monkeypatch.setattr(spectral, "_SERIES_CAP", terms - 1)
+    with pytest.raises(NoConvergence):
+        spectral.perturbation_bound(o, v)
+
+
 def test_perturbation_bound_small_p():
     def bound(p):
         return spectral.perturbation_bound(*spectral._centered_floats(p))
