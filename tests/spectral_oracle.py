@@ -107,7 +107,9 @@ def mean_centering(p: int) -> ExactMatrix:
     )
 
 
-def perturbation_series(o: np.ndarray, v: np.ndarray, tol: float, cap: int) -> tuple[float, int]:
+def perturbation_series(
+    o: np.ndarray, v: np.ndarray, tol: float, cap: int
+) -> tuple[float, int]:
     """``sum_j ||o^j v||_inf`` and its number of terms, one term at a time.
 
     Each term is ``v = o @ v`` on the previous one, and a term below
