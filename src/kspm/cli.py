@@ -485,6 +485,9 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         parser.error("--n-max must be at least 1")
     if getattr(args, "stride", 1) < 1:
         parser.error("--stride must be at least 1")
+    if getattr(args, "seed", 0) < 0:
+        # random.Random(-s) draws what random.Random(s) draws
+        parser.error("--seed must be non-negative")
     if getattr(args, "k", 1) < 1:
         parser.error("--k must be at least 1")
     if getattr(args, "p_min", 2) < 1:

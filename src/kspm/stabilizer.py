@@ -9,8 +9,9 @@ Four ways to reach the unique fixed point of ``N`` grains:
 * ``leftmost`` -- always fire the smallest fireable column, found by a
   pointer that walks left only onto a column the last firing pushed
   over the threshold.
-* ``random`` -- fire a uniformly random fireable column, driven by a
-  seeded Mersenne Twister so runs are reproducible.
+* ``random`` -- draw a uniformly random column over ``p`` and topple it
+  to stability, firing it ``slope // (p+1)`` times at once.  The draws
+  come from a seeded Mersenne Twister, so runs are reproducible.
 * ``incremental`` -- add one grain at a time and settle each avalanche
   with the leftmost rule.  Only a grain that tips column 0 costs a
   settle; the grains before it fire nothing and are added together.
@@ -265,6 +266,17 @@ def _run_batch(p: int, n: int):
 
 
 def _run_random(p: int, n: int, seed: int):
+    """Topple uniformly drawn fireable columns until every column is stable.
+
+    Each step draws one column ``i`` from the list of columns over ``p``
+    with a seeded Mersenne Twister and fires it ``q = slope // (p+1)``
+    times at once: its slope drops to ``slope % (p+1)``, column ``i - 1``
+    gains ``p*q`` and column ``i + p`` gains ``q``, so ``i`` leaves the
+    list.  A firing never lowers another column's slope, so each draw is
+    a legal run of ``q`` firings of a column over ``p``, and by the least
+    action principle every such order ends on the same fixed point and
+    shot vector.
+    """
     rng = random.Random(seed)
     rnd = rng.random
     cap = _capacity(p, n)
@@ -283,18 +295,16 @@ def _run_random(p: int, n: int, seed: int):
         m = len(fireable)
         idx = int(rnd() * m)
         i = fireable[idx]
-        v0 = slopes[i] - pp1
-        slopes[i] = v0
-        shot[i] += 1
-        if v0 <= p:
-            last = fireable.pop()
-            if last != i:
-                fireable[idx] = last
-                pos[last] = idx
-            pos[i] = -1
+        q, slopes[i] = divmod(slopes[i], pp1)
+        shot[i] += q
+        last = fireable.pop()
+        if last != i:
+            fireable[idx] = last
+            pos[last] = idx
+        pos[i] = -1
         if i:
             j = i - 1
-            v = slopes[j] + p
+            v = slopes[j] + p * q
             slopes[j] = v
             if v > p and pos[j] < 0:
                 pos[j] = len(fireable)
@@ -302,7 +312,7 @@ def _run_random(p: int, n: int, seed: int):
         k = i + p
         if k >= cap:
             raise _overrun(p, n, k, cap)
-        v = slopes[k] + 1
+        v = slopes[k] + q
         slopes[k] = v
         if v > p and pos[k] < 0:
             pos[k] = len(fireable)
@@ -433,10 +443,14 @@ def stabilize(p: int, n: int, strategy: str = "batch", seed: int = 0) -> FixedPo
 
     ``strategy`` is ``"batch"``, ``"leftmost"``, ``"random"`` or
     ``"incremental"``; the resulting slopes and shot vector are
-    strategy-independent.  ``seed`` only matters for the random strategy.
+    strategy-independent.  ``seed`` only matters for the random strategy;
+    a negative one is refused, since it would draw the same numbers as its
+    absolute value.
     """
     check_p(p)
     check_grains(n)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if strategy == "batch":
         slopes, shot = _run_batch(p, n)
         return _fixed_point(p, n, slopes, shot, "batch")

@@ -696,6 +696,9 @@ def test_verify_reports_a_broken_shot_balance(monkeypatch, capsys, fmt):
         ["avalanche", "--p", "2", "--k", "0"],
         ["frobnicate"],
         [],
+        # random.Random(-7) draws seed 7's numbers, so the label would name the wrong run
+        ["stabilize", "--p", "2", "--n", "24", "--strategy", "random", "--seed", "-7"],
+        ["verify", "--p", "2", "--n", "24", "--seed", "-1"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

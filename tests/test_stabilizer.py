@@ -1,5 +1,6 @@
 """Stabilization engines against slow model-level oracles."""
 
+import random
 import subprocess
 import sys
 from functools import partial
@@ -166,16 +167,45 @@ def test_batch_agrees_with_leftmost_at_scale(p, n):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("p,n", [(2, 40000), (30, 100000), (30, 100399)])
+@pytest.mark.parametrize(
+    "p,n", [(1, 20000), (2, 40000), (3, 20000), (30, 100000), (30, 100399)]
+)
 def test_random_agrees_with_batch_at_scale(p, n, seed):
     """The random engine, which returns its lists cut just past the last
     column that could fire, ends on the batch engine's slopes and whole
-    shot vector; the cut keeps at most ``p`` columns past the last firing."""
+    shot vector; the cut keeps at most ``p`` columns past the last firing.
+    At p = 1 the left and right kicks of a toppled column are equal."""
     batch = stabilize(p, n, "batch")
     slopes, shot = stabilizer._run_random(p, n, seed)
     assert SlopeConfig(trimmed(slopes)) == batch.slopes
     assert trimmed(shot) == batch.shot
     assert len(slopes) == len(shot) <= len(batch.shot) + p
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [100000, 100100, 100399])
+def test_random_topples_each_drawn_column(monkeypatch, n, seed):
+    """Each draw fires its column to stability, so at p = 30 the engine
+    draws far fewer times than it fires."""
+    draws = 0
+
+    class Counting(random.Random):
+        def random(self):
+            nonlocal draws
+            draws += 1
+            return super().random()
+
+    monkeypatch.setattr(stabilizer.random, "Random", Counting)
+    fp = stabilize(30, n, "random", seed=seed)
+    assert fp.shot == stabilize(30, n, "batch").shot
+    assert 0 < draws <= sum(fp.shot) / 4
+
+
+def test_negative_seed_is_refused_before_allocating(monkeypatch):
+    calls = count_preflights(monkeypatch)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        stabilize(2, 24, "random", seed=-1)
+    assert calls == []
 
 
 def test_random_strategy_is_reproducible():
