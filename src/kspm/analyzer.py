@@ -56,20 +56,23 @@ class WaveDecomposition:
     interior_zero_count: int
 
 
-def _wave_chain(p: int, seq: list[int], nodes: list[int], zeros: list[int]):
+def _wave_chain(
+    p: int, seq: list[int], nodes: list[int], zeros: list[int], stop: int = 0
+):
     """Extend the backward chain of wave blocks; return its strict and loose starts.
 
     Only a 0 or a ``p`` begins a block, so every column from which the
     tail of the trimmed slopes ``seq`` parses lies on one chain of
     blocks, walked back from the support.  ``nodes`` holds the chain's
     columns from the support leftwards and ``zeros`` its zero blocks,
-    right to left; the walk resumes at ``nodes[-1]``.  The loose start
-    is where the chain ends.  Zero blocks only accumulate along it, so
-    the strict start is the node just right of its second zero.
+    right to left; the walk resumes at ``nodes[-1]`` and pauses at the
+    first node at or left of ``stop``.  The loose start is where the
+    chain ends.  Zero blocks only accumulate along it, so the strict
+    start is the node just right of its second zero.
     """
     wave = list(range(p, 0, -1))
     i = nodes[-1]
-    while i:
+    while i > stop:
         if seq[i - 1] == 0:
             i -= 1
             zeros.append(i)
@@ -177,13 +180,20 @@ class WaveTracker:
 
     ``touched`` bounds what changed since the last update: slopes only in
     ``[0, touched)`` and shots only in ``[0, touched - p)``, as the
-    pile's ``advance_to`` and ``jump_to`` return it.  The balance of
-    column ``i`` reads slope ``i``, shots ``i - p``, ``i`` and ``i + 1``,
-    and ``n`` at column 0, so only columns left of ``touched`` are checked
-    again.  The ambiguity terms, both trimmed lengths and the chain nodes
-    at or past ``touched + p`` carry over.  The ``uniform_index`` scan
-    starts at ``a_0 = n`` each time, and stops at ``touched`` when the
-    last answer lies at or past it.
+    pile's ``advance_to`` and ``jump_to`` return it.  Inside it, the
+    pile's ``quiet`` columns ``[lo, hi)`` kept their slopes, and every
+    settle fired each column of ``[lo - p, hi]`` once or not at all.  The
+    balance of column ``i`` reads slope ``i``, shots ``i - p``, ``i`` and
+    ``i + 1``, and ``n`` at column 0; it holds on wherever the three
+    shots gained the same, so only ``[0, lo)`` and ``[hi, touched)`` are
+    checked again.  The shot differences of the quiet columns hold too:
+    a last ``uniform_index`` answer in ``[lo, hi]`` stays unless a window
+    left of ``lo`` is uniform now, and one at or past ``touched`` unless
+    a window left of ``touched`` is.  The ambiguity terms, both trimmed
+    lengths and the wave chain nodes whose next step reads only quiet
+    columns or columns at or past ``touched`` carry over: once the walk
+    back from the support lands on a quiet node of the old chain, the old
+    chain goes on from there.
     """
 
     def __init__(self, p: int):
@@ -195,18 +205,48 @@ class WaveTracker:
         self._nodes: list[int] = []  # wave chain from the support leftwards
         self._zeros: list[int] = []  # its zero blocks, right to left
 
+    def _balance(self, n: int, slopes: list, shot: list, lo: int, hi: int) -> list:
+        """Check the balance of columns ``[lo, hi)`` and return their flags."""
+        p = self.p
+        b = slopes[lo:hi]
+        a = shot[lo : hi + 1]
+        if lo >= p:
+            back = shot[lo - p : hi - p]
+        else:
+            back = ([n] + [0] * (p - 1))[lo:hi] + shot[: max(hi - p, 0)]
+        if len(b) < hi - lo or len(a) <= hi - lo:
+            # the lists end early; every column past them holds 0
+            b += [0] * (hi - lo - len(b))
+            back += [0] * (hi - lo - len(back))
+            a += [0] * (hi + 1 - lo - len(a))
+        pp1 = p + 1
+        balance = [x - pp1 * y + p * z for x, y, z in zip(back, a, a[1:])]
+        if balance != b:
+            i = next(i for i, (u, v) in enumerate(zip(balance, b), lo) if u != v)
+            raise NonIntegral(f"shot vector breaks the mass balance at column {i}")
+        # the balance makes shot[i - p] - shot[i] congruent to b[i] mod p
+        return [v % p == 0 for v in b]
+
     def update(
-        self, n: int, slopes: list, shot: list, touched: int | None = None
+        self,
+        n: int,
+        slopes: list,
+        shot: list,
+        touched: int | None = None,
+        quiet: tuple[int, int] | None = None,
     ) -> RowStatistics:
         """Statistics of ``n`` grains on these lists, changed only inside ``touched``.
 
         The first update, or one without ``touched``, covers the whole
-        width.  Raises :class:`NonIntegral` when the balance fails or the
-        slopes run past the closing window, and leaves the tracker as it was.
+        width; one without ``quiet`` checks all of ``touched`` again.
+        Raises :class:`NonIntegral` when the balance fails or the slopes
+        run past the closing window, and leaves the tracker as it was.
         """
         p = self.p
         if touched is None or not self._steps:
             touched = max(len(slopes), len(shot) + p + 1)
+            quiet = None
+        lo, hi = quiet or (touched, touched)
         w, m = self._width, self._shots
         if w <= touched:
             w = min(touched, len(slopes))
@@ -221,49 +261,65 @@ class WaveTracker:
             raise NonIntegral(
                 f"shot window closes at column {steps} but slopes run to column {w - 1}"
             )
-        # columns [0, hi) may have changed; the shots grow only inside them,
-        # so a new ``steps`` comes with hi == steps
-        hi = min(touched, steps)
-        b = slopes[:hi]
-        b += [0] * (hi - len(b))
-        a = shot[: hi + 1]
-        a += [0] * (hi + 1 - len(a))
-        back = [n] + [0] * (p - 1) + a[: max(hi - p, 0)]
-        pp1 = p + 1
-        for i, (x, y, z, v) in enumerate(zip(back, a, a[1:], b)):
-            if x - pp1 * y + p * z != v:
-                raise NonIntegral(f"shot vector breaks the mass balance at column {i}")
-        # the balance makes shot[i - p] - shot[i] congruent to b[i] mod p
-        flags = [v % p == 0 for v in b]
-        if hi == steps:
-            self._ambiguous = sum(flags)
-            self._flags = flags
-        else:
-            self._ambiguous += sum(flags) - sum(self._flags[:hi])
-            self._flags[:hi] = flags
+        # columns [0, head) and [tail, end) may have changed; the shots grow
+        # only inside ``touched``, so the columns new to [0, steps) lie in them
+        flags = self._flags
+        head = min(lo, steps)
+        tail = max(min(hi, len(flags)), head)
+        end = min(touched, steps)
+        head_flags = self._balance(n, slopes, shot, 0, head)
+        tail_flags = self._balance(n, slopes, shot, tail, end) if tail < end else []
+        self._ambiguous += (
+            sum(head_flags) - sum(flags[:head]) + sum(tail_flags) - sum(flags[tail:end])
+        )
+        flags[:head] = head_flags
+        flags[tail:end] = tail_flags
         # window i is uniform when its p differences, d[i .. i+p-1], are equal;
-        # the closing window is all zero, so one is always found.  Windows
-        # from ``touched`` on read no changed shot: when the last answer lies
-        # there, only a window left of ``touched`` can replace it
+        # the closing window is all zero, so one is always found.  Only the
+        # windows left of ``limit - p`` can replace an answer that still holds
         uniform = self._uniform
-        limit = touched + p - 1 if uniform >= touched else None
+        if lo <= uniform <= hi:
+            limit = lo + p - 1
+        elif uniform >= touched:
+            limit = touched + p - 1
+        else:
+            limit = None
         run = 0
         prev = None
-        padded = chain((n,), repeat(0, p - 1), shot, repeat(0, pp1))
+        padded = chain((n,), repeat(0, p - 1), shot, repeat(0, p + 1))
         for k, (x, y) in enumerate(islice(pairwise(padded), limit), 1 - p):
             run = run + 1 if y - x == prev else 1
             prev = y - x
             if run == p:
                 uniform = k
                 break
-        # a chain node's next step reads the p slopes left of it
+        # a chain node's next step reads the p slopes left of it, so the nodes
+        # at or past touched + p, and the quiet ones in [lo + p, hi], step as before
         nodes, zeros = self._nodes, self._zeros
+        middle = []  # the quiet nodes, left to right
         while nodes and nodes[-1] < touched + p:
-            nodes.pop()
+            x = nodes.pop()
+            if lo + p <= x <= hi:
+                middle.append(x)
+        quiet_zeros = []
         while zeros and zeros[-1] < touched + p:
-            zeros.pop()
+            z = zeros.pop()
+            if lo + p <= z < hi:
+                quiet_zeros.append(z)
         if not nodes:
             nodes.append(w)
+        while middle:
+            _wave_chain(p, slopes, nodes, zeros, middle[-1])
+            i = nodes[-1]
+            if i > middle[-1]:
+                break  # the chain ended right of the quiet nodes
+            while middle and middle[-1] > i:
+                middle.pop()
+            if middle and middle[-1] == i:
+                middle.pop()
+                nodes += reversed(middle)
+                zeros += [z for z in reversed(quiet_zeros) if z < i]
+                break
         strict, loose = _wave_chain(p, slopes, nodes, zeros)
         self._width, self._shots, self._steps = w, m, steps
         self._uniform = uniform
@@ -327,7 +383,7 @@ def scan_rows(
     for n in targets:
         t0 = time.perf_counter() if timing else 0.0
         touched = step(n)
-        stats = tracker.update(n, inc.slopes, inc.shot, touched)
+        stats = tracker.update(n, inc.slopes, inc.shot, touched, inc.quiet)
         rows.append(
             {
                 "N": n,

@@ -15,23 +15,32 @@ Four ways to reach the unique fixed point of ``N`` grains:
 * ``incremental`` -- add one grain at a time and settle each avalanche
   with the leftmost rule.  Only a grain that tips column 0 costs a
   settle; the grains before it fire nothing and are added together.
-  Each step returns the prefix of columns its settles touched, which
-  is all :class:`kspm.analyzer.WaveTracker` reads again.
+  A one-grain avalanche fires no column twice and, past a short
+  prefix, runs along the wave tail's slope-``p`` columns, firing each
+  column once (Perrot and Remila, "Kadanoff sand pile model. Avalanche
+  structure and wave shape", Theor. Comput. Sci. 504, 2013).  So the
+  walk stops where that regular block begins and jumps it: it finds
+  the block's last column ``M`` by one comparison per ``p`` columns,
+  and applies the firings at the block's ends alone.  Each step returns
+  the extent of columns its settles touched, and the pile's ``quiet``
+  columns inside it, which lie between the avalanches' prefixes
+  ``[0, density_column + p)`` and their edges ``[M, M + p]``; only the
+  rest is what :class:`kspm.analyzer.WaveTracker` reads again.
 
 All engines record the shot vector (number of firings per column).  The
 fixed point itself does not depend on the strategy; the firing order
-does, and is kept only where ``advance()`` returns it.  An avalanche's
-density column comes from its shot prefix before and after the settle
-instead.  The leftmost walk stays wherever the order is the output or a
-grown pile takes a small jump, where a sweep over the whole pile costs
-more.
+does, and is kept only where ``advance()`` returns it, which walks every
+firing.  An avalanche's density column comes from the walk, which marks
+each column it fires.  The leftmost walk stays wherever the order is
+the output or a grown pile takes a small jump, where a sweep over the
+whole pile costs more.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import eq
+from operator import itemgetter
 
 from .errors import CapacityError
 from .model import SlopeConfig, check_grains, check_p, support_bound, trimmed
@@ -155,7 +164,7 @@ def holes(fired) -> tuple[int, ...]:
     return tuple(sorted(i - 1 for i in s if i > 0 and i - 1 not in s))
 
 
-def _settle(p, slopes, shot, on_fire=None):
+def _settle(p, slopes, shot, mark, serial, on_fire=None):
     """Fire the leftmost fireable column until every column is stable.
 
     Only column 0 may start above ``p``.  Every column left of the
@@ -164,27 +173,97 @@ def _settle(p, slopes, shot, on_fire=None):
     crosses ``p``, fires ``i`` again while it can, and otherwise steps
     right.  ``top`` is the rightmost column a kick pushed over ``p``, so
     the walk ends once ``i`` passes it, after O(firings + width) steps.
+    Each firing writes ``serial`` into ``mark`` at its column.
+
+    A one-grain tip (column 0 at exactly ``p + 1``, the rest stable)
+    fires no column twice: until one does, a column's neighbours
+    ``i - p`` and ``i + 1`` fired at most once and brought it at most
+    ``1 + p`` grains, at least one short of a second firing.  Without
+    ``on_fire`` such a settle walks only until it is about to fire past
+    its rightmost fired column ``c`` with every column of ``(c - p, c]``
+    fired.  Then each column of ``(c, c + p]`` holds one kick more than
+    before the avalanche, and the rest has a closed form (Perrot and
+    Remila, "Kadanoff sand pile model. Avalanche structure and wave
+    shape", Theor. Comput. Sci. 504, 2013): the avalanche fires every
+    column of ``(c, M]`` once, where ``M`` ends the chain of columns that
+    held slope ``p`` before it, each at most ``p`` right of the last.  A
+    column ``j`` inside the block loses ``p + 1`` and gets 1 from
+    ``j - p`` and ``p`` from ``j + 1``, so the jump applies the firings
+    at the ends alone: ``c`` gains ``p``, the columns of ``(c, M)`` go
+    back to their slopes before the avalanche, ``M`` drops to 0 and
+    ``(M, M + p]`` end one above theirs.
+    Firing the chain's columns left to right, each followed by the
+    columns between it and the last, is legal and ends stable, so by the
+    least action principle the walk ends there too.
 
     ``slopes``/``shot`` are plain lists sized by the support bound and
     mutated in place; a kick past their end raises ``RuntimeError``.
     ``on_fire(i)`` is called after each firing with the fired column.
-    Returns ``top``: every firing was at a column ``<= top``, so no kick
-    landed past ``top + p``.
+    Returns ``(low, top, jumped)``.  Every firing was at a column
+    ``<= top``, so no kick landed past ``top + p``.  After a one-grain
+    tip every column of ``[low, top]`` fired once, so slopes changed only
+    left of ``low + p`` and in ``[top, top + p]``; ``low`` is ``c - p + 1``
+    after a jump and ``top`` without one, and the marks extend it left to
+    the density column.  After a drop of many grains ``low`` is
+    ``top + 1``.  ``jumped`` counts the columns the jump fired, 0 without
+    one.
     """
     pp1 = p + 1
     size = len(slopes)
+    single = slopes[0] == pp1
+    jump = single and on_fire is None
     i = top = 0
+    front = -1  # the rightmost fired column
     while i <= top:
         v = slopes[i]
         if v <= p:
             i += 1
             continue
+        if i > front:
+            c = front
+            # reading one marker rejects most fronts before the window is read
+            if (
+                jump
+                and c >= p - 1
+                and mark[c - p + 1] == serial
+                and mark[c - p + 1 : c].count(serial) == p - 1
+            ):
+                base = c + p
+                m = base
+                # (c, base] holds its old slopes plus one: p + 1 where they were p
+                while slopes[m] != pp1:
+                    m -= 1
+                # past base a column holds its old slope until the chain fires;
+                # the largest hop of each step reaches furthest
+                while m + p < size:
+                    j = m + p
+                    stop = m if m > base else base
+                    while j > stop and slopes[j] != p:
+                        j -= 1
+                    if j == stop:
+                        break
+                    m = j
+                else:
+                    # the kick from m would land past the arrays: walk on to
+                    # the firing that raises
+                    jump = False
+                if jump:
+                    slopes[c] += p
+                    cut = min(m, base + 1)
+                    slopes[c + 1 : cut] = [b - 1 for b in slopes[c + 1 : cut]]
+                    slopes[m] = 0
+                    cut = max(m, base) + 1
+                    slopes[cut : m + pp1] = [b + 1 for b in slopes[cut : m + pp1]]
+                    shot[c + 1 : m + 1] = [a + 1 for a in shot[c + 1 : m + 1]]
+                    return c - p + 1, m, m - c
+            front = i
         k = i + p
         if k >= size:
             # firings conserve the grain count, the first moment of the slopes
             raise _overrun(p, sum(j * b for j, b in enumerate(slopes, 1)), k, size)
         slopes[i] = v - pp1
         shot[i] += 1
+        mark[i] = serial
         left = 0
         if i:
             left = slopes[i - 1] + p
@@ -197,7 +276,7 @@ def _settle(p, slopes, shot, on_fire=None):
             on_fire(i)
         if left > p:
             i -= 1
-    return top
+    return (top if single else top + 1), top, 0
 
 
 def _fixed_point(p: int, n: int, slopes, shot, strategy: str) -> FixedPoint:
@@ -331,6 +410,9 @@ class IncrementalStabilizer:
     ``shot`` are its live column lists, with trailing zeros, for callers
     to read between steps.  They are sized once, for ``expect`` grains,
     and a target past ``expect`` is refused before any grain is added.
+    ``jumps`` counts the settles that jumped their regular block and
+    ``jumped`` the columns those jumps fired, each updated once per jump.
+    ``quiet`` reads the columns the last step left quiet.
     """
 
     def __init__(self, p: int, expect: int, track_density: bool = False):
@@ -342,40 +424,73 @@ class IncrementalStabilizer:
         self.density_max = 0
         self.slopes = [0] * _capacity(p, expect)
         self.shot = [0] * len(self.slopes)
+        # the grain count at the settle that last fired each column
+        self._mark = [0] * len(self.slopes)
         # every column at or past ``_reach`` holds slope 0 and shot 0
         self._reach = 1
+        # settles that ended in a jump, and the columns those jumps fired
+        self.jumps = self.jumped = 0
+        self._settles: list = []  # the (pre, top) of the last step's settles
 
-    def _drop(self, k: int, on_fire=None) -> int:
+    def _drop(self, k: int, on_fire=None):
         """Add ``k`` grains to column 0 and settle the pile if column 0 tips.
 
-        Returns the touched extent: slopes changed only left of it and
-        shots only left of it minus ``p``.  ``on_fire(i)``, if given, is
-        called after each firing.  With density tracking on, the settle
-        is one avalanche: its fired columns are those whose shot count
-        rose, and the rightmost of them is ``top``, so the shot prefix
-        before and after the settle gives its density column.
+        Returns None when nothing fired, else ``(pre, top)``: slopes
+        changed only left of ``pre`` and in ``[top, top + p]``, and shots
+        only up to ``top``.  ``on_fire(i)``, if given, is called after each
+        firing.  With density tracking on, every drop tips column 0 by one
+        grain at most, so each settle is one avalanche, and its fired block
+        ends at ``top`` and runs on left as far as the walk marked columns.
         """
         p = self.p
-        slopes, shot = self.slopes, self.shot
+        slopes = self.slopes
         self.grains += k
         slopes[0] += k
         if slopes[0] <= p:
-            return 1
-        track = self.track_density
-        if track:
-            low = self.density_max
-            before = shot[low : self._reach]
-        top = _settle(p, slopes, shot, on_fire)
+            return None
+        low, top, jumped = _settle(p, slopes, self.shot, self._mark, self.grains, on_fire)
+        if jumped:
+            self.jumps += 1
+            self.jumped += jumped
         extent = top + p + 1
         if extent > self._reach:
             self._reach = extent
-        if track:
-            # columns past the old reach had never fired
-            before += [0] * (top - low - len(before))
-            # the trailing fired block starts right of the last unfired
-            # column; only one right of ``low`` can raise the maximum
-            self.density_max = low + bytes(map(eq, shot[low:top], before)).rfind(1) + 1
-        return extent
+        if self.track_density and low <= top:
+            mark, serial = self._mark, self.grains
+            while low and mark[low - 1] == serial:
+                low -= 1
+            if low > self.density_max:
+                self.density_max = low
+        return low + p, top
+
+    def _extent(self, settles: list) -> int:
+        """Keep a step's settles for :attr:`quiet`; return their touched extent."""
+        self._settles = settles
+        return max(settles, key=itemgetter(1))[1] + self.p + 1 if settles else 1
+
+    @property
+    def quiet(self) -> tuple[int, int]:
+        """Columns ``[lo, hi)`` of the last step's extent that it left quiet.
+
+        The step is the last ``advance_to`` or ``jump_to``, and each of its
+        settles' ``(pre, top)`` is as :meth:`_drop` returns it.  The quiet
+        columns lie right of every settle's prefix and outside every edge
+        ``[top, top + p]``, so no slope there changed, and every settle
+        fired all or none of ``[lo - p, hi]``, once.
+        """
+        settles = sorted(self._settles, key=itemgetter(1))
+        if not settles:
+            return 1, 1
+        p = self.p
+        lo = hi = max(settles)[0]
+        # an edge that reaches the prefix joins it; the next one ends the quiet columns
+        for _, top in settles:
+            if top >= lo:
+                hi = top
+                break
+            if top + p >= lo:
+                lo = top + p + 1
+        return lo, max(lo, hi)
 
     def _check_target(self, target: int) -> None:
         """Refuse a target below the grains already added, or past ``expect``."""
@@ -407,29 +522,33 @@ class IncrementalStabilizer:
 
         A grain that leaves column 0 at or below ``p`` fires nothing, so
         the grains up to the next one that tips column 0 are added at once.
-        Returns the touched extent of all the settles, as :meth:`_drop`.
+        Returns the touched extent of all the settles: slopes changed only
+        left of it and shots only left of it minus ``p``.  :attr:`quiet`
+        then names the columns inside it that no settle changed.
         """
         self._check_target(target)
         slopes = self.slopes
         edge = self.p + 1
-        touched = 1
+        settles = []
         while self.grains < target:
-            extent = self._drop(min(target - self.grains, edge - slopes[0]))
-            if extent > touched:
-                touched = extent
-        return touched
+            settled = self._drop(min(target - self.grains, edge - slopes[0]))
+            if settled:
+                settles.append(settled)
+        return self._extent(settles)
 
     def jump_to(self, target: int) -> int:
         """Add all ``target - grains`` grains to column 0 at once and settle them.
 
         Firing is abelian, so this reaches the same fixed point and shot
         vector as :meth:`advance_to` without replaying each avalanche.
-        Returns the touched extent, as :meth:`_drop`.
+        Returns the touched extent, as :meth:`advance_to`; a drop that tips
+        column 0 by more than one grain leaves no column quiet.
         """
         if self.track_density:
             raise ValueError("jump_to skips the avalanches density tracking needs")
         self._check_target(target)
-        return self._drop(target - self.grains) if target > self.grains else 1
+        settled = self._drop(target - self.grains) if target > self.grains else None
+        return self._extent([settled] if settled else [])
 
     def snapshot(self) -> FixedPoint:
         reach = self._reach

@@ -3,19 +3,26 @@
 ``check_plateaus_along_leftmost`` bounds the plateaus of every state a
 leftmost stabilization passes through, not just of the fixed point.
 ``climbing_zero_check`` compares the interior zeros of two consecutive
-fixed points across the avalanche between them.  ``uniform_index``
-finds the first constant difference vector by brute force, as the
-oracle for the trajectory walk.
+fixed points across the avalanche between them.  ``audit_avalanches``
+checks the structure of every one-grain avalanche of a growing pile
+(Perrot and Remila, "Kadanoff sand pile model. Avalanche structure and
+wave shape", Theor. Comput. Sci. 504, 2013), read off its slopes and
+shot vector alone, so it audits a pile settled by the jump as well as
+one settled by the plain walk.  ``uniform_index`` finds the first
+constant difference vector by brute force, as the oracle for the
+trajectory walk.
 """
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import sub
 
 from kspm.analyzer import max_plateau, parse_waves
 from kspm.model import check_grains, check_p
 from kspm.stabilizer import (
     Avalanche,
     FixedPoint,
+    IncrementalStabilizer,
     check_columns,
     check_work,
     trace_leftmost,
@@ -150,3 +157,101 @@ def climbing_zero_check(
         ok=ok,
         reason=reason,
     )
+
+
+@dataclass(frozen=True)
+class AvalancheAuditReport:
+    """Structure audit of every avalanche of a pile grown grain by grain.
+
+    ``blocks`` counts the avalanches whose trailing fired block spans at
+    least ``2p`` columns, where the edge facts apply.
+    """
+
+    p: int
+    n_grains: int
+    avalanches: int
+    blocks: int
+    ok: bool
+    first_violation_at: int | None
+    reason: str
+
+
+def fired_block(shot0, shot1) -> tuple[bytes, int, int]:
+    """Which columns fired between two shot vectors, with ``(low, top)``.
+
+    ``top`` is the rightmost column whose shot rose (-1 when none did)
+    and ``low`` the start of the trailing run of such columns, the
+    density column.
+    """
+    rose = bytes(map(bool, map(sub, shot1, shot0)))
+    top = rose.rfind(1)
+    return rose, rose.rfind(0, 0, max(top, 0)) + 1, top
+
+
+def avalanche_violation(p: int, slopes0, shot0, slopes1, shot1) -> str | None:
+    """The first avalanche-structure fact one grain's step breaks, or None.
+
+    The lists hold the same columns before and after the step, and every
+    column the step changed.  The fired columns are those whose shot
+    rose, so the facts are read off the step's result alone:
+
+    * no column fires twice;
+    * no slope in ``[density_column + p, max_fired)`` changes;
+    * in a block of at least ``2p`` columns, slope ``m = max_fired``
+      goes from ``p`` to 0, slopes ``m+1 .. m+p`` each gain 1 and slope
+      ``m + p`` was not ``p``.
+    """
+    _, low, top = fired_block(shot0, shot1)
+    if top < 0:
+        return None
+    if max(map(sub, shot1, shot0)) > 1:
+        return "a column fired twice"
+    if slopes1[low + p : top] != slopes0[low + p : top]:
+        return f"a slope in [{low + p}, {top}) changed"
+    if top - low + 1 >= 2 * p:
+        edge = slopes0[top + 1 : top + p + 1]
+        if (slopes0[top], slopes1[top]) != (p, 0):
+            return f"slope {top} went from {slopes0[top]} to {slopes1[top]}"
+        if slopes1[top + 1 : top + p + 1] != [b + 1 for b in edge]:
+            return f"the slopes right of {top} did not each gain 1"
+        if edge[-1] == p:
+            return f"slope {top + p} was {p} before the avalanche"
+    return None
+
+
+def audit_avalanches(p: int, n: int, jump: bool = False):
+    """Add ``n`` grains one at a time and audit every avalanche's structure.
+
+    The pile settles each grain with ``advance()``, the plain walk, whose
+    fired columns, density column and rightmost fired column are checked
+    against the shot vector too; with ``jump`` it settles each grain with
+    ``advance_to``, which jumps the regular block.  A grain that leaves
+    column 0 at or below ``p`` fires nothing, so only the others are read.
+    """
+    pile = IncrementalStabilizer(p, expect=n)
+    avalanches = blocks = 0
+    for k in range(1, n + 1):
+        if pile.slopes[0] < p:
+            pile.advance_to(k) if jump else pile.advance()
+            continue
+        # no column at or past the reach fires, so kicks land before reach + p
+        width = pile._reach + p
+        slopes0, shot0 = pile.slopes[:width], pile.shot[:width]
+        av = None if jump else pile.advance()
+        if jump:
+            pile.advance_to(k)
+        slopes1, shot1 = pile.slopes[:width], pile.shot[:width]
+        reason = avalanche_violation(p, slopes0, shot0, slopes1, shot1)
+        rose, low, top = fired_block(shot0, shot1)
+        if reason is None and av is not None:
+            fired = [i for i, r in enumerate(rose) if r]
+            if (sorted(av.fired), av.density_column) != (fired, low if fired else 0):
+                reason = "the firing order and the shot vector disagree"
+            elif av.max_fired != (top if fired else None):
+                reason = "the avalanche's rightmost column disagrees with its shots"
+        if reason is not None:
+            return AvalancheAuditReport(p, n, avalanches, blocks, False, k, reason)
+        if top >= 0:
+            avalanches += 1
+            blocks += top - low + 1 >= 2 * p
+    return AvalancheAuditReport(p, n, avalanches, blocks, True, None, "ok")

@@ -411,13 +411,16 @@ def test_scan_rows_both_modes_match_from_scratch(p, targets):
     assert direct == [{**r, "density_column": None} for r in want]
 
 
-def tracked_statistics(p, targets, incremental):
-    """Per sample: the tracker's statistics and a full-width check of the same pile."""
+def tracked_statistics(p, targets, incremental, quiet=False):
+    """Per sample: the tracker's statistics and a full-width check of the same pile.
+
+    With ``quiet`` the tracker also skips the pile's quiet columns.
+    """
     inc = IncrementalStabilizer(p, expect=max(targets), track_density=incremental)
     tracker = analyzer.WaveTracker(p)
     for n in targets:
         touched = inc.advance_to(n) if incremental else inc.jump_to(n)
-        got = tracker.update(n, inc.slopes, inc.shot, touched)
+        got = tracker.update(n, inc.slopes, inc.shot, touched, inc.quiet if quiet else None)
         fp = inc.snapshot()
         yield got, analyzer.row_statistics(p, n, fp.slopes.slopes, fp.shot)
 
@@ -432,6 +435,62 @@ def tracked_statistics(p, targets, incremental):
 def test_tracked_statistics_match_a_full_check_at_every_sample(p, incremental, targets):
     for got, want in tracked_statistics(p, targets, incremental):
         assert got == want
+
+
+@pytest.mark.parametrize("p", [*range(1, 9), 30])
+@pytest.mark.parametrize(
+    "targets",
+    [range(1, 3001), range(7, 5001, 7), range(10, 8001, 10)],
+    ids=["stride1", "stride7", "stride10"],
+)
+def test_quiet_statistics_match_a_full_check_at_every_sample(p, targets):
+    for got, want in tracked_statistics(p, targets, True, quiet=True):
+        assert got == want
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_the_quiet_columns_lie_inside_the_extent(p):
+    inc = IncrementalStabilizer(p, expect=3000, track_density=True)
+    quiet = 0
+    for n in range(3, 3001, 3):
+        touched = inc.advance_to(n)
+        lo, hi = inc.quiet
+        assert 1 <= lo <= hi <= touched
+        quiet += lo < hi
+    assert quiet > 40
+    # a drop of many grains claims no quiet column
+    inc = IncrementalStabilizer(p, expect=3000)
+    inc.advance_to(1500)
+    touched = inc.jump_to(3000)
+    assert inc.quiet == (touched, touched)
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_the_tracker_checks_the_prefix_and_the_edge(p):
+    inc = IncrementalStabilizer(p, expect=1500, track_density=True)
+    tracker = analyzer.WaveTracker(p)
+    quiet = 0
+    for n in range(1, 1500):
+        touched = inc.advance_to(n)
+        lo, hi = inc.quiet
+        if lo < hi:
+            quiet += 1
+            # a wrong slope at the prefix's last column or the edge's first one
+            # fails this sample; the update changes nothing when it raises
+            for column in (lo - 1, hi):
+                inc.slopes[column] += 1
+                with pytest.raises(NonIntegral):
+                    tracker.update(n, inc.slopes, inc.shot, touched, inc.quiet)
+                inc.slopes[column] -= 1
+            # a quiet column is left to the scan's full-width check
+            inc.slopes[lo] += 1
+            tracker.update(n, inc.slopes, inc.shot, touched, inc.quiet)
+            with pytest.raises(NonIntegral):
+                analyzer.row_statistics(p, n, inc.slopes, inc.shot)
+            inc.slopes[lo] -= 1
+            tracker = analyzer.WaveTracker(p)
+        tracker.update(n, inc.slopes, inc.shot, touched, inc.quiet)
+    assert quiet > 20
 
 
 @given(

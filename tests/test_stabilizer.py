@@ -16,6 +16,7 @@ from conftest import (
     GOLDEN_P2_N24_SLOPES,
     GOLDEN_P4_N2000_SLOPES,
 )
+from lemma_audits import audit_avalanches
 from kspm import analyzer, cli, stabilizer
 from kspm.errors import CapacityError
 from kspm.model import (
@@ -392,6 +393,92 @@ def test_jump_to_matches_advance_to(p):
         a, b = jumped.snapshot(), stepped.snapshot()
         assert (a.n_grains, a.slopes, a.shot) == (b.n_grains, b.slopes, b.shot)
     assert a.n_grains == 1500
+
+
+# (p, grains, every how many grains the whole lists are compared): every N up
+# to 20,000 at p = 1..6, where the jump fires 98% to 72% of the columns, and
+# p = 30 up to 1e5, where it fires 15%
+JUMP_SIZES = [(p, 20000, 1) for p in range(1, 7)] + [(30, 100000, 97)]
+
+
+@pytest.mark.parametrize("p,n,every", JUMP_SIZES)
+def test_the_jump_settles_as_the_plain_walk(p, n, every):
+    jumped = IncrementalStabilizer(p, expect=n, track_density=True)
+    walked = IncrementalStabilizer(p, expect=n, track_density=True)
+    for g in range(n):
+        # reset before each grain, so both read that grain's density column
+        jumped.density_max = walked.density_max = 0
+        jumped.advance_to(g + 1)
+        walked.advance()
+        assert jumped.density_max == walked.density_max
+        if g % every == 0:
+            assert jumped.slopes == walked.slopes
+            assert jumped.shot == walked.shot
+            assert jumped._reach == walked._reach
+    assert (jumped.slopes, jumped.shot, jumped._reach) == (
+        walked.slopes,
+        walked.shot,
+        walked._reach,
+    )
+    # advance() keeps the plain walk, whose firing order avalanche prints
+    assert walked.jumps == walked.jumped == 0
+    assert jumped.jumps > 0
+
+
+@pytest.mark.parametrize("p,n,every", JUMP_SIZES)
+@pytest.mark.parametrize("jump", [False, True], ids=["walk", "jump"])
+def test_every_avalanche_has_the_block_structure(p, n, every, jump):
+    report = audit_avalanches(p, n, jump=jump)
+    assert report.ok, report
+    # the edge facts were read, not just the ones every avalanche meets
+    assert report.blocks > 20
+
+
+@pytest.mark.parametrize("p,n,least", [(3, 20000, 0.85), (2, 40000, 0.9)])
+def test_the_jump_fires_most_columns(p, n, least):
+    # a regression to the full walk, or a jump that falls back to it, fails here
+    pile = IncrementalStabilizer(p, expect=n)
+    pile.advance_to(n)
+    fired = sum(pile.shot)
+    assert pile.jumped / fired >= least
+    assert 2 <= pile.jumped / pile.jumps <= fired / pile.jumps
+
+
+@pytest.mark.parametrize("p,n", [(2, 40000), (3, 20000), (30, 100000)])
+def test_firings_equal_the_second_moment_identity(p, n):
+    # a firing at i changes sum (j+1)^2 b_j by p(p+1), at i = 0 too
+    pile = IncrementalStabilizer(p, expect=n)
+    pile.advance_to(n)
+    moment = sum((j + 1) ** 2 * b for j, b in enumerate(pile.slopes))
+    assert (moment - n) % (p * (p + 1)) == 0
+    assert sum(pile.shot) == (moment - n) // (p * (p + 1))
+    assert pile.snapshot().shot == stabilize(p, n).shot
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_a_jump_past_the_arrays_raises_as_the_walk_does(monkeypatch, p):
+    # find a jumped avalanche whose edge kick first reaches a new column
+    pile = IncrementalStabilizer(p, expect=3000)
+    for k in range(1, 3001):
+        reach, jumps = pile._reach, pile.jumps
+        pile.advance_to(k)
+        if pile.jumps > jumps and pile._reach > reach:
+            break
+    else:
+        pytest.fail("no jump reached a new column")
+    # arrays that end on that column: every earlier kick fits, this one does not
+    cap = pile._reach - 1
+    monkeypatch.setattr(stabilizer, "_capacity", lambda p, n: cap)
+    errors = []
+    for drive in ("advance_to", "advance"):
+        pile = IncrementalStabilizer(p, expect=3000)
+        with pytest.raises(RuntimeError, match=f"past the {cap} columns") as caught:
+            for g in range(1, k + 1):
+                pile.advance_to(g) if drive == "advance_to" else pile.advance()
+        assert pile.grains == k
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+    assert f"column {cap}," in errors[0]
 
 
 def test_backward_targets_are_refused():
