@@ -209,9 +209,11 @@ def _settle(p, slopes, shot, mark, serial, on_fire=None):
     one.
     """
     pp1 = p + 1
+    pm1 = p - 1
     size = len(slopes)
     single = slopes[0] == pp1
-    jump = single and on_fire is None
+    # a jump needs p fired columns up to its front; ``size`` rules it out
+    least = pm1 if single and on_fire is None else size
     i = top = 0
     front = -1  # the rightmost fired column
     while i <= top:
@@ -220,14 +222,13 @@ def _settle(p, slopes, shot, mark, serial, on_fire=None):
             i += 1
             continue
         if i > front:
-            c = front
             # reading one marker rejects most fronts before the window is read
             if (
-                jump
-                and c >= p - 1
-                and mark[c - p + 1] == serial
-                and mark[c - p + 1 : c].count(serial) == p - 1
+                front >= least
+                and mark[front - pm1] == serial
+                and mark[front - pm1 : front].count(serial) == pm1
             ):
+                c = front
                 base = c + p
                 m = base
                 # (c, base] holds its old slopes plus one: p + 1 where they were p
@@ -246,8 +247,8 @@ def _settle(p, slopes, shot, mark, serial, on_fire=None):
                 else:
                     # the kick from m would land past the arrays: walk on to
                     # the firing that raises
-                    jump = False
-                if jump:
+                    least = size
+                if least < size:
                     slopes[c] += p
                     cut = min(m, base + 1)
                     slopes[c + 1 : cut] = [b - 1 for b in slopes[c + 1 : cut]]
@@ -430,24 +431,28 @@ class IncrementalStabilizer:
         self._reach = 1
         # settles that ended in a jump, and the columns those jumps fired
         self.jumps = self.jumped = 0
-        self._settles: list = []  # the (pre, top) of the last step's settles
+        # the (pre, top) of the last step's avalanches, and its extent
+        self._settles: list = []
+        self._touched = 1
 
-    def _drop(self, k: int, on_fire=None):
+    def _drop(self, k: int, on_fire=None) -> int:
         """Add ``k`` grains to column 0 and settle the pile if column 0 tips.
 
-        Returns None when nothing fired, else ``(pre, top)``: slopes
-        changed only left of ``pre`` and in ``[top, top + p]``, and shots
-        only up to ``top``.  ``on_fire(i)``, if given, is called after each
-        firing.  With density tracking on, every drop tips column 0 by one
-        grain at most, so each settle is one avalanche, and its fired block
-        ends at ``top`` and runs on left as far as the walk marked columns.
+        Returns the touched extent: slopes changed only left of it and
+        shots only left of it minus ``p``.  ``on_fire(i)``, if given, is
+        called after each firing.  With density tracking on, every drop
+        tips column 0 by one grain at most, so each settle is one
+        avalanche, and its fired block ends at ``top`` and runs on left as
+        far as the walk marked columns.  The drop then records ``(pre,
+        top)`` for :attr:`quiet`: slopes changed only left of ``pre`` and
+        in ``[top, top + p]``.
         """
         p = self.p
         slopes = self.slopes
         self.grains += k
         slopes[0] += k
         if slopes[0] <= p:
-            return None
+            return 1
         low, top, jumped = _settle(p, slopes, self.shot, self._mark, self.grains, on_fire)
         if jumped:
             self.jumps += 1
@@ -461,26 +466,23 @@ class IncrementalStabilizer:
                 low -= 1
             if low > self.density_max:
                 self.density_max = low
-        return low + p, top
-
-    def _extent(self, settles: list) -> int:
-        """Keep a step's settles for :attr:`quiet`; return their touched extent."""
-        self._settles = settles
-        return max(settles, key=itemgetter(1))[1] + self.p + 1 if settles else 1
+            self._settles.append((low + p, top))
+        return extent
 
     @property
     def quiet(self) -> tuple[int, int]:
-        """Columns ``[lo, hi)`` of the last step's extent that it left quiet.
+        """Columns ``[lo, hi)`` inside the last step's extent that it left quiet.
 
-        The step is the last ``advance_to`` or ``jump_to``, and each of its
-        settles' ``(pre, top)`` is as :meth:`_drop` returns it.  The quiet
+        The step is the last ``advance_to`` or ``jump_to``.  The quiet
         columns lie right of every settle's prefix and outside every edge
         ``[top, top + p]``, so no slope there changed, and every settle
-        fired all or none of ``[lo - p, hi]``, once.
+        fired all or none of ``[lo - p, hi]``, once.  Only a pile that
+        tracks density records its settles; any other leaves no column
+        quiet.
         """
         settles = sorted(self._settles, key=itemgetter(1))
         if not settles:
-            return 1, 1
+            return self._touched, self._touched
         p = self.p
         lo = hi = max(settles)[0]
         # an edge that reaches the prefix joins it; the next one ends the quiet columns
@@ -529,26 +531,29 @@ class IncrementalStabilizer:
         self._check_target(target)
         slopes = self.slopes
         edge = self.p + 1
-        settles = []
+        self._settles = []
+        touched = 1
         while self.grains < target:
-            settled = self._drop(min(target - self.grains, edge - slopes[0]))
-            if settled:
-                settles.append(settled)
-        return self._extent(settles)
+            extent = self._drop(min(target - self.grains, edge - slopes[0]))
+            if extent > touched:
+                touched = extent
+        self._touched = touched
+        return touched
 
     def jump_to(self, target: int) -> int:
         """Add all ``target - grains`` grains to column 0 at once and settle them.
 
         Firing is abelian, so this reaches the same fixed point and shot
         vector as :meth:`advance_to` without replaying each avalanche.
-        Returns the touched extent, as :meth:`advance_to`; a drop that tips
-        column 0 by more than one grain leaves no column quiet.
+        Returns the touched extent, as :meth:`advance_to`, and leaves no
+        column quiet.
         """
         if self.track_density:
             raise ValueError("jump_to skips the avalanches density tracking needs")
         self._check_target(target)
-        settled = self._drop(target - self.grains) if target > self.grains else None
-        return self._extent([settled] if settled else [])
+        self._settles = []
+        self._touched = self._drop(target - self.grains) if target > self.grains else 1
+        return self._touched
 
     def snapshot(self) -> FixedPoint:
         reach = self._reach
