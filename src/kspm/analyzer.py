@@ -8,8 +8,8 @@ exact integer arithmetic, measures plateaus of equal heights, and
 aggregates all of it into scan rows with logarithmic fits.  Scan rows
 and fits are plain dicts keyed as the CLI writes them.  A scan keeps
 its row statistics current over the prefix of columns each sample's
-settles touched, and checks the whole width once more at its last
-sample.  The audits of the paper's lemmas along whole trajectories
+settles touched, less the quiet columns its avalanches fired through
+once each, and checks the whole width once more at its last sample.  The audits of the paper's lemmas along whole trajectories
 (plateaus in every intermediate state, the climbing interior zero) are
 test-side, in ``tests/lemma_audits.py``.
 """

@@ -214,8 +214,8 @@ def _settle(p, slopes, shot, mark, serial, on_fire=None):
     single = slopes[0] == pp1
     # a jump needs p fired columns up to its front; ``size`` rules it out
     least = pm1 if single and on_fire is None else size
-    i = top = 0
-    front = -1  # the rightmost fired column
+    # the rightmost fired column: the walk fires column 0 first
+    i = top = front = 0
     while i <= top:
         v = slopes[i]
         if v <= p:
