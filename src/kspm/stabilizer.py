@@ -431,9 +431,7 @@ class IncrementalStabilizer:
         self._reach = 1
         # settles that ended in a jump, and the columns those jumps fired
         self.jumps = self.jumped = 0
-        # the (pre, top) of the last step's avalanches, and its extent
-        self._settles: list = []
-        self._touched = 1
+        self._settles: list = []  # the (pre, top) of the last step's avalanches
 
     def _drop(self, k: int, on_fire=None) -> int:
         """Add ``k`` grains to column 0 and settle the pile if column 0 tips.
@@ -470,19 +468,19 @@ class IncrementalStabilizer:
         return extent
 
     @property
-    def quiet(self) -> tuple[int, int]:
+    def quiet(self) -> tuple[int, int] | None:
         """Columns ``[lo, hi)`` inside the last step's extent that it left quiet.
 
         The step is the last ``advance_to`` or ``jump_to``.  The quiet
         columns lie right of every settle's prefix and outside every edge
         ``[top, top + p]``, so no slope there changed, and every settle
         fired all or none of ``[lo - p, hi]``, once.  Only a pile that
-        tracks density records its settles; any other leaves no column
-        quiet.
+        tracks density records its settles; None means the step recorded
+        none and claims no quiet column.
         """
         settles = sorted(self._settles, key=itemgetter(1))
         if not settles:
-            return self._touched, self._touched
+            return None
         p = self.p
         lo = hi = max(settles)[0]
         # an edge that reaches the prefix joins it; the next one ends the quiet columns
@@ -537,7 +535,6 @@ class IncrementalStabilizer:
             extent = self._drop(min(target - self.grains, edge - slopes[0]))
             if extent > touched:
                 touched = extent
-        self._touched = touched
         return touched
 
     def jump_to(self, target: int) -> int:
@@ -552,8 +549,7 @@ class IncrementalStabilizer:
             raise ValueError("jump_to skips the avalanches density tracking needs")
         self._check_target(target)
         self._settles = []
-        self._touched = self._drop(target - self.grains) if target > self.grains else 1
-        return self._touched
+        return self._drop(target - self.grains) if target > self.grains else 1
 
     def snapshot(self) -> FixedPoint:
         reach = self._reach
