@@ -8,10 +8,11 @@ exact integer arithmetic, measures plateaus of equal heights, and
 aggregates all of it into scan rows with logarithmic fits.  Scan rows
 and fits are plain dicts keyed as the CLI writes them.  A scan keeps
 its row statistics current over the prefix of columns each sample's
-settles touched, less the quiet columns its avalanches fired through
-once each, and checks the whole width once more at its last sample.  The audits of the paper's lemmas along whole trajectories
-(plateaus in every intermediate state, the climbing interior zero) are
-test-side, in ``tests/lemma_audits.py``.
+settles touched, less the quiet columns the step's one avalanche fired
+through once, and checks the whole width once more at its last sample.
+The audits of the paper's lemmas along whole trajectories (plateaus in
+every intermediate state, the climbing interior zero) are test-side, in
+``tests/lemma_audits.py``.
 """
 
 from __future__ import annotations
@@ -181,19 +182,20 @@ class WaveTracker:
     ``touched`` bounds what changed since the last update: slopes only in
     ``[0, touched)`` and shots only in ``[0, touched - p)``, as the
     pile's ``advance_to`` and ``jump_to`` return it.  Inside it, the
-    pile's ``quiet`` columns ``[lo, hi)`` kept their slopes, and every
-    settle fired each column of ``[lo - p, hi]`` once or not at all.  The
-    balance of column ``i`` reads slope ``i``, shots ``i - p``, ``i`` and
-    ``i + 1``, and ``n`` at column 0; it holds on wherever the three
-    shots gained the same, so only ``[0, lo)`` and ``[hi, touched)`` are
-    checked again.  The shot differences of the quiet columns hold too:
-    a last ``uniform_index`` answer in ``[lo, hi]`` stays unless a window
-    left of ``lo`` is uniform now, and one at or past ``touched`` unless
-    a window left of ``touched`` is.  The ambiguity terms, both trimmed
+    pile's ``quiet`` columns ``[lo, hi)``, between the prefix and the edge
+    of the step's one avalanche, kept their slopes, and that avalanche
+    fired each column of ``[lo - p, hi]`` once.  The balance of column
+    ``i`` reads slope ``i``, shots ``i - p``, ``i`` and ``i + 1``, and
+    ``n`` at column 0; it holds on wherever the three shots gained the
+    same, so only ``[0, lo)`` and ``[hi, touched)`` are checked again.
+    The shot differences of the quiet columns hold too: a last
+    ``uniform_index`` answer in ``[lo, hi]`` stays unless a window left
+    of ``lo`` is uniform now, and one at or past ``touched`` unless a
+    window left of ``touched`` is.  The ambiguity terms, both trimmed
     lengths and the wave chain nodes whose next step reads only quiet
-    columns or columns at or past ``touched`` carry over: once the walk
-    back from the support lands on a quiet node of the old chain, the old
-    chain goes on from there.
+    columns or columns at or past ``touched`` carry over: the walk back
+    from the support tries once for the rightmost quiet node of the old
+    chain, and if it lands there the old chain goes on from there.
     """
 
     def __init__(self, p: int):
@@ -308,18 +310,14 @@ class WaveTracker:
                 quiet_zeros.append(z)
         if not nodes:
             nodes.append(w)
-        while middle:
-            _wave_chain(p, slopes, nodes, zeros, middle[-1])
-            i = nodes[-1]
-            if i > middle[-1]:
-                break  # the chain ended right of the quiet nodes
-            while middle and middle[-1] > i:
-                middle.pop()
-            if middle and middle[-1] == i:
-                middle.pop()
+        if middle:
+            # once the walk back lands on the rightmost quiet node, the old chain
+            # goes on from there; otherwise the walk below goes on where it stopped
+            i = middle.pop()
+            _wave_chain(p, slopes, nodes, zeros, i)
+            if nodes[-1] == i:
                 nodes += reversed(middle)
                 zeros += [z for z in reversed(quiet_zeros) if z < i]
-                break
         strict, loose = _wave_chain(p, slopes, nodes, zeros)
         self._width, self._shots, self._steps = w, m, steps
         self._uniform = uniform

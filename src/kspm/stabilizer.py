@@ -22,10 +22,11 @@ Four ways to reach the unique fixed point of ``N`` grains:
   walk stops where that regular block begins and jumps it: it finds
   the block's last column ``M`` by one comparison per ``p`` columns,
   and applies the firings at the block's ends alone.  Each step returns
-  the extent of columns its settles touched, and the pile's ``quiet``
-  columns inside it, which lie between the avalanches' prefixes
-  ``[0, density_column + p)`` and their edges ``[M, M + p]``; only the
-  rest is what :class:`kspm.analyzer.WaveTracker` reads again.
+  the extent of columns its settles touched.  A step that settled one
+  avalanche also sets the pile's ``quiet`` columns inside it, which lie
+  between the step's one avalanche's prefix ``[0, density_column + p)``
+  and its edge ``[M, M + p]``; only the rest is what
+  :class:`kspm.analyzer.WaveTracker` reads again.
 
 All engines record the shot vector (number of firings per column).  The
 fixed point itself does not depend on the strategy; the firing order
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import CapacityError
 from .model import SlopeConfig, check_grains, check_p, support_bound, trimmed
@@ -413,7 +413,13 @@ class IncrementalStabilizer:
     and a target past ``expect`` is refused before any grain is added.
     ``jumps`` counts the settles that jumped their regular block and
     ``jumped`` the columns those jumps fired, each updated once per jump.
-    ``quiet`` reads the columns the last step left quiet.
+    ``quiet`` holds the columns ``[lo, hi)`` inside the last step's extent
+    that the step's one avalanche left quiet: right of its prefix
+    ``[0, density_column + p)`` and left of its edge ``[M, M + p]``, so no
+    slope there changed and the avalanche fired all of ``[lo - p, hi]``
+    once.  It is None after a step that settled no avalanche or several,
+    after one whose prefix reaches its edge, and on a pile that does not
+    track density.
     """
 
     def __init__(self, p: int, expect: int, track_density: bool = False):
@@ -431,7 +437,7 @@ class IncrementalStabilizer:
         self._reach = 1
         # settles that ended in a jump, and the columns those jumps fired
         self.jumps = self.jumped = 0
-        self._settles: list = []  # the (pre, top) of the last step's avalanches
+        self.quiet: tuple[int, int] | None = None
 
     def _drop(self, k: int, on_fire=None) -> int:
         """Add ``k`` grains to column 0 and settle the pile if column 0 tips.
@@ -441,9 +447,9 @@ class IncrementalStabilizer:
         called after each firing.  With density tracking on, every drop
         tips column 0 by one grain at most, so each settle is one
         avalanche, and its fired block ends at ``top`` and runs on left as
-        far as the walk marked columns.  The drop then records ``(pre,
-        top)`` for :attr:`quiet`: slopes changed only left of ``pre`` and
-        in ``[top, top + p]``.
+        far as the walk marked columns.  The drop then sets :attr:`quiet`
+        from that one avalanche: slopes changed only left of its density
+        column plus ``p`` and in ``[top, top + p]``.
         """
         p = self.p
         slopes = self.slopes
@@ -464,33 +470,9 @@ class IncrementalStabilizer:
                 low -= 1
             if low > self.density_max:
                 self.density_max = low
-            self._settles.append((low + p, top))
+            pre = low + p
+            self.quiet = (pre, top) if top > pre else None
         return extent
-
-    @property
-    def quiet(self) -> tuple[int, int] | None:
-        """Columns ``[lo, hi)`` inside the last step's extent that it left quiet.
-
-        The step is the last ``advance_to`` or ``jump_to``.  The quiet
-        columns lie right of every settle's prefix and outside every edge
-        ``[top, top + p]``, so no slope there changed, and every settle
-        fired all or none of ``[lo - p, hi]``, once.  Only a pile that
-        tracks density records its settles; None means the step recorded
-        none and claims no quiet column.
-        """
-        settles = sorted(self._settles, key=itemgetter(1))
-        if not settles:
-            return None
-        p = self.p
-        lo = hi = max(settles)[0]
-        # an edge that reaches the prefix joins it; the next one ends the quiet columns
-        for _, top in settles:
-            if top >= lo:
-                hi = top
-                break
-            if top + p >= lo:
-                lo = top + p + 1
-        return lo, max(lo, hi)
 
     def _check_target(self, target: int) -> None:
         """Refuse a target below the grains already added, or past ``expect``."""
@@ -505,8 +487,12 @@ class IncrementalStabilizer:
             )
 
     def advance(self) -> Avalanche:
-        """Add one grain to column 0, settle it and return its avalanche."""
+        """Add one grain to column 0, settle it and return its avalanche.
+
+        This is a step too: :attr:`quiet` describes the avalanche after it.
+        """
         self._check_target(self.grains + 1)
+        self.quiet = None
         order: list[int] = []
         self._drop(1, order.append)
         fired = tuple(order)
@@ -524,17 +510,24 @@ class IncrementalStabilizer:
         the grains up to the next one that tips column 0 are added at once.
         Returns the touched extent of all the settles: slopes changed only
         left of it and shots only left of it minus ``p``.  :attr:`quiet`
-        then names the columns inside it that no settle changed.
+        then names the columns inside it that the step's one avalanche
+        left quiet, and is None unless the step settled exactly one.
         """
         self._check_target(target)
         slopes = self.slopes
         edge = self.p + 1
-        self._settles = []
+        self.quiet = None
         touched = 1
+        settles = 0
         while self.grains < target:
             extent = self._drop(min(target - self.grains, edge - slopes[0]))
-            if extent > touched:
-                touched = extent
+            # a drop returns 1 exactly when it tipped nothing
+            if extent > 1:
+                settles += 1
+                if extent > touched:
+                    touched = extent
+        if settles > 1:
+            self.quiet = None
         return touched
 
     def jump_to(self, target: int) -> int:
@@ -542,13 +535,12 @@ class IncrementalStabilizer:
 
         Firing is abelian, so this reaches the same fixed point and shot
         vector as :meth:`advance_to` without replaying each avalanche.
-        Returns the touched extent, as :meth:`advance_to`, and leaves no
-        column quiet.
+        Returns the touched extent, as :meth:`advance_to`.  It runs only on
+        a pile that does not track density, so :attr:`quiet` stays None.
         """
         if self.track_density:
             raise ValueError("jump_to skips the avalanches density tracking needs")
         self._check_target(target)
-        self._settles = []
         return self._drop(target - self.grains) if target > self.grains else 1
 
     def snapshot(self) -> FixedPoint:

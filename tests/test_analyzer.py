@@ -1,5 +1,6 @@
 """Wave grammar, support bounds, plateaus, zero movement, scans and fits."""
 
+import copy
 import itertools
 import re
 import tracemalloc
@@ -448,25 +449,104 @@ def test_quiet_statistics_match_a_full_check_at_every_sample(p, targets):
         assert got == want
 
 
+def avalanche_quiet(p, av):
+    """The quiet columns of one avalanche: right of its prefix, left of its edge."""
+    pre = av.density_column + p
+    if av.max_fired is None or av.max_fired <= pre:
+        return None
+    return pre, av.max_fired
+
+
 @pytest.mark.parametrize("p", range(1, 7))
 def test_the_quiet_columns_lie_inside_the_extent(p):
-    inc = IncrementalStabilizer(p, expect=3000, track_density=True)
     quiet = 0
-    for n in range(3, 3001, 3):
-        touched = inc.advance_to(n)
-        if inc.quiet:
-            lo, hi = inc.quiet
-            assert 1 <= lo <= hi <= touched
-            quiet += lo < hi
-        else:
-            assert touched == 1  # only a step that settled nothing records nothing
+    # only a step that settled one avalanche claims quiet columns, and at
+    # p = 1 every step of 3 grains settles two at least
+    for stride in (1, 3):
+        inc = IncrementalStabilizer(p, expect=3000, track_density=True)
+        for n in range(stride, 3001, stride):
+            touched = inc.advance_to(n)
+            if inc.quiet:
+                lo, hi = inc.quiet
+                assert 1 <= lo < hi <= touched
+                quiet += 1
     assert quiet > 40
+    # a step of 2(p + 1) grains settles two avalanches at least, and one
+    # interval does not describe both
+    inc = IncrementalStabilizer(p, expect=3000, track_density=True)
+    for n in range(2 * p + 2, 3001, 2 * p + 2):
+        assert inc.advance_to(n) > 1
+        assert inc.quiet is None
     # an untracked pile, and so every drop of many grains, claims no quiet column
     inc = IncrementalStabilizer(p, expect=3000)
     inc.advance_to(1500)
     assert inc.quiet is None
     inc.jump_to(3000)
     assert inc.quiet is None
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_the_quiet_columns_are_the_one_avalanches(p):
+    # at stride 1 each step settles one avalanche or none; a twin pile
+    # driven by advance() reads the same avalanche's firing order
+    inc = IncrementalStabilizer(p, expect=3000, track_density=True)
+    twin = IncrementalStabilizer(p, expect=3000, track_density=True)
+    quiet = 0
+    for n in range(1, 3001):
+        inc.advance_to(n)
+        want = avalanche_quiet(p, twin.advance())
+        assert inc.quiet == twin.quiet == want
+        quiet += want is not None
+    assert quiet > 60
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_advance_is_a_step_too(p):
+    # after advance(), quiet describes that grain's avalanche alone, not the
+    # avalanches of the advance_to before it
+    inc = IncrementalStabilizer(p, expect=3000, track_density=True)
+    tipped = 0
+    for n in range(3, 3001, 3):
+        inc.advance_to(n - 1)
+        av = inc.advance()
+        assert inc.quiet == avalanche_quiet(p, av)
+        tipped += bool(av.fired)
+    assert tipped > 50
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_a_narrower_quiet_claim_gives_the_same_statistics(p):
+    # the rightmost quiet node the tracker walks back to moves with the claim
+    inc = IncrementalStabilizer(p, expect=1000, track_density=True)
+    tracker = analyzer.WaveTracker(p)
+    narrowed = 0
+    for n in range(1, 1001):
+        touched = inc.advance_to(n)
+        if inc.quiet:
+            lo, hi = inc.quiet
+            want = analyzer.row_statistics(p, n, inc.slopes, inc.shot)
+            for raised, lowered in itertools.product(range(p + 2), repeat=2):
+                if lo + raised < hi - lowered:
+                    claim = (lo + raised, hi - lowered)
+                    trial = copy.deepcopy(tracker)
+                    assert trial.update(n, inc.slopes, inc.shot, touched, claim) == want
+                    narrowed += 1
+        tracker.update(n, inc.slopes, inc.shot, touched, inc.quiet)
+    assert narrowed > 100
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_the_quiet_columns_keep_a_stride_one_scan_narrow(p):
+    # the columns the tracker re-checks per sample, every N up to 20,000: the
+    # whole extent, 67 columns on average at p = 1 and 20 at p = 2, without
+    # quiet columns, and about 3 with them
+    inc = IncrementalStabilizer(p, expect=20000, track_density=True)
+    rechecked = 0
+    for n in range(1, 20001):
+        touched = inc.advance_to(n)
+        lo, hi = inc.quiet or (touched, touched)
+        rechecked += lo + max(0, touched - hi)
+    assert rechecked / 20000 <= 4
 
 
 @pytest.mark.parametrize("p", range(1, 7))
