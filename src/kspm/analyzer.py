@@ -349,10 +349,10 @@ def scan_rows(
     columns ``kspm scan`` writes; ``elapsed_us`` is 0 unless ``timing``
     is set, keeping default output reproducible.  Both modes share one
     growing pile across samples; rows come back in sample order.
-    Incremental scans replay every avalanche and track density columns
-    on the way.  Direct scans settle each sample's new grains at once,
-    which firing's abelian property makes the same fixed point, and
-    leave ``density_column`` as ``None``.  One :class:`WaveTracker`
+    Incremental scans replay every avalanche, and the pile records their
+    density columns.  Direct scans settle each sample's new grains at
+    once, the same fixed point by firing's abelian property, and the pile
+    then has ``None`` for ``density_column``.  One :class:`WaveTracker`
     follows the pile; the last sample is checked again over the whole
     width, and a difference raises :class:`RecurrenceMismatch`.  A scan
     of more than ``MAX_SAMPLES`` samples raises :class:`CapacityError`
@@ -374,7 +374,7 @@ def scan_rows(
         raise CapacityError(
             f"{len(targets)} samples exceed the {MAX_SAMPLES}-sample limit of one scan"
         )
-    inc = IncrementalStabilizer(p, expect=targets[-1], track_density=incremental)
+    inc = IncrementalStabilizer(p, expect=targets[-1])
     step = inc.advance_to if incremental else inc.jump_to
     tracker = WaveTracker(p)
     rows: list[dict] = []
@@ -391,7 +391,7 @@ def scan_rows(
                 "n_loose": stats.n_loose,
                 "uniform_index": stats.uniform_index,
                 "interior_zeros": len(stats.zero_positions),
-                "density_column": inc.density_max if incremental else None,
+                "density_column": inc.density_max,
                 "ambiguous_count": stats.ambiguous_count,
                 "elapsed_us": int((time.perf_counter() - t0) * 1e6) if timing else 0,
             }

@@ -32,9 +32,9 @@ All engines record the shot vector (number of firings per column).  The
 fixed point itself does not depend on the strategy; the firing order
 does, and is kept only where ``advance()`` returns it, which walks every
 firing.  An avalanche's density column comes from the walk, which marks
-each column it fires.  The leftmost walk stays wherever the order is
-the output or a grown pile takes a small jump, where a sweep over the
-whole pile costs more.
+each column it fires, until ``jump_to`` skips avalanches.  The leftmost
+walk stays wherever the order is the output or a grown pile takes a
+small jump, where a sweep over the whole pile costs more.
 """
 
 from __future__ import annotations
@@ -413,22 +413,22 @@ class IncrementalStabilizer:
     and a target past ``expect`` is refused before any grain is added.
     ``jumps`` counts the settles that jumped their regular block and
     ``jumped`` the columns those jumps fired, each updated once per jump.
-    ``quiet`` holds the columns ``[lo, hi)`` inside the last step's extent
-    that the step's one avalanche left quiet: right of its prefix
-    ``[0, density_column + p)`` and left of its edge ``[M, M + p]``, so no
-    slope there changed and the avalanche fired all of ``[lo - p, hi]``
-    once.  It is None after a step that settled no avalanche or several,
-    after one whose prefix reaches its edge, and on a pile that does not
-    track density.
+    ``density_max`` is the largest density column of the avalanches so
+    far, or None once :meth:`jump_to` has skipped some.  ``quiet`` holds
+    the columns ``[lo, hi)`` inside the last step's extent that the step's
+    one avalanche left quiet: right of its prefix ``[0, density_column + p)``
+    and left of its edge ``[M, M + p]``, so no slope there changed and the
+    avalanche fired all of ``[lo - p, hi]`` once.  It is None after a step
+    that settled no avalanche or several, after one whose prefix reaches
+    its edge, and while ``density_max`` is.
     """
 
-    def __init__(self, p: int, expect: int, track_density: bool = False):
+    def __init__(self, p: int, expect: int):
         check_p(p)
         self.p = p
         self.expect = check_grains(expect)
         self.grains = 0
-        self.track_density = track_density
-        self.density_max = 0
+        self.density_max: int | None = 0
         self.slopes = [0] * _capacity(p, expect)
         self.shot = [0] * len(self.slopes)
         # the grain count at the settle that last fired each column
@@ -444,12 +444,11 @@ class IncrementalStabilizer:
 
         Returns the touched extent: slopes changed only left of it and
         shots only left of it minus ``p``.  ``on_fire(i)``, if given, is
-        called after each firing.  With density tracking on, every drop
-        tips column 0 by one grain at most, so each settle is one
-        avalanche, and its fired block ends at ``top`` and runs on left as
-        far as the walk marked columns.  The drop then sets :attr:`quiet`
-        from that one avalanche: slopes changed only left of its density
-        column plus ``p`` and in ``[top, top + p]``.
+        called after each firing.  A drop that tips column 0 by one grain
+        settles one avalanche, whose fired block ends at ``top`` and runs
+        left as far as the walk marked columns.  Unless ``density_max`` is
+        None, the drop records the block's start and sets :attr:`quiet`:
+        slopes changed only left of it plus ``p`` and in ``[top, top + p]``.
         """
         p = self.p
         slopes = self.slopes
@@ -464,7 +463,7 @@ class IncrementalStabilizer:
         extent = top + p + 1
         if extent > self._reach:
             self._reach = extent
-        if self.track_density and low <= top:
+        if self.density_max is not None and low <= top:
             mark, serial = self._mark, self.grains
             while low and mark[low - 1] == serial:
                 low -= 1
@@ -489,7 +488,7 @@ class IncrementalStabilizer:
     def advance(self) -> Avalanche:
         """Add one grain to column 0, settle it and return its avalanche.
 
-        This is a step too: :attr:`quiet` describes the avalanche after it.
+        This is a step too: it sets :attr:`quiet` as :meth:`_drop` says.
         """
         self._check_target(self.grains + 1)
         self.quiet = None
@@ -509,9 +508,9 @@ class IncrementalStabilizer:
         A grain that leaves column 0 at or below ``p`` fires nothing, so
         the grains up to the next one that tips column 0 are added at once.
         Returns the touched extent of all the settles: slopes changed only
-        left of it and shots only left of it minus ``p``.  :attr:`quiet`
-        then names the columns inside it that the step's one avalanche
-        left quiet, and is None unless the step settled exactly one.
+        left of it and shots only left of it minus ``p``.  Each settle is
+        recorded as :meth:`_drop` says, and :attr:`quiet` is None unless
+        the step settled exactly one.
         """
         self._check_target(target)
         slopes = self.slopes
@@ -534,14 +533,15 @@ class IncrementalStabilizer:
         """Add all ``target - grains`` grains to column 0 at once and settle them.
 
         Firing is abelian, so this reaches the same fixed point and shot
-        vector as :meth:`advance_to` without replaying each avalanche.
-        Returns the touched extent, as :meth:`advance_to`.  It runs only on
-        a pile that does not track density, so :attr:`quiet` stays None.
+        vector as :meth:`advance_to` without replaying each avalanche.  It
+        returns the touched extent, as :meth:`advance_to`, and leaves
+        :attr:`quiet` None, and ``density_max`` too once it drops grains.
         """
-        if self.track_density:
-            raise ValueError("jump_to skips the avalanches density tracking needs")
         self._check_target(target)
-        return self._drop(target - self.grains) if target > self.grains else 1
+        self.quiet = None
+        if target > self.grains:
+            self.density_max = None
+        return self._drop(target - self.grains)
 
     def snapshot(self) -> FixedPoint:
         reach = self._reach

@@ -407,7 +407,8 @@ def test_row_statistics_refuse_tampered_fixed_points(p, n):
 def test_scan_rows_both_modes_match_from_scratch(p, targets):
     want = from_scratch_rows(p, targets)
     assert analyzer.scan_rows(p, targets, incremental=True) == want
-    # direct scans do not replay avalanches, so they have no density column
+    # direct scans do not replay avalanches, so they have no density column,
+    # even at stride 1, where each sample's jump_to drops one grain
     direct = analyzer.scan_rows(p, targets, incremental=False)
     assert direct == [{**r, "density_column": None} for r in want]
 
@@ -417,7 +418,7 @@ def tracked_statistics(p, targets, incremental, quiet=False):
 
     With ``quiet`` the tracker also skips the pile's quiet columns.
     """
-    inc = IncrementalStabilizer(p, expect=max(targets), track_density=incremental)
+    inc = IncrementalStabilizer(p, expect=max(targets))
     tracker = analyzer.WaveTracker(p)
     for n in targets:
         touched = inc.advance_to(n) if incremental else inc.jump_to(n)
@@ -463,7 +464,7 @@ def test_the_quiet_columns_lie_inside_the_extent(p):
     # only a step that settled one avalanche claims quiet columns, and at
     # p = 1 every step of 3 grains settles two at least
     for stride in (1, 3):
-        inc = IncrementalStabilizer(p, expect=3000, track_density=True)
+        inc = IncrementalStabilizer(p, expect=3000)
         for n in range(stride, 3001, stride):
             touched = inc.advance_to(n)
             if inc.quiet:
@@ -473,11 +474,11 @@ def test_the_quiet_columns_lie_inside_the_extent(p):
     assert quiet > 40
     # a step of 2(p + 1) grains settles two avalanches at least, and one
     # interval does not describe both
-    inc = IncrementalStabilizer(p, expect=3000, track_density=True)
+    inc = IncrementalStabilizer(p, expect=3000)
     for n in range(2 * p + 2, 3001, 2 * p + 2):
         assert inc.advance_to(n) > 1
         assert inc.quiet is None
-    # an untracked pile, and so every drop of many grains, claims no quiet column
+    # neither does a step of many avalanches, nor a drop of many grains
     inc = IncrementalStabilizer(p, expect=3000)
     inc.advance_to(1500)
     assert inc.quiet is None
@@ -489,8 +490,8 @@ def test_the_quiet_columns_lie_inside_the_extent(p):
 def test_the_quiet_columns_are_the_one_avalanches(p):
     # at stride 1 each step settles one avalanche or none; a twin pile
     # driven by advance() reads the same avalanche's firing order
-    inc = IncrementalStabilizer(p, expect=3000, track_density=True)
-    twin = IncrementalStabilizer(p, expect=3000, track_density=True)
+    inc = IncrementalStabilizer(p, expect=3000)
+    twin = IncrementalStabilizer(p, expect=3000)
     quiet = 0
     for n in range(1, 3001):
         inc.advance_to(n)
@@ -504,7 +505,7 @@ def test_the_quiet_columns_are_the_one_avalanches(p):
 def test_advance_is_a_step_too(p):
     # after advance(), quiet describes that grain's avalanche alone, not the
     # avalanches of the advance_to before it
-    inc = IncrementalStabilizer(p, expect=3000, track_density=True)
+    inc = IncrementalStabilizer(p, expect=3000)
     tipped = 0
     for n in range(3, 3001, 3):
         inc.advance_to(n - 1)
@@ -517,7 +518,7 @@ def test_advance_is_a_step_too(p):
 @pytest.mark.parametrize("p", range(1, 7))
 def test_a_narrower_quiet_claim_gives_the_same_statistics(p):
     # the rightmost quiet node the tracker walks back to moves with the claim
-    inc = IncrementalStabilizer(p, expect=1000, track_density=True)
+    inc = IncrementalStabilizer(p, expect=1000)
     tracker = analyzer.WaveTracker(p)
     narrowed = 0
     for n in range(1, 1001):
@@ -535,12 +536,42 @@ def test_a_narrower_quiet_claim_gives_the_same_statistics(p):
     assert narrowed > 100
 
 
+def balanced_slopes(p, n, shot):
+    """Slopes from the mass balance, with ``n, 0, ..., 0`` as the virtual shots."""
+    a = [n] + [0] * (p - 1) + list(shot) + [0] * (p + 1)
+    return [a[i] - (p + 1) * a[i + p] + p * a[i + p + 1] for i in range(len(shot) + p)]
+
+
+def test_a_walk_back_that_stops_short_of_the_quiet_node():
+    # No scan makes the walk back miss the rightmost quiet node, so this
+    # step is built by hand from the fixed point of 197 grains at p = 2,
+    # whose wave chain runs 16, 14, 12, 10, 9.  One grain more and one more
+    # firing of each column 0..10 keep the slopes of [2, 10), so the claim
+    # (2, 10) holds; but column 12 ends over p and the new chain stops at
+    # 14, right of the quiet node 10.  Splicing the old chain in from 10
+    # would give a loose start of 9
+    p, n = 2, 197
+    fp = stabilize(p, n)
+    shot = list(fp.shot) + [0] * 4
+    before = balanced_slopes(p, n, shot)
+    assert trimmed(before) == fp.slopes.slopes
+    tracker = analyzer.WaveTracker(p)
+    tracker.update(n, before, shot)
+    assert tracker._nodes == [16, 14, 12, 10, 9]
+    shot = [a + (i <= 10) for i, a in enumerate(shot)]
+    slopes = balanced_slopes(p, n + 1, shot)
+    assert slopes[2:10] == before[2:10] and slopes[12] == p + 1
+    want = analyzer.row_statistics(p, n + 1, slopes, shot)
+    assert tracker.update(n + 1, slopes, shot, 13, (2, 10)) == want
+    assert (want.width, want.n_loose) == (16, 14)
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_the_quiet_columns_keep_a_stride_one_scan_narrow(p):
     # the columns the tracker re-checks per sample, every N up to 20,000: the
     # whole extent, 67 columns on average at p = 1 and 20 at p = 2, without
     # quiet columns, and about 3 with them
-    inc = IncrementalStabilizer(p, expect=20000, track_density=True)
+    inc = IncrementalStabilizer(p, expect=20000)
     rechecked = 0
     for n in range(1, 20001):
         touched = inc.advance_to(n)
@@ -551,7 +582,7 @@ def test_the_quiet_columns_keep_a_stride_one_scan_narrow(p):
 
 @pytest.mark.parametrize("p", range(1, 7))
 def test_the_tracker_checks_the_prefix_and_the_edge(p):
-    inc = IncrementalStabilizer(p, expect=1500, track_density=True)
+    inc = IncrementalStabilizer(p, expect=1500)
     tracker = analyzer.WaveTracker(p)
     quiet = 0
     for n in range(1, 1500):
@@ -602,7 +633,7 @@ def test_tracked_statistics_match_for_any_scan(p, stride, n_max, incremental):
 
 @pytest.mark.parametrize("p", range(1, 7))
 def test_tracker_checks_the_balance_across_the_whole_touched_extent(p):
-    inc = IncrementalStabilizer(p, expect=1499, track_density=True)
+    inc = IncrementalStabilizer(p, expect=1499)
     tracker = analyzer.WaveTracker(p)
     settled = 0
     for n in range(1, 1500):
@@ -623,7 +654,7 @@ def test_tracker_checks_the_balance_across_the_whole_touched_extent(p):
 
 @pytest.mark.parametrize("p", range(1, 7))
 def test_a_change_outside_the_touched_extent_waits_for_the_full_check(p):
-    inc = IncrementalStabilizer(p, expect=1500, track_density=True)
+    inc = IncrementalStabilizer(p, expect=1500)
     tracker = analyzer.WaveTracker(p)
     for n in range(1, 1500):
         touched = inc.advance_to(n)

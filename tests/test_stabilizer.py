@@ -309,26 +309,38 @@ def test_holes():
 def test_global_density_column_tracks_avalanches():
     stepped = IncrementalStabilizer(2, expect=200)
     avs = [stepped.advance() for _ in range(200)]
-    tracked = IncrementalStabilizer(2, expect=200, track_density=True)
+    tracked = IncrementalStabilizer(2, expect=200)
     for n in (100, 200):
         tracked.advance_to(n)
         assert tracked.density_max == max(a.density_column for a in avs[:n])
 
 
-def test_track_density_flag():
-    inc = IncrementalStabilizer(3, expect=150, track_density=True)
-    inc.advance_to(150)
-    stepped = IncrementalStabilizer(3, expect=150)
-    avs = [stepped.advance() for _ in range(150)]
-    assert inc.density_max == max(a.density_column for a in avs)
+# a fresh pile driven by one advance_to, as stabilize(p, n, "incremental")
+# and verify build it: N = 3000 at p = 1..6, and N = 20,000 at p = 30
+FRESH_SIZES = [(p, 3000) for p in range(1, 7)] + [(30, 20000)]
 
 
-@pytest.mark.parametrize("track_density", [False, True])
+@pytest.mark.parametrize("p,n", FRESH_SIZES)
+def test_a_fresh_pile_knows_its_density_column(p, n):
+    stepped = IncrementalStabilizer(p, expect=n)
+    want = max(stepped.advance().density_column for _ in range(n))
+    inc = IncrementalStabilizer(p, expect=n)
+    inc.advance_to(n)
+    assert inc.density_max == want
+
+
+@pytest.mark.parametrize("jumped", [False, True])
 @pytest.mark.parametrize("p", range(1, 9))
-def test_advance_to_matches_grain_by_grain(p, track_density):
-    batched = IncrementalStabilizer(p, expect=1500, track_density=track_density)
-    stepped = IncrementalStabilizer(p, expect=1500, track_density=track_density)
+def test_advance_to_matches_grain_by_grain(p, jumped):
+    # after a jump neither pile knows its density column, and it stays unknown
+    batched = IncrementalStabilizer(p, expect=1500)
+    stepped = IncrementalStabilizer(p, expect=1500)
+    if jumped:
+        batched.jump_to(1)
+        stepped.jump_to(1)
     for n in (0, 1, p, p + 1, p + 2, 37, 38, 38, 211, 999, 1500):
+        if n < batched.grains:
+            continue
         batched.advance_to(n)
         while stepped.grains < n:
             stepped.advance()
@@ -337,6 +349,7 @@ def test_advance_to_matches_grain_by_grain(p, track_density):
             stepped.grains,
             stepped.density_max,
         )
+        assert (batched.density_max is None) == jumped
     assert batched.grains == 1500
 
 
@@ -357,7 +370,7 @@ def test_advance_to_settles_once_per_avalanche(monkeypatch):
     monkeypatch.setattr(stabilizer, "_settle", counting("settle", stabilizer._settle))
     drop = counting("drop", IncrementalStabilizer._drop)
     monkeypatch.setattr(IncrementalStabilizer, "_drop", drop)
-    inc = IncrementalStabilizer(p, expect=n, track_density=True)
+    inc = IncrementalStabilizer(p, expect=n)
     inc.advance_to(n)
     assert calls["settle"] == started
     # the grains between two avalanches go on in one step, not one each
@@ -370,8 +383,8 @@ def test_advance_to_settles_once_per_avalanche(monkeypatch):
 def test_density_from_the_shot_prefix_matches_the_firing_order(p):
     # each pile's maximum is reset before every grain, so it reads the
     # density column of that grain's avalanche alone
-    recorded = IncrementalStabilizer(p, expect=2000, track_density=True)
-    advanced = IncrementalStabilizer(p, expect=2000, track_density=True)
+    recorded = IncrementalStabilizer(p, expect=2000)
+    advanced = IncrementalStabilizer(p, expect=2000)
     holed = 0
     for n in range(1, 2001):
         recorded.density_max = advanced.density_max = 0
@@ -403,8 +416,8 @@ JUMP_SIZES = [(p, 20000, 1) for p in range(1, 7)] + [(30, 100000, 97)]
 
 @pytest.mark.parametrize("p,n,every", JUMP_SIZES)
 def test_the_jump_settles_as_the_plain_walk(p, n, every):
-    jumped = IncrementalStabilizer(p, expect=n, track_density=True)
-    walked = IncrementalStabilizer(p, expect=n, track_density=True)
+    jumped = IncrementalStabilizer(p, expect=n)
+    walked = IncrementalStabilizer(p, expect=n)
     for g in range(n):
         # reset before each grain, so both read that grain's density column
         jumped.density_max = walked.density_max = 0
@@ -506,11 +519,36 @@ def test_pile_reach_covers_the_whole_fixed_point(p):
             assert columns(pile) == (want.slopes.slopes, want.shot)
 
 
-def test_jump_to_refuses_density_tracking():
-    inc = IncrementalStabilizer(2, expect=50, track_density=True)
-    with pytest.raises(ValueError, match="density"):
-        inc.jump_to(50)
-    assert inc.grains == 0
+@pytest.mark.parametrize("p", range(1, 7))
+def test_jump_to_leaves_the_density_column_unknown(p):
+    inc = IncrementalStabilizer(p, expect=3000)
+    # a jump to the grains already added drops nothing and keeps the density
+    # column, but claims no quiet column, as a step that settled nothing
+    n = 0
+    while not inc.quiet:
+        n += 1
+        inc.advance_to(n)
+    known = inc.density_max
+    assert inc.jump_to(n) == 1
+    assert (inc.density_max, inc.quiet) == (known, None)
+    inc.jump_to(n + 1)
+    assert (inc.density_max, inc.quiet) == (None, None)
+    # later steps that tip column 0 record nothing; a twin pile that never
+    # jumped settles the same avalanches and claims quiet columns for some
+    twin = IncrementalStabilizer(p, expect=3000)
+    twin.advance_to(n + 1)
+    tipped = claimed = 0
+    for m in range(n + 2, 3001):
+        if m % 2:
+            tipped += inc.advance_to(m) > 1
+            twin.advance_to(m)
+        else:
+            tipped += bool(inc.advance().fired)
+            twin.advance()
+        assert (inc.density_max, inc.quiet) == (None, None)
+        assert columns(inc) == columns(twin)
+        claimed += twin.quiet is not None
+    assert tipped > 100 and claimed > 20
 
 
 @pytest.mark.parametrize("p,n", [(1, 77), (2, 24), (3, 260), (5, 1001)])
