@@ -13,8 +13,11 @@ Four ways to reach the unique fixed point of ``N`` grains:
   to stability, firing it ``slope // (p+1)`` times at once.  The draws
   come from a seeded Mersenne Twister, so runs are reproducible.
 * ``incremental`` -- add one grain at a time and settle each avalanche
-  with the leftmost rule.  Only a grain that tips column 0 costs a
+  with the leftmost rule.  Only a grain that tips column 0 can cost a
   settle; the grains before it fire nothing and are added together.
+  Most tips at large ``p`` fire column 0 alone, since their kick leaves
+  column ``p`` stable, and a run of them costs no settle: it is applied
+  in closed form, one kick per tip, until column ``p`` holds ``p``.
   A one-grain avalanche fires no column twice and, past a short
   prefix, runs along the wave tail's slope-``p`` columns, firing each
   column once (Perrot and Remila, "Kadanoff sand pile model. Avalanche
@@ -22,7 +25,7 @@ Four ways to reach the unique fixed point of ``N`` grains:
   walk stops where that regular block begins and jumps it: it finds
   the block's last column ``M`` by one comparison per ``p`` columns,
   and applies the firings at the block's ends alone.  Each step returns
-  the extent of columns its settles touched.  A step that settled one
+  the extent of columns its avalanches touched.  A step that settled one
   avalanche also sets the pile's ``quiet`` columns inside it, which lie
   between the step's one avalanche's prefix ``[0, density_column + p)``
   and its edge ``[M, M + p]``; only the rest is what
@@ -431,7 +434,8 @@ class IncrementalStabilizer:
         self.density_max: int | None = 0
         self.slopes = [0] * _capacity(p, expect)
         self.shot = [0] * len(self.slopes)
-        # the grain count at the settle that last fired each column
+        # the grain count at the settle that last fired each column; a run
+        # of one-column avalanches marks column 0 with its last tip's count
         self._mark = [0] * len(self.slopes)
         # every column at or past ``_reach`` holds slope 0 and shot 0
         self._reach = 1
@@ -507,19 +511,43 @@ class IncrementalStabilizer:
 
         A grain that leaves column 0 at or below ``p`` fires nothing, so
         the grains up to the next one that tips column 0 are added at once.
-        Returns the touched extent of all the settles: slopes changed only
-        left of it and shots only left of it minus ``p``.  Each settle is
-        recorded as :meth:`_drop` says, and :attr:`quiet` is None unless
-        the step settled exactly one.
+        A tip while column ``p`` holds ``q < p`` fires column 0 alone, and
+        so do the next ``p - q - 1`` tips, so such a run of up to ``p - q``
+        avalanches costs no settle: column 0 ends at 0 and fires once per
+        tip, and column ``p`` gains one per tip.  Only the other tips go
+        through :meth:`_drop`.  Returns the touched extent of all the
+        avalanches: slopes changed only left of it and shots only left of
+        it minus ``p``.  Each settle is recorded as :meth:`_drop` says, a
+        run's density columns are 0, and :attr:`quiet` is None unless the
+        step settled exactly one avalanche.
         """
         self._check_target(target)
+        p = self.p
         slopes = self.slopes
-        edge = self.p + 1
+        edge = p + 1
         self.quiet = None
         touched = 1
         settles = 0
         while self.grains < target:
-            extent = self._drop(min(target - self.grains, edge - slopes[0]))
+            left = target - self.grains
+            need = edge - slopes[0]
+            q = slopes[p]
+            if left >= need and q < p:
+                # a run of one-column avalanches: each tip fires column 0
+                # alone, and its kick leaves column p stable until it holds p
+                t = min(p - q, 1 + (left - need) // edge)
+                self.grains += need + (t - 1) * edge
+                slopes[0] = 0
+                slopes[p] = q + t
+                self.shot[0] += t
+                self._mark[0] = self.grains
+                settles += t
+                if edge > touched:
+                    touched = edge
+                if edge > self._reach:
+                    self._reach = edge
+                continue
+            extent = self._drop(min(left, need))
             # a drop returns 1 exactly when it tipped nothing
             if extent > 1:
                 settles += 1

@@ -358,6 +358,8 @@ def test_advance_to_settles_once_per_avalanche(monkeypatch):
     stepped = IncrementalStabilizer(p, expect=n)
     avalanches = [stepped.advance() for _ in range(n)]
     started = sum(1 for av in avalanches if av.fired)
+    # an avalanche that fires column 0 alone is settled in closed form
+    wide = sum(1 for av in avalanches if len(av.fired) > 1)
     calls = {"settle": 0, "drop": 0}
 
     def counting(name, fn):
@@ -372,11 +374,63 @@ def test_advance_to_settles_once_per_avalanche(monkeypatch):
     monkeypatch.setattr(IncrementalStabilizer, "_drop", drop)
     inc = IncrementalStabilizer(p, expect=n)
     inc.advance_to(n)
-    assert calls["settle"] == started
+    assert calls["settle"] == wide
     # the grains between two avalanches go on in one step, not one each
-    assert calls["drop"] <= started + 1
-    assert 0 < started < n // 10
+    assert calls["drop"] <= wide + 1
+    assert 0 < wide < started < n // 10
     assert inc.density_max == max(av.density_column for av in avalanches)
+
+
+def drop_grain_by_grain(pile, target):
+    """``advance_to`` by one ``_drop`` per grain, without its closed-form runs.
+
+    Returns the step's touched extent and, per tip, whether it fired
+    column 0 alone: column 0 tips from ``p`` and column ``p`` stays stable.
+    """
+    p = pile.p
+    pile.quiet = None
+    touched, lone = 1, []
+    while pile.grains < target:
+        if pile.slopes[0] == p:
+            lone.append(pile.slopes[p] < p)
+        touched = max(touched, pile._drop(1))
+    if len(lone) > 1:
+        pile.quiet = None
+    return touched, lone
+
+
+def full_state(pile):
+    return (
+        pile.grains,
+        pile.slopes,
+        pile.shot,
+        pile._mark,
+        pile._reach,
+        pile.density_max,
+        pile.quiet,
+        pile.jumps,
+        pile.jumped,
+    )
+
+
+@pytest.mark.parametrize("p,n", [(p, 3000) for p in (*range(1, 9), 12)] + [(30, 30000)])
+def test_runs_of_one_column_avalanches_match_the_grain_by_grain_pile(p, n):
+    rng = random.Random(p)
+    batched = IncrementalStabilizer(p, expect=n)
+    stepped = IncrementalStabilizer(p, expect=n)
+    # steps that end inside a run, and runs cut short by column p reaching p
+    inside = cut = 0
+    while batched.grains < n:
+        target = min(n, batched.grains + rng.randint(1, 4 * (p + 1)))
+        touched = batched.advance_to(target)
+        want, lone = drop_grain_by_grain(stepped, target)
+        assert touched == want
+        assert full_state(batched) == full_state(stepped)
+        inside += bool(lone) and lone[-1] and stepped.slopes[p] < p
+        cut += sum(a and not b for a, b in zip(lone, lone[1:]))
+    assert cut > 10
+    # at p = 1 a run is one avalanche, which leaves column p at p
+    assert inside > 10 or p == 1
 
 
 @pytest.mark.parametrize("p", range(1, 9))
