@@ -2,9 +2,10 @@
 
     python3 scripts/record_bench.py LABEL [--root CHECKOUT]
 
-Runs ``benchmarks/run.py`` of CHECKOUT (default: this repository) on
-every workload in its ``BENCHMARK.json``, once per seed, one run at a
-time, and writes ``BENCH_<LABEL>.json`` at the root of this repository.
+Compiles CHECKOUT's ``src/kspm`` to bytecode, then runs
+``benchmarks/run.py`` of CHECKOUT (default: this repository) on every
+workload in its ``BENCHMARK.json``, once per seed, one run at a time,
+and writes ``BENCH_<LABEL>.json`` at the root of this repository.
 The file holds the checkout's commit and, per workload, each seed's
 ``pass_s``, ``setup_s`` and ``peak_rss_mib`` with their median and
 quartiles, and whether every run was ``correct``.  It runs seeds 1-10
@@ -65,6 +66,12 @@ def commit_of(root: Path) -> str | None:
 
 
 def record(root: Path, workloads: list[str], seeds: list[int], seconds: float) -> dict:
+    # each pass imports kspm in a fresh interpreter; where PYTHONDONTWRITEBYTECODE
+    # is set, a checkout without bytecode would compile every module in every
+    # pass's setup_s
+    subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", "src/kspm"], cwd=root, check=True
+    )
     entries = {}
     for workload in workloads:
         runs = []

@@ -14,12 +14,16 @@ Output is JSON (default) or CSV, written to stdout or ``--output``.
 A JSON document is ``{"meta": {"tool", "version", "command", "config"},
 "result"}``, where ``config`` holds every parsed argument except
 ``--format``, ``--output`` and ``--emit-plot-data``; its text is
-``json.dumps(doc, indent=2)`` byte for byte, written through the C
-encoder by ``_json``.  CSV writes
-``stabilize`` and ``avalanche`` results as ``field,value`` rows (a list
+``json.dumps(doc, indent=2)`` byte for byte, encoded through the C
+encoder by ``_pieces``.  The whole document is checked first, so one
+that ``json.dumps`` refuses writes nothing, and its text is then
+written in pieces of at most ``CHUNK`` rows, never as one string.  CSV
+goes through ``csv.writer`` straight to the destination: ``stabilize``
+and ``avalanche`` results as ``field,value`` rows (a list
 space-separated), ``scan`` rows followed by one ``# fit`` line per fit,
-``spectral`` rows and ``verify`` checks.  Documents are byte-stable
-across runs: timing fields are zero unless ``--timing`` is given.
+``spectral`` rows and ``verify`` checks.  A reader that closes stdout
+early ends the output quietly.  Documents are byte-stable across runs:
+timing fields are zero unless ``--timing`` is given.
 """
 
 from __future__ import annotations
@@ -27,11 +31,11 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
-import io
 import json
 import os
 import sys
 from contextlib import contextmanager
+from itertools import chain
 from math import isfinite, log2, sqrt
 
 from . import __version__, analyzer, dds, spectral
@@ -86,6 +90,8 @@ _NOT_CONFIG = ("command", "func", "format", "output", "emit_plot_data")
 # newline between the items of ``_encode_items`` cannot occur inside one.
 _encode = json.JSONEncoder().encode
 _encode_items = json.JSONEncoder(separators=("\n", ": ")).encode
+# most flat rows joined into one piece of the written text
+CHUNK = 512
 
 
 def _key(k) -> str:
@@ -115,13 +121,15 @@ def _scalar_texts(values):
 
 
 def _rows(rows, indent: str):
-    """Each row's JSON text through one ``%`` template, or None.
+    """The rows' JSON text as a generator of pieces of ``CHUNK`` rows, or None.
 
     None unless every row is a dict with the first row's string keys in the
     same order and no dict, list or tuple value, and None where a value
     cannot be encoded: the columns meet it in another order than
     ``json.dumps``, so the rows are left to the recursive path, which raises
-    its error.  ``indent`` is the newline and indentation of the rows' braces.
+    its error.  Every value is encoded here; the generator only fills one
+    ``%`` template per row.  ``indent`` is the newline and indentation of the
+    rows' braces.
     """
     keys = tuple(rows[0]) if isinstance(rows[0], dict) else ()
     if not (keys and all(isinstance(k, str) for k in keys)):
@@ -137,63 +145,122 @@ def _rows(rows, indent: str):
         return None
     inner = indent + "  "
     fields = ("," + inner).join(_encode(k).replace("%", "%%") + ": %s" for k in keys)
-    template = "{" + inner + fields + indent + "}"
-    return [template % row for row in zip(*columns)]
+    return _chunks("{" + inner + fields + indent + "}", columns, "," + indent)
 
 
-def _json(obj, indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, raising where it raises.
+def _chunks(template: str, columns, sep: str):
+    """The rows' text through ``template``, ``CHUNK`` rows to a piece."""
+    for start in range(0, len(columns[0]), CHUNK):
+        if start:
+            yield sep
+        rows = zip(*[c[start : start + CHUNK] for c in columns])
+        yield sep.join([template % row for row in rows])
+
+
+def _parts(obj, indent: str):
+    """``obj``'s JSON text as strings and generators of row pieces.
 
     ``indent`` is the newline and indentation of ``obj``'s closing bracket.  A
-    list of scalars is written in one encoder call, a list of flat dicts that
-    share their keys through one template, and anything else recursively.  A
-    document that contains itself ends in ``RecursionError``, not ``ValueError``.
+    list of scalars is one string from one encoder call, a list of flat dicts
+    that share their keys one generator from ``_rows``, and anything else is
+    walked recursively.
     """
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
+            yield "{}"
+            return
         inner = indent + "  "
-        items = [_key(k) + ": " + _json(v, inner) for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
+        sep = "{" + inner
+        for k, v in obj.items():
+            yield sep + _key(k) + ": "
+            yield from _parts(v, inner)
+            sep = "," + inner
+        yield indent + "}"
+        return
     if not isinstance(obj, (list, tuple)):
-        return _encode(obj)
+        yield _encode(obj)
+        return
     if not obj:
-        return "[]"
+        yield "[]"
+        return
     inner = indent + "  "
     texts = _scalar_texts(obj)
-    if texts is None:
-        texts = _rows(obj, inner) or [_json(v, inner) for v in obj]
-    return "[" + inner + ("," + inner).join(map(str, texts)) + indent + "]"
+    if texts is not None:
+        yield "[" + inner + ("," + inner).join(map(str, texts)) + indent + "]"
+        return
+    rows = _rows(obj, inner)
+    if rows is not None:
+        yield "[" + inner
+        yield rows
+        yield indent + "]"
+        return
+    sep = "[" + inner
+    for v in obj:
+        yield sep
+        yield from _parts(v, inner)
+        sep = "," + inner
+    yield indent + "]"
+
+
+def _pieces(obj):
+    """``json.dumps(obj, indent=2)`` as an iterator of text pieces.
+
+    The whole document is walked and every value encoded first, so whatever
+    ``json.dumps`` raises is raised here, before the first piece.  Flat rows
+    then come ``CHUNK`` to a piece.  A document that contains itself ends in
+    ``RecursionError``, not ``ValueError``.
+    """
+    parts = list(_parts(obj, "\n"))
+    return chain.from_iterable([p] if isinstance(p, str) else p for p in parts)
+
+
+def _json(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, raising where it raises."""
+    return "".join(_pieces(obj))
 
 
 def _emit(args, result: dict, records=None, trailer: str = "") -> None:
     """Write the document to ``--output`` or stdout.
 
-    JSON is ``{"meta": …, "result": result}``.  CSV is ``records`` with the
-    first record's keys as header (``None`` is written as ``""``), then
-    ``trailer``; with no ``records`` it is the result as ``field,value``
+    JSON is ``{"meta": …, "result": result}``, checked whole before the
+    destination is opened and then written in pieces.  CSV is ``records``
+    with the first record's keys as header (``None`` is written as ``""``),
+    then ``trailer``; with no ``records`` it is the result as ``field,value``
     rows, a list written space-separated.
     """
     if args.format == "json":
         meta = {"tool": "kspm", "version": __version__, "command": args.command}
         meta["config"] = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
-        text = _json({"meta": meta, "result": result}) + "\n"
+        pieces = _pieces({"meta": meta, "result": result})
+
+        def write(fh) -> None:
+            fh.writelines(pieces)
+            fh.write("\n")
+
     else:
         if records is None:
             records = [
                 {"field": k, "value": " ".join(map(str, v)) if isinstance(v, list) else v}
                 for k, v in result.items()
             ]
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(records[0])
-        w.writerows(r.values() for r in records)
-        text = buf.getvalue() + trailer
+
+        def write(fh) -> None:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(records[0])
+            w.writerows(r.values() for r in records)
+            fh.write(trailer)
+
     if args.output:
         with _writing(args.output) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            write(fh)
+        return
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: what is left goes to os.devnull, so
+        # that the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _exit_code(records, key: str, message: str, code: int) -> int:

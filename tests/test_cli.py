@@ -1,5 +1,6 @@
 """Command-line behaviors: outputs, formats, exit codes, determinism."""
 
+import argparse
 import csv
 import dataclasses
 import io
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +315,93 @@ def test_json_writer_matches_json_dumps_on_generated_documents(doc):
 )
 def test_json_writer_matches_json_dumps_on_traps(obj):
     assert_writes_like_json_dumps(obj)
+
+
+def emit_args(output=None):
+    """Arguments for ``cli._emit`` whose document has an empty ``config``."""
+    return argparse.Namespace(command="test", format="json", output=output)
+
+
+def emitted(doc) -> str:
+    meta = {"tool": "kspm", "version": kspm.__version__, "command": "test", "config": {}}
+    return json.dumps({"meta": meta, "result": doc}, indent=2) + "\n"
+
+
+def mixed_rows(n):
+    """Flat rows whose columns hold None, floats, strings and Infinity among ints."""
+    return [
+        {"N": i, "x": [None, i / 7, math.inf][i % 3], "s": f"r%s{i}", "n": i * i}
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [0, 1, cli.CHUNK - 1, cli.CHUNK, cli.CHUNK + 1, 2 * cli.CHUNK + 1],
+    ids=["0", "1", "chunk-1", "chunk", "chunk+1", "2chunk+1"],
+)
+def test_emit_writes_flat_rows_in_chunks_as_json_dumps_does(tmp_path, capsys, n):
+    rows = mixed_rows(n)
+    doc = {"rows": rows, "nested": [rows, 1], "fits": {"ok": False}}
+    want = emitted(doc)
+    path = tmp_path / "doc.json"
+    cli._emit(emit_args(str(path)), doc)
+    assert path.read_text(encoding="utf-8") == want
+    cli._emit(emit_args(), doc)
+    assert capsys.readouterr().out == want
+    # the rows take the template path, at most CHUNK of them to a piece
+    largest = max(piece.count('"N": ') for piece in cli._pieces(doc))
+    assert largest == min(n, cli.CHUNK)
+
+
+@pytest.mark.parametrize("where", ["file", "stdout"])
+@pytest.mark.parametrize("trap", ["set-in-row-1500", "tuple-key"])
+def test_a_refused_document_writes_nothing(tmp_path, capsys, where, trap):
+    rows = [{"N": i, "w": i % 7} for i in range(2000)]
+    if trap == "set-in-row-1500":
+        rows[1499]["w"] = {1}
+        doc = {"rows": rows}
+    else:
+        doc = {"rows": rows, "fits": {(1, 2): 3}}
+    with pytest.raises(TypeError) as want:
+        json.dumps(doc, indent=2)
+    path = tmp_path / "doc.json"
+    with pytest.raises(TypeError, match=re.escape(str(want.value))):
+        cli._emit(emit_args(str(path) if where == "file" else None), doc)
+    assert not path.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_emit_writes_a_scan_document_in_less_memory_than_its_text(tmp_path):
+    rows = analyzer.scan_rows(3, range(10, 200_001, 10))
+    doc = {"rows": rows, "fits": {}}
+    path = tmp_path / "doc.json"
+    tracemalloc.start()
+    try:
+        cli._emit(emit_args(str(path)), doc, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 5_000_000
+    # one string for the whole text peaked at about 3.2 times its length
+    assert peak < size, f"peak {peak} bytes against a {size}-byte document"
+
+
+def test_a_reader_that_closes_stdout_early_leaves_the_run_quiet():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kspm", "scan", "--p", "3", "--n-max", "20000",
+         "--stride", "10"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=Path(kspm.__file__).parents[1],
+    )
+    # the 0.5 MB document cannot fit in the pipe, so later writes meet EPIPE
+    assert proc.stdout.read(10) == b'{\n  "meta"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 # ------------------------------------------------------------ meta.config

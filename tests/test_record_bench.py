@@ -1,7 +1,9 @@
-"""The benchmark recorder writes BENCH_<label>.json with every field it names."""
+"""The benchmark recorder compiles the checkout, then writes BENCH_<label>.json
+with every field it names."""
 
 import importlib.util
 import json
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -26,3 +28,24 @@ def test_record_bench_writes_each_seed_and_its_summary(tmp_path):
     for metric in ("pass_s", "setup_s", "peak_rss_mib"):
         assert run[metric] > 0
         assert entry[metric] == {"median": run[metric], "q1": run[metric], "q3": run[metric]}
+
+
+def test_record_bench_compiles_the_checkout_before_its_first_run(tmp_path, monkeypatch):
+    package = tmp_path / "src" / "kspm"
+    shutil.copytree(REPO / "src" / "kspm", package, ignore=shutil.ignore_patterns("__pycache__"))
+    modules = sorted(package.glob("*.py"))
+
+    def compiled() -> bool:
+        return all(Path(importlib.util.cache_from_source(m)).is_file() for m in modules)
+
+    assert modules and not any(package.rglob("*.pyc"))
+    seen = []
+
+    def run_once(root, workload, seed, seconds):
+        seen.append(compiled())
+        return {"seed": seed, "correct": True, "pass_s": 1.0, "setup_s": 1.0, "peak_rss_mib": 1.0}
+
+    monkeypatch.setattr(record_bench, "run_once", run_once)
+    record_bench.record(tmp_path, ["fixed-point"], [1, 2], 0.1)
+    assert seen == [True, True]
+    assert compiled()
