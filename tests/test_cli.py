@@ -396,12 +396,14 @@ def test_a_reader_that_closes_stdout_early_leaves_the_run_quiet():
         stderr=subprocess.PIPE,
         cwd=Path(kspm.__file__).parents[1],
     )
-    # the 0.5 MB document cannot fit in the pipe, so later writes meet EPIPE
-    assert proc.stdout.read(10) == b'{\n  "meta"'
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
-    assert err == b""
+    try:
+        # the 0.5 MB document cannot fit in the pipe, so later writes meet EPIPE
+        assert proc.stdout.read(10) == b'{\n  "meta"'
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (0, b"")
 
 
 # ------------------------------------------------------------ meta.config
