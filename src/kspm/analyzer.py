@@ -5,8 +5,9 @@ descending runs ``p, p-1, ..., 1``, separated by at most one interior
 zero, followed by the implicit zero tail.  This module locates the
 earliest column where that pattern starts, checks support bounds with
 exact integer arithmetic, measures plateaus of equal heights, and
-aggregates all of it into scan rows with logarithmic fits.  Scan rows
-and fits are plain dicts keyed as the CLI writes them.  A scan keeps
+aggregates all of it into scan rows with logarithmic fits.  A scan's
+rows are columns, one list per field in the order the CLI writes them,
+and a fit is a dict keyed as the CLI writes it.  A scan keeps
 its row statistics current over the prefix of columns each sample's
 settles touched, less the quiet columns the step's one avalanche fired
 through once, and checks the whole width once more at its last sample.
@@ -28,10 +29,10 @@ from .stabilizer import IncrementalStabilizer, check_work
 
 WAVE = "wave"
 ZERO = "zero"
-#: Most samples one scan takes; each keeps a row dict of about 0.3 KB.  The
-#: CLI writes a scan's text in row chunks, so the rows dominate its memory:
-#: ``scan --p 2 --n-max 100000 --stride 1`` peaks at about 80 MiB of RSS as
-#: JSON and 78 MiB as CSV (x86-64 Linux, CPython 3.11).
+#: Most samples one scan takes; each keeps about 0.12 KB in the rows' columns.
+#: The CLI writes a scan's text in row chunks, so the rows dominate its memory:
+#: ``scan --p 2 --n-max 100000 --stride 1`` peaks at about 60 MiB of RSS as
+#: JSON and as CSV (x86-64 Linux, CPython 3.11).
 MAX_SAMPLES = 2**21
 
 
@@ -344,22 +345,23 @@ def scan_rows(
     n_values,
     incremental: bool = True,
     timing: bool = False,
-) -> list[dict]:
+) -> dict[str, list]:
     """Stabilize at each sampled grain count and summarize the result.
 
-    Each row is a dict keyed ``N, p, w, n_strict, n_loose, uniform_index,
-    interior_zeros, density_column, ambiguous_count, elapsed_us``, the
-    columns ``kspm scan`` writes; ``elapsed_us`` is 0 unless ``timing``
-    is set, keeping default output reproducible.  Both modes share one
-    growing pile across samples; rows come back in sample order.
-    Incremental scans replay every avalanche, and the pile records their
-    density columns.  Direct scans settle each sample's new grains at
-    once, the same fixed point by firing's abelian property, and the pile
-    then has ``None`` for ``density_column``.  One :class:`WaveTracker`
-    follows the pile; the last sample is checked again over the whole
-    width, and a difference raises :class:`RecurrenceMismatch`.  A scan
-    of more than ``MAX_SAMPLES`` samples raises :class:`CapacityError`
-    before its pile is built, after the pile's own firing preflight.
+    The rows come back as columns: one list per field, with one value per
+    sample in sample order, keyed ``N, p, w, n_strict, n_loose,
+    uniform_index, interior_zeros, density_column, ambiguous_count,
+    elapsed_us`` as ``kspm scan`` writes them.  ``elapsed_us`` is 0 unless
+    ``timing`` is set, keeping default output reproducible.  Both modes
+    share one growing pile across samples.  Incremental scans replay every
+    avalanche, and the pile records their density columns.  Direct scans
+    settle each sample's new grains at once, the same fixed point by
+    firing's abelian property, and the pile then has ``None`` for
+    ``density_column``.  One :class:`WaveTracker` follows the pile; the
+    last sample is checked again over the whole width, and a difference
+    raises :class:`RecurrenceMismatch`.  A scan of more than
+    ``MAX_SAMPLES`` samples raises :class:`CapacityError` before its pile
+    is built, after the pile's own firing preflight.
     """
     check_p(p)
     # a range is already sorted and distinct; left lazy, its largest sample
@@ -380,25 +382,22 @@ def scan_rows(
     inc = IncrementalStabilizer(p, expect=targets[-1])
     step = inc.advance_to if incremental else inc.jump_to
     tracker = WaveTracker(p)
-    rows: list[dict] = []
+    rows: dict[str, list] = {
+        k: []
+        for k in ("N", "p", "w", "n_strict", "n_loose", "uniform_index",
+                  "interior_zeros", "density_column", "ambiguous_count", "elapsed_us")
+    }
     for n in targets:
         t0 = time.perf_counter() if timing else 0.0
         touched = step(n)
         stats = tracker.update(n, inc.slopes, inc.shot, touched, inc.quiet)
-        rows.append(
-            {
-                "N": n,
-                "p": p,
-                "w": stats.width,
-                "n_strict": stats.n_strict,
-                "n_loose": stats.n_loose,
-                "uniform_index": stats.uniform_index,
-                "interior_zeros": len(stats.zero_positions),
-                "density_column": inc.density_max,
-                "ambiguous_count": stats.ambiguous_count,
-                "elapsed_us": int((time.perf_counter() - t0) * 1e6) if timing else 0,
-            }
+        elapsed = int((time.perf_counter() - t0) * 1e6) if timing else 0
+        sample = (
+            n, p, stats.width, stats.n_strict, stats.n_loose, stats.uniform_index,
+            len(stats.zero_positions), inc.density_max, stats.ambiguous_count, elapsed,
         )
+        for column, value in zip(rows.values(), sample):
+            column.append(value)
     # every column's balance once more, so a change the extents missed still fails
     if row_statistics(p, n, inc.slopes, inc.shot) != stats:
         raise RecurrenceMismatch(
@@ -408,14 +407,14 @@ def scan_rows(
 
 
 def log_fit(rows, field: str) -> dict:
-    """Fit a scan column as ``value ~ c * log2(N) + d``.
+    """Fit the scan column ``field`` as ``value ~ c * log2(N) + d``.
 
     Returns ``{"c", "d", "max_ratio", "points"}``.  Requires at least 10
     usable rows spanning a factor of 100 in ``N``; otherwise raises
     :class:`InsufficientData`.  ``max_ratio`` maximizes ``value / log2(N)``
     over rows with ``N >= 16``.
     """
-    pts = [(r["N"], r[field]) for r in rows if r[field] is not None and r["N"] >= 2]
+    pts = [(n, v) for n, v in zip(rows["N"], rows[field]) if v is not None and n >= 2]
     if len(pts) < 10:
         raise InsufficientData(f"need at least 10 rows for a fit, got {len(pts)}")
     ns = [n for n, _ in pts]
@@ -446,9 +445,9 @@ class DecadeGate:
 
 
 def decade_regression(rows, field: str, slack: float = 1.25) -> DecadeGate:
-    """Require the worst ``value/log2(n)`` of the last decade to stay
-    within ``slack`` times the previous decade's worst."""
-    pts = [(r["N"], r[field]) for r in rows if r[field] is not None and r["N"] >= 16]
+    """Require the worst ``value/log2(n)`` of the column ``field`` over the
+    last decade to stay within ``slack`` times the previous decade's worst."""
+    pts = [(n, v) for n, v in zip(rows["N"], rows[field]) if v is not None and n >= 16]
     if not pts:
         raise InsufficientData("no rows with n >= 16")
     top = max(n for n, _ in pts)

@@ -15,15 +15,17 @@ A JSON document is ``{"meta": {"tool", "version", "command", "config"},
 "result"}``, where ``config`` holds every parsed argument except
 ``--format``, ``--output`` and ``--emit-plot-data``; its text is
 ``json.dumps(doc, indent=2)`` byte for byte, encoded through the C
-encoder by ``_pieces``.  The whole document is checked first, so one
-that ``json.dumps`` refuses writes nothing, and its text is then
-written in pieces of at most ``CHUNK`` rows, never as one string.  CSV
-goes through ``csv.writer`` straight to the destination: ``stabilize``
-and ``avalanche`` results as ``field,value`` rows (a list
-space-separated), ``scan`` rows followed by one ``# fit`` line per fit,
-``spectral`` rows and ``verify`` checks.  A reader that closes stdout
-early ends the output quietly.  Documents are byte-stable across runs:
-timing fields are zero unless ``--timing`` is given.
+encoder by ``_pieces``, with every ``Table`` (columns from producer to
+writer) written as the list of its rows.  The whole document is checked
+first, so one that ``json.dumps`` refuses writes nothing, and its text
+is then written in pieces of at most ``CHUNK`` rows, never as one
+string.  CSV writes one ``Table`` through ``csv.writer`` straight to
+the destination: ``stabilize`` and ``avalanche`` results as
+``field,value`` rows (a list space-separated), ``scan`` rows followed by
+one ``# fit`` line per fit, ``spectral`` rows and ``verify`` checks.  A
+reader that closes the output early ends it quietly.  Documents are
+byte-stable across runs: timing fields are zero unless ``--timing`` is
+given.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ def _writing(path: str, newline: str | None = None):
     try:
         with open(path, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
+    except BrokenPipeError:
+        pass  # the reader closed the pipe early: the output ends quietly, as on stdout
     except OSError as exc:
         raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -90,8 +94,14 @@ _NOT_CONFIG = ("command", "func", "format", "output", "emit_plot_data")
 # newline between the items of ``_encode_items`` cannot occur inside one.
 _encode = json.JSONEncoder().encode
 _encode_items = json.JSONEncoder(separators=("\n", ": ")).encode
-# most flat rows joined into one piece of the written text
+# most table rows joined into one piece of the written text
 CHUNK = 512
+
+
+class Table(dict):
+    """Rows as columns: each key, in output order, maps to a list of scalars
+    with one value per row.  JSON writes a table as the list of its rows, and
+    CSV as its keys and then one line per row."""
 
 
 def _key(k) -> str:
@@ -120,34 +130,6 @@ def _scalar_texts(values):
     return _encode_items(values)[1:-1].split("\n")
 
 
-def _rows(rows, indent: str):
-    """The rows' JSON text as a generator of pieces of ``CHUNK`` rows, or None.
-
-    None unless every row is a dict with the first row's string keys in the
-    same order and no dict, list or tuple value, and None where a value
-    cannot be encoded: the columns meet it in another order than
-    ``json.dumps``, so the rows are left to the recursive path, which raises
-    its error.  Every value is encoded here; the generator only fills one
-    ``%`` template per row.  ``indent`` is the newline and indentation of the
-    rows' braces.
-    """
-    keys = tuple(rows[0]) if isinstance(rows[0], dict) else ()
-    if not (keys and all(isinstance(k, str) for k in keys)):
-        return None
-    # compare key tuples: ``keys() ==`` ignores the order
-    if not all(isinstance(r, dict) and tuple(r) == keys for r in rows):
-        return None
-    try:
-        columns = [_scalar_texts(c) for c in zip(*[r.values() for r in rows])]
-    except TypeError:
-        return None
-    if any(c is None for c in columns):
-        return None
-    inner = indent + "  "
-    fields = ("," + inner).join(_encode(k).replace("%", "%%") + ": %s" for k in keys)
-    return _chunks("{" + inner + fields + indent + "}", columns, "," + indent)
-
-
 def _chunks(template: str, columns, sep: str):
     """The rows' text through ``template``, ``CHUNK`` rows to a piece."""
     for start in range(0, len(columns[0]), CHUNK):
@@ -161,10 +143,26 @@ def _parts(obj, indent: str):
     """``obj``'s JSON text as strings and generators of row pieces.
 
     ``indent`` is the newline and indentation of ``obj``'s closing bracket.  A
-    list of scalars is one string from one encoder call, a list of flat dicts
-    that share their keys one generator from ``_rows``, and anything else is
-    walked recursively.
+    list of scalars is one string from one encoder call, a ``Table`` the list
+    of its rows as one generator from ``_chunks``, and anything else is walked
+    recursively.
     """
+    if isinstance(obj, Table):
+        # every value is encoded here, a column at a time; the generator only
+        # fills one ``%`` template per row
+        columns = [_scalar_texts(c) for c in obj.values()]
+        if not (columns and len(columns[0])):
+            yield "[]"
+            return
+        if any(c is None for c in columns):
+            raise TypeError("a table column holds a dict, list or tuple")
+        inner = indent + "  "
+        field = inner + "  "
+        fields = ("," + field).join(_key(k).replace("%", "%%") + ": %s" for k in obj)
+        yield "[" + inner
+        yield _chunks("{" + field + fields + inner + "}", columns, "," + inner)
+        yield indent + "]"
+        return
     if isinstance(obj, dict):
         if not obj:
             yield "{}"
@@ -188,12 +186,6 @@ def _parts(obj, indent: str):
     if texts is not None:
         yield "[" + inner + ("," + inner).join(map(str, texts)) + indent + "]"
         return
-    rows = _rows(obj, inner)
-    if rows is not None:
-        yield "[" + inner
-        yield rows
-        yield indent + "]"
-        return
     sep = "[" + inner
     for v in obj:
         yield sep
@@ -203,30 +195,32 @@ def _parts(obj, indent: str):
 
 
 def _pieces(obj):
-    """``json.dumps(obj, indent=2)`` as an iterator of text pieces.
+    """``json.dumps(obj, indent=2)`` as an iterator of text pieces, with every
+    ``Table`` written as the list of its rows.
 
     The whole document is walked and every value encoded first, so whatever
-    ``json.dumps`` raises is raised here, before the first piece.  Flat rows
-    then come ``CHUNK`` to a piece.  A document that contains itself ends in
-    ``RecursionError``, not ``ValueError``.
+    ``json.dumps`` raises is raised here, before the first piece.  A table's
+    rows then come ``CHUNK`` to a piece.  A document that contains itself ends
+    in ``RecursionError``, not ``ValueError``.
     """
     parts = list(_parts(obj, "\n"))
     return chain.from_iterable([p] if isinstance(p, str) else p for p in parts)
 
 
 def _json(obj) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, raising where it raises."""
+    """``json.dumps(obj, indent=2)``, byte for byte, raising where it raises;
+    a ``Table`` is written as the list of its rows."""
     return "".join(_pieces(obj))
 
 
-def _emit(args, result: dict, records=None, trailer: str = "") -> None:
+def _emit(args, result: dict, table: Table | None = None, trailer: str = "") -> None:
     """Write the document to ``--output`` or stdout.
 
     JSON is ``{"meta": …, "result": result}``, checked whole before the
-    destination is opened and then written in pieces.  CSV is ``records``
-    with the first record's keys as header (``None`` is written as ``""``),
-    then ``trailer``; with no ``records`` it is the result as ``field,value``
-    rows, a list written space-separated.
+    destination is opened and then written in pieces.  CSV is ``table``
+    (``None`` is written as ``""``), then ``trailer``; with no ``table`` it
+    is the result as ``field,value`` rows, a list written space-separated.
+    A reader that closes the destination early ends the output quietly.
     """
     if args.format == "json":
         meta = {"tool": "kspm", "version": __version__, "command": args.command}
@@ -238,16 +232,16 @@ def _emit(args, result: dict, records=None, trailer: str = "") -> None:
             fh.write("\n")
 
     else:
-        if records is None:
-            records = [
-                {"field": k, "value": " ".join(map(str, v)) if isinstance(v, list) else v}
-                for k, v in result.items()
+        if table is None:
+            values = [
+                " ".join(map(str, v)) if isinstance(v, list) else v for v in result.values()
             ]
+            table = Table(field=list(result), value=values)
 
         def write(fh) -> None:
             w = csv.writer(fh, lineterminator="\n")
-            w.writerow(records[0])
-            w.writerows(r.values() for r in records)
+            w.writerow(table)
+            w.writerows(zip(*table.values()))
             fh.write(trailer)
 
     if args.output:
@@ -263,11 +257,11 @@ def _emit(args, result: dict, records=None, trailer: str = "") -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _exit_code(records, key: str, message: str, code: int) -> int:
-    """``code`` after naming the first record that is not ok on stderr, else 0."""
-    for r in records:
-        if not r["ok"]:
-            print(f"{message}{r[key]}", file=sys.stderr)
+def _exit_code(table: Table, key: str, message: str, code: int) -> int:
+    """``code`` after naming the first row that is not ok on stderr, else 0."""
+    for ok, name in zip(table["ok"], table[key]):
+        if not ok:
+            print(f"{message}{name}", file=sys.stderr)
             return code
     return 0
 
@@ -305,17 +299,14 @@ def _fit_dict(rows, field: str) -> dict:
 
 
 def cmd_scan(args) -> int:
-    rows = analyzer.scan_rows(
-        args.p,
-        range(args.stride, args.n_max + 1, args.stride),
-        incremental=(args.mode == "incremental"),
-        timing=args.timing,
-    )
+    targets = range(args.stride, args.n_max + 1, args.stride)
+    incremental = args.mode == "incremental"
+    rows = Table(analyzer.scan_rows(args.p, targets, incremental, args.timing))
     fits = {
         "n_strict": _fit_dict(rows, "n_strict"),
         "uniform_index": _fit_dict(rows, "uniform_index"),
     }
-    if args.mode == "incremental":
+    if incremental:
         fits["density_column"] = _fit_dict(rows, "density_column")
     if args.emit_plot_data:
         _write_plot_data(args.emit_plot_data, rows)
@@ -334,11 +325,11 @@ def _write_plot_data(path: str, rows) -> None:
     with _writing(path, newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["series", "x", "y"])
-        for r in rows:
-            if r["N"] >= 2:
-                w.writerow(["n_strict_vs_log2N", repr(log2(r["N"])), r["n_strict"]])
-        for r in rows:
-            w.writerow(["w_vs_sqrtN", repr(sqrt(r["N"])), r["w"]])
+        for n, strict in zip(rows["N"], rows["n_strict"]):
+            if n >= 2:
+                w.writerow(["n_strict_vs_log2N", repr(log2(n)), strict])
+        for n, width in zip(rows["N"], rows["w"]):
+            w.writerow(["w_vs_sqrtN", repr(sqrt(n)), width])
 
 
 def cmd_spectral(args) -> int:
@@ -353,8 +344,11 @@ def cmd_spectral(args) -> int:
             f"p={args.p_min}..{args.p_max} needs about {work} steps of p-by-p "
             f"matrix work, over the {MAX_MATRIX_WORK} limit"
         )
-    rows = [spectral.certify(p, args.tol) for p in range(args.p_min, args.p_max + 1)]
-    _emit(args, {"ok": all(r["ok"] for r in rows), "rows": rows}, rows)
+    rows = Table()
+    for p in range(args.p_min, args.p_max + 1):
+        for k, v in spectral.certify(p, args.tol).items():
+            rows.setdefault(k, []).append(v)
+    _emit(args, {"ok": all(rows["ok"]), "rows": rows}, rows)
     return _exit_code(rows, "p", "spectral gate failed at p=", 4)
 
 
@@ -375,14 +369,16 @@ def cmd_avalanche(args) -> int:
     return 0
 
 
-def _verification_checks(p: int, n: int, seed: int) -> list[dict]:
+def _verification_checks(p: int, n: int, seed: int) -> Table:
     # the replay builds no p-by-p matrix, but verify keeps spectral's p <= 1000
     # limit as it is (ROADMAP item 9 revisits it); refuse before any engine runs
     check_matrix(p)
-    checks: list[dict] = []
+    checks = Table(name=[], ok=[], detail=[])
 
-    def add(name: str, ok: bool, detail: str = "") -> None:
-        checks.append({"name": name, "ok": bool(ok), "detail": detail})
+    def add(name: str, ok: bool, detail: str) -> None:
+        checks["name"].append(name)
+        checks["ok"].append(bool(ok))
+        checks["detail"].append(detail)
 
     @contextmanager
     def replaying(name: str):
@@ -464,7 +460,7 @@ def _verification_checks(p: int, n: int, seed: int) -> list[dict]:
 
 def cmd_verify(args) -> int:
     checks = _verification_checks(args.p, args.n, args.seed)
-    _emit(args, {"ok": all(c["ok"] for c in checks), "checks": checks}, checks)
+    _emit(args, {"ok": all(checks["ok"]), "checks": checks}, checks)
     return _exit_code(checks, "name", "verification violated: ", 5)
 
 

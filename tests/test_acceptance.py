@@ -145,7 +145,7 @@ def test_criterion_07_wave_shape_growth_sweep():
     t0 = time.perf_counter()
     worst = {}
     for p in range(1, 7):
-        rows = []
+        rows = {"N": [], "n_strict": []}
         inc = IncrementalStabilizer(p, expect=10**5)
         for n in range(200, 10**5 + 1, 200):
             inc.advance_to(n)
@@ -157,10 +157,11 @@ def test_criterion_07_wave_shape_growth_sweep():
             assert stats.n_loose == stats.uniform_index, (p, n)
             if n % 2000 == 0:  # exact audits on every tenth sample
                 _audit_trajectory(fp)
-            rows.append({"N": n, "n_strict": dec.start})
+            rows["N"].append(n)
+            rows["n_strict"].append(dec.start)
         gate = analyzer.decade_regression(rows, "n_strict", slack=1.25)
         assert gate.ok, (p, gate)
-        worst[p] = max(r["n_strict"] / log2(r["N"]) for r in rows if r["N"] >= 16)
+        worst[p] = max(v / log2(n) for n, v in zip(rows["N"], rows["n_strict"]) if n >= 16)
     dt = time.perf_counter() - t0
     shown = ", ".join(f"p={p}: {v:.2f}" for p, v in worst.items())
     _verdict(
@@ -215,18 +216,19 @@ def test_criterion_10_avalanche_invariants():
         _register(fp)
         assert fp.slopes == stabilize(p, 10**4).slopes
         assert analyzer.support_bounds(p, fp.n_grains, fp.slopes.support)
-        rows = []
+        rows = {"N": [], "gdl": []}
         running = 0
         for av in avalanches:
             assert len(set(av.fired)) == len(av.fired), (p, av.k)
             if av.fired:
                 assert av.fired[0] == 0, (p, av.k)
             running = max(running, av.density_column)
-            rows.append({"N": av.k, "gdl": running})
+            rows["N"].append(av.k)
+            rows["gdl"].append(running)
         gate = analyzer.decade_regression(rows, "gdl", slack=1.25)
         prev_all = max(prev_all, gate.prev_max_ratio)
         last_all = max(last_all, gate.last_max_ratio)
-        worst = max(r["gdl"] / log2(r["N"]) for r in rows if r["N"] >= 16)
+        worst = max(v / log2(n) for n, v in zip(rows["N"], rows["gdl"]) if n >= 16)
         details.append(f"p={p}: L={running} ratio {worst:.2f}")
     pooled_ok = last_all <= 1.25 * prev_all
     dt = time.perf_counter() - t0

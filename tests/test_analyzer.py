@@ -264,7 +264,7 @@ def test_plateau_audit_checks_the_firing_limit_before_allocating():
 
 
 def test_scan_refuses_too_many_samples_before_building_its_pile(monkeypatch):
-    # p = 2 up to N = 1e8 passes the firing limit; its 1e8 rows would take about 27 GB
+    # p = 2 up to N = 1e8 passes the firing limit; its 1e8 rows would take about 11 GB
     def refuse(*args, **kwargs):
         raise AssertionError("the pile was built")
 
@@ -341,27 +341,34 @@ def replayed_statistics(fp):
 
 
 def from_scratch_rows(p, targets):
-    """Oracle rows: each sample stabilized on its own, density replayed once."""
+    """Oracle rows, as columns: each sample stabilized on its own, density
+    replayed once."""
     inc = IncrementalStabilizer(p, expect=max(targets))
     avalanches = [inc.advance() for _ in range(max(targets))]
     running = list(itertools.accumulate((a.density_column for a in avalanches), max))
-    rows = []
+    rows = {
+        k: []
+        for k in (
+            "N", "p", "w", "n_strict", "n_loose", "uniform_index", "interior_zeros",
+            "density_column", "ambiguous_count", "elapsed_us",
+        )
+    }
     for n in targets:
         stats = replayed_statistics(stabilize(p, n))
-        rows.append(
-            {
-                "N": n,
-                "p": p,
-                "w": stats.width,
-                "n_strict": stats.n_strict,
-                "n_loose": stats.n_loose,
-                "uniform_index": stats.uniform_index,
-                "interior_zeros": len(stats.zero_positions),
-                "density_column": running[n - 1],
-                "ambiguous_count": stats.ambiguous_count,
-                "elapsed_us": 0,
-            }
+        row = (
+            n,
+            p,
+            stats.width,
+            stats.n_strict,
+            stats.n_loose,
+            stats.uniform_index,
+            len(stats.zero_positions),
+            running[n - 1],
+            stats.ambiguous_count,
+            0,
         )
+        for column, value in zip(rows.values(), row):
+            column.append(value)
     return rows
 
 
@@ -406,11 +413,13 @@ def test_row_statistics_refuse_tampered_fixed_points(p, n):
 )
 def test_scan_rows_both_modes_match_from_scratch(p, targets):
     want = from_scratch_rows(p, targets)
-    assert analyzer.scan_rows(p, targets, incremental=True) == want
+    got = analyzer.scan_rows(p, targets, incremental=True)
+    # the columns in the order the CLI writes them
+    assert list(got.items()) == list(want.items())
     # direct scans do not replay avalanches, so they have no density column,
     # even at stride 1, where each sample's jump_to drops one grain
     direct = analyzer.scan_rows(p, targets, incremental=False)
-    assert direct == [{**r, "density_column": None} for r in want]
+    assert direct == {**want, "density_column": [None] * len(targets)}
 
 
 def tracked_statistics(p, targets, incremental, quiet=False):
@@ -622,10 +631,8 @@ def test_tracked_statistics_match_for_any_scan(p, stride, n_max, incremental):
         assert got == want
         full.append(want)
     rows = analyzer.scan_rows(p, targets, incremental=incremental)
-    assert [
-        (r["w"], r["n_strict"], r["n_loose"], r["uniform_index"], r["ambiguous_count"])
-        for r in rows
-    ] == [
+    fields = ("w", "n_strict", "n_loose", "uniform_index", "ambiguous_count")
+    assert list(zip(*[rows[f] for f in fields])) == [
         (s.width, s.n_strict, s.n_loose, s.uniform_index, s.ambiguous_count)
         for s in full
     ]
@@ -684,9 +691,21 @@ def test_scan_rows_checks_the_last_sample_at_full_width(monkeypatch, incremental
         return touched
 
     monkeypatch.setattr(IncrementalStabilizer, name, tampering)
-    assert len(analyzer.scan_rows(3, range(10, 891, 10), incremental=incremental)) == 89
+    assert len(analyzer.scan_rows(3, range(10, 891, 10), incremental=incremental)["N"]) == 89
     with pytest.raises(NonIntegral):
         analyzer.scan_rows(3, range(10, 901, 10), incremental=incremental)
+
+
+def test_scan_rows_hold_each_sample_compactly():
+    # the rows are columns of lists, not a dict per sample (312 bytes each)
+    tracemalloc.start()
+    try:
+        rows = analyzer.scan_rows(2, range(1, 20_001))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / 20_000 < 160, f"{held / 20_000:.0f} bytes per sample"
+    assert rows["N"] == list(range(1, 20_001))
 
 
 def test_scan_rows_rejects_empty():
@@ -696,17 +715,19 @@ def test_scan_rows_rejects_empty():
 
 def test_scan_rows_timing_flag():
     rows = analyzer.scan_rows(2, [100], timing=True)
-    assert rows[0]["elapsed_us"] >= 0
+    assert rows["elapsed_us"][0] >= 0
     rows = analyzer.scan_rows(2, [100], timing=False)
-    assert rows[0]["elapsed_us"] == 0
+    assert rows["elapsed_us"][0] == 0
 
 
-def fake_row(n, value):
-    return {"N": n, "n_strict": value}
+def fake_rows(points):
+    """Scan rows as columns, from ``(N, n_strict)`` pairs."""
+    ns, values = zip(*points)
+    return {"N": list(ns), "n_strict": list(values)}
 
 
 def test_log_fit_recovers_exact_line():
-    rows = [fake_row(2**k, 3 * k + 5) for k in range(4, 17)]
+    rows = fake_rows((2**k, 3 * k + 5) for k in range(4, 17))
     fit = analyzer.log_fit(rows, "n_strict")
     assert list(fit) == ["c", "d", "max_ratio", "points"]  # as the CLI writes a fit
     assert fit["c"] == pytest.approx(3.0, abs=1e-9)
@@ -716,13 +737,13 @@ def test_log_fit_recovers_exact_line():
 
 
 def test_log_fit_needs_enough_rows():
-    rows = [fake_row(2**k, k) for k in range(4, 13)]  # only 9 rows
+    rows = fake_rows((2**k, k) for k in range(4, 13))  # only 9 rows
     with pytest.raises(InsufficientData):
         analyzer.log_fit(rows, "n_strict")
 
 
 def test_log_fit_needs_two_decades():
-    rows = [fake_row(100 + i, 7) for i in range(12)]
+    rows = fake_rows((100 + i, 7) for i in range(12))
     with pytest.raises(InsufficientData):
         analyzer.log_fit(rows, "n_strict")
 
@@ -730,7 +751,7 @@ def test_log_fit_needs_two_decades():
 def test_decade_regression_flat_passes():
     from math import log2
 
-    rows = [fake_row(n, log2(n)) for n in range(100, 10001, 100)]
+    rows = fake_rows((n, log2(n)) for n in range(100, 10001, 100))
     gate = analyzer.decade_regression(rows, "n_strict")
     assert gate.ok
     assert gate.last_max_ratio == pytest.approx(1.0)
@@ -740,13 +761,13 @@ def test_decade_regression_flat_passes():
 def test_decade_regression_flags_blowup():
     from math import log2
 
-    rows = [fake_row(n, log2(n) * (2.0 if n > 1000 else 1.0)) for n in range(100, 10001, 100)]
+    rows = fake_rows((n, log2(n) * (2.0 if n > 1000 else 1.0)) for n in range(100, 10001, 100))
     gate = analyzer.decade_regression(rows, "n_strict")
     assert not gate.ok
 
 
 def test_decade_regression_needs_both_decades():
-    rows = [fake_row(n, 1) for n in (5000, 6000, 7000)]
+    rows = fake_rows((n, 1) for n in (5000, 6000, 7000))
     with pytest.raises(InsufficientData):
         analyzer.decade_regression(rows, "n_strict")
 

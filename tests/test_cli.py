@@ -327,12 +327,19 @@ def emitted(doc) -> str:
     return json.dumps({"meta": meta, "result": doc}, indent=2) + "\n"
 
 
-def mixed_rows(n):
-    """Flat rows whose columns hold None, floats, strings and Infinity among ints."""
-    return [
-        {"N": i, "x": [None, i / 7, math.inf][i % 3], "s": f"r%s{i}", "n": i * i}
-        for i in range(n)
-    ]
+def rows_of(table):
+    """A table as the list of its rows, the document ``json.dumps`` is given."""
+    return [dict(zip(table, row)) for row in zip(*table.values())]
+
+
+def mixed_table(n):
+    """A table whose columns hold None, floats, strings and Infinity among ints."""
+    return cli.Table(
+        N=list(range(n)),
+        x=[[None, i / 7, math.inf][i % 3] for i in range(n)],
+        s=[f"r%s{i}" for i in range(n)],
+        n=[i * i for i in range(n)],
+    )
 
 
 @pytest.mark.parametrize(
@@ -341,17 +348,34 @@ def mixed_rows(n):
     ids=["0", "1", "chunk-1", "chunk", "chunk+1", "2chunk+1"],
 )
 def test_emit_writes_flat_rows_in_chunks_as_json_dumps_does(tmp_path, capsys, n):
-    rows = mixed_rows(n)
-    doc = {"rows": rows, "nested": [rows, 1], "fits": {"ok": False}}
-    want = emitted(doc)
+    table = mixed_table(n)
+    rows = rows_of(table)
+    # the same rows as plain dicts, nested in a list, take the recursive path
+    doc = {"rows": table, "nested": [rows, 1], "fits": {"ok": False}}
+    want = emitted({"rows": rows, "nested": [rows, 1], "fits": {"ok": False}})
     path = tmp_path / "doc.json"
     cli._emit(emit_args(str(path)), doc)
     assert path.read_text(encoding="utf-8") == want
     cli._emit(emit_args(), doc)
     assert capsys.readouterr().out == want
-    # the rows take the template path, at most CHUNK of them to a piece
+    # the table's rows take the template path, at most CHUNK of them to a piece
     largest = max(piece.count('"N": ') for piece in cli._pieces(doc))
     assert largest == min(n, cli.CHUNK)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_lists())
+def test_a_table_writes_as_the_list_of_its_rows(rows):
+    table = cli.Table((k, [r[k] for r in rows]) for k in rows[0])
+    assert cli._json({"t": table, "x": [table]}) == json.dumps(
+        {"t": rows, "x": [rows]}, indent=2
+    )
+    assert cli._json(cli.Table((k, []) for k in rows[0])) == "[]"
+
+
+def test_a_table_refuses_a_nested_value_before_writing():
+    with pytest.raises(TypeError, match="table column"):
+        cli._pieces({"t": cli.Table(a=[1, 2], b=[3, [4]])})
 
 
 @pytest.mark.parametrize("where", ["file", "stdout"])
@@ -373,7 +397,7 @@ def test_a_refused_document_writes_nothing(tmp_path, capsys, where, trap):
 
 
 def test_emit_writes_a_scan_document_in_less_memory_than_its_text(tmp_path):
-    rows = analyzer.scan_rows(3, range(10, 200_001, 10))
+    rows = cli.Table(analyzer.scan_rows(3, range(10, 200_001, 10)))
     doc = {"rows": rows, "fits": {}}
     path = tmp_path / "doc.json"
     tracemalloc.start()
@@ -388,10 +412,11 @@ def test_emit_writes_a_scan_document_in_less_memory_than_its_text(tmp_path):
     assert peak < size, f"peak {peak} bytes against a {size}-byte document"
 
 
-def test_a_reader_that_closes_stdout_early_leaves_the_run_quiet():
+def closed_after_ten_bytes(*options):
+    """Exit code and stderr of a scan whose reader closes the pipe after 10 bytes."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "kspm", "scan", "--p", "3", "--n-max", "20000",
-         "--stride", "10"],
+         "--stride", "10", *options],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         cwd=Path(kspm.__file__).parents[1],
@@ -403,7 +428,16 @@ def test_a_reader_that_closes_stdout_early_leaves_the_run_quiet():
         _, err = proc.communicate(timeout=60)
     finally:
         proc.kill()
-    assert (proc.returncode, err) == (0, b"")
+    return proc.returncode, err
+
+
+def test_a_reader_that_closes_stdout_early_leaves_the_run_quiet():
+    assert closed_after_ten_bytes() == (0, b"")
+
+
+def test_a_reader_that_closes_the_output_path_early_leaves_the_run_quiet():
+    # --output opens the pipe itself
+    assert closed_after_ten_bytes("--output", "/dev/stdout") == (0, b"")
 
 
 # ------------------------------------------------------------ meta.config
@@ -648,11 +682,7 @@ def test_verify_clean_piles(p, n, capsys):
 
 def test_verify_reports_first_violation(monkeypatch, capsys):
     def fake_checks(p, n, seed):
-        return [
-            {"name": "alpha", "ok": True},
-            {"name": "middle", "ok": False},
-            {"name": "gamma", "ok": True},
-        ]
+        return cli.Table(name=["alpha", "middle", "gamma"], ok=[True, False, True])
 
     monkeypatch.setattr(cli, "_verification_checks", fake_checks)
     rc, out, err = run_cli(capsys, "verify", "--p", "2", "--n", "10")
