@@ -4,8 +4,10 @@ Four ways to reach the unique fixed point of ``N`` grains:
 
 * ``batch`` -- the default: fire every column ``slope // (p+1)`` times
   at once, in whole-array numpy sweeps over the columns that can still
-  be unstable.  It takes one step per sweep instead of one per firing,
-  and checks stability and widens its columns once per block of sweeps.
+  be unstable.  It takes one step per sweep instead of one per firing.
+  A sweep is three numpy calls on the shot vector alone, since each new
+  shot is ``(a_{i-p} + p a_{i+1}) // (p+1)``; it checks stability and
+  widens its columns once per block of sweeps.
 * ``leftmost`` -- always fire the smallest fireable column, found by a
   pointer that walks left only onto a column the last firing pushed
   over the threshold.
@@ -303,49 +305,70 @@ def _run_batch(p: int, n: int):
     columns.  Only columns below ``hi`` fire, so kicks reach no further
     than ``[hi, hi+p)`` and every column past it stays 0.
 
+    The sweeps keep only the shots ``a``.  Column ``i`` gains 1 from each
+    firing of ``i - p``, ``p`` from each of ``i + 1`` and loses ``p + 1``
+    to each of its own, so its slope is ``b_i = a_{i-p} - (p+1) a_i +
+    p a_{i+1}``, with the ``n`` grains as a virtual ``a_{-p} = n`` and
+    ``a_{-p+1} .. a_{-1} = 0``.  A sweep fires ``i`` ``b_i // (p+1)``
+    times, and an integer moves into a floor unchanged, so the new shot is
+    ``a_i + b_i // (p+1) = (b_i + (p+1) a_i) // (p+1) = (a_{i-p} +
+    p a_{i+1}) // (p+1)``.  That is one multiply, one add and one
+    floor-divide over ``[0, hi)``, through one scratch array so that
+    every column reads the shots from before the sweep.
+
     Stability and widening are checked once per block of ``_BLOCK``
-    sweeps, not after each one, which saves two numpy calls per sweep.
-    After a block, ``hi`` widens by ``p`` if a column of ``[hi, hi+p)``
-    is over ``p``; otherwise the run ends if no column below ``hi`` is.
-    This stays legal: such a column waits at most one block to fire,
-    other firings never lower its slope meanwhile, so every firing is
-    still of a column over ``p`` and the run ends at the same place.
-    One widening by ``p`` covers every column that can be over ``p``,
-    and a sweep with nothing over ``p`` fires nothing, so the sweeps
-    left in the last block change nothing.
+    sweeps, not after each one.  No column at or past ``hi`` has fired,
+    so the slope of such a column ``i`` is ``a_{i-p}``, a shot.  After a
+    block, ``hi`` widens by ``p`` if a column of ``[hi, hi+p)`` is over
+    ``p``; otherwise the run ends if no column below ``hi`` is, which is
+    when a sweep would fire nothing.  This stays legal: such a column
+    waits at most one block to fire, other firings never lower its slope
+    meanwhile, so every firing is still of a column over ``p`` and the
+    run ends at the same place.  One widening by ``p`` covers every
+    column that can be over ``p``, and a sweep with nothing over ``p``
+    fires nothing, so the sweeps left in the last block change nothing.
+    The slopes are computed from the shots once, at the end.
     """
     # imported here, not at the top, so that ``import kspm`` does not load numpy
     import numpy as np
 
     cap = _capacity(p, n)
-    # slopes stay in [0, n] and shots under the checked bound, so int64 never wraps
-    assert max(n, check_work(p, n)) < 2**63
-    slopes = np.zeros(cap, np.int64)
-    shot = np.zeros(cap, np.int64)
-    fire = np.zeros(cap, np.int64)
-    kick = np.zeros(cap, np.int64)
-    slopes[0] = n
+    # a sweep's largest value is a_{i-p} + p a_{i+1}, at most n plus p times the
+    # firing bound, which bounds every shot; the slopes' (p+1) a_i is no larger,
+    # since no slope is negative, so int64 never wraps
+    assert n + p * check_work(p, n) < 2**63
     pp1 = p + 1
+    # padded[j] is a_{j-p}: the virtual shots, then the columns' shots, then
+    # zeros as far as the slopes of the last columns read
+    padded = np.zeros(cap + pp1, np.int64)
+    padded[0] = n
+    scratch = np.zeros(cap, np.int64)
     hi = 1
     while True:
         if hi + p > cap:
             raise _overrun(p, n, hi + p - 1, cap)
         # views of the active prefix, rebuilt only when it widens
-        s, f, a = slopes[:hi], fire[:hi], shot[:hi]
-        f_next, back = fire[1:hi], kick[: hi - 1]
-        left, right, edge = slopes[: hi - 1], slopes[p : hi + p], slopes[hi : hi + p]
+        behind, a, ahead = padded[:hi], padded[p : p + hi], padded[pp1 : pp1 + hi]
+        s = scratch[:hi]
+        edge = padded[hi : hi + p]
         while True:
             for _ in range(_BLOCK):
-                np.divmod(s, pp1, out=(f, s))
-                a += f
-                np.multiply(f_next, p, out=back)
-                left += back
-                right += f
+                np.multiply(ahead, p, out=s)
+                s += behind
+                np.floor_divide(s, pp1, out=a)
             if edge.max() > p:
                 hi += p
                 break
-            if s.max() <= p:
-                return slopes[: hi + p].tolist(), a.tolist()
+            # the firings a sweep would make now: none exactly when all are stable
+            np.multiply(ahead, p, out=s)
+            s += behind
+            s //= pp1
+            s -= a
+            if s.max() <= 0:
+                width = hi + p
+                slopes = padded[:width] + p * padded[pp1 : pp1 + width]
+                slopes -= pp1 * padded[p : p + width]
+                return slopes.tolist(), a.tolist()
 
 
 def _run_random(p: int, n: int, seed: int):

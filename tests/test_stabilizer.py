@@ -155,12 +155,21 @@ def test_three_strategies_agree(p, n, seed):
 
 @pytest.mark.parametrize(
     "p,n",
-    [(1, 20000), (2, 40000), (2, 40399), (3, 20000), (30, 100000), (30, 100399)],
+    [
+        (1, 20000),
+        (2, 40000),
+        (2, 40399),
+        (3, 20000),
+        (30, 100000),
+        (30, 100399),
+        (1000, 2000000),
+    ],
 )
 def test_batch_agrees_with_leftmost_at_scale(p, n):
     """The batch engine, which checks stability once per block of sweeps,
     ends on the leftmost walk's slopes and whole shot vector at the
-    fixed-point and verify-wide sizes; p = 1 widens one column per block."""
+    fixed-point and verify-wide sizes; p = 1 widens one column per block,
+    and p = 1000 widens by 1000 columns, behind 1000 virtual shots."""
     batch = stabilize(p, n, "batch")
     walk = stabilize(p, n, "leftmost")
     assert batch.slopes == walk.slopes
@@ -746,6 +755,21 @@ def test_batch_refuses_a_kick_past_its_arrays_late_in_the_run(monkeypatch):
     monkeypatch.setattr(stabilizer, "_capacity", lambda p, n: cap)
     with pytest.raises(RuntimeError, match=f"past the {cap} columns allocated"):
         stabilize(2, 40000)
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 30, 300, 1000, 2**20])
+def test_batch_sweeps_fit_int64_at_the_largest_admitted_pile(p):
+    # a batch sweep's largest value is a_{i-p} + p a_{i+1}, at most n plus p
+    # times the firing bound; find the largest n the preflight admits
+    lo, hi = 0, MAX_GRAINS + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            stabilizer._capacity(p, mid)
+            lo = mid
+        except CapacityError:
+            hi = mid
+    assert lo + p * stabilizer.check_work(p, lo) < 2**63
 
 
 @pytest.mark.parametrize("module", ["kspm", "kspm.stabilizer"])
