@@ -7,10 +7,12 @@ earliest column where that pattern starts, checks support bounds with
 exact integer arithmetic, measures plateaus of equal heights, and
 aggregates all of it into scan rows with logarithmic fits.  A scan's
 rows are columns, one list per field in the order the CLI writes them,
-and a fit is a dict keyed as the CLI writes it.  A scan keeps
-its row statistics current over the prefix of columns each sample's
-settles touched, less the quiet columns the step's one avalanche fired
-through once, and checks the whole width once more at its last sample.
+and a fit is a dict keyed as the CLI writes it.  A scan grows one pile
+avalanche by avalanche, so every sample has its density column.  It
+keeps its row statistics current over the prefix of columns each
+sample's settles touched, less the quiet columns the step's one
+avalanche fired through once, and checks the whole width once more at
+its last sample.
 The audits of the paper's lemmas along whole trajectories (plateaus in
 every intermediate state, the climbing interior zero) are test-side, in
 ``tests/lemma_audits.py``.
@@ -185,10 +187,10 @@ class WaveTracker:
 
     ``touched`` bounds what changed since the last update: slopes only in
     ``[0, touched)`` and shots only in ``[0, touched - p)``, as the
-    pile's ``advance_to`` and ``jump_to`` return it.  Inside it, the
-    pile's ``quiet`` columns ``[lo, hi)``, between the prefix and the edge
-    of the step's one avalanche, kept their slopes, and that avalanche
-    fired each column of ``[lo - p, hi]`` once.  The balance of column
+    pile's ``advance_to`` returns it.  Inside it, the pile's ``quiet``
+    columns ``[lo, hi)``, between the prefix and the edge of the step's
+    one avalanche, kept their slopes, and that avalanche fired each
+    column of ``[lo - p, hi]`` once.  The balance of column
     ``i`` reads slope ``i``, shots ``i - p``, ``i`` and ``i + 1``, and
     ``n`` at column 0; it holds on wherever the three shots gained the
     same, so only ``[0, lo)`` and ``[hi, touched)`` are checked again.
@@ -340,26 +342,19 @@ def row_statistics(p: int, n: int, slopes, shot) -> RowStatistics:
     return WaveTracker(p).update(n, list(slopes), list(shot))
 
 
-def scan_rows(
-    p: int,
-    n_values,
-    incremental: bool = True,
-    timing: bool = False,
-) -> dict[str, list]:
+def scan_rows(p: int, n_values, timing: bool = False) -> dict[str, list]:
     """Stabilize at each sampled grain count and summarize the result.
 
     The rows come back as columns: one list per field, with one value per
     sample in sample order, keyed ``N, p, w, n_strict, n_loose,
     uniform_index, interior_zeros, density_column, ambiguous_count,
     elapsed_us`` as ``kspm scan`` writes them.  ``elapsed_us`` is 0 unless
-    ``timing`` is set, keeping default output reproducible.  Both modes
-    share one growing pile across samples.  Incremental scans replay every
-    avalanche, and the pile records their density columns.  Direct scans
-    settle each sample's new grains at once, the same fixed point by
-    firing's abelian property, and the pile then has ``None`` for
-    ``density_column``.  One :class:`WaveTracker` follows the pile; the
-    last sample is checked again over the whole width, and a difference
-    raises :class:`RecurrenceMismatch`.  A scan of more than
+    ``timing`` is set, keeping default output reproducible.  One growing
+    pile replays every avalanche up to each sample, and ``density_column``
+    is the largest density column of those avalanches.  One
+    :class:`WaveTracker` follows the pile; the last sample is checked
+    again over the whole width, and a difference raises
+    :class:`RecurrenceMismatch`.  A scan of more than
     ``MAX_SAMPLES`` samples raises :class:`CapacityError` before its pile
     is built, after the pile's own firing preflight.
     """
@@ -380,7 +375,6 @@ def scan_rows(
             f"{len(targets)} samples exceed the {MAX_SAMPLES}-sample limit of one scan"
         )
     inc = IncrementalStabilizer(p, expect=targets[-1])
-    step = inc.advance_to if incremental else inc.jump_to
     tracker = WaveTracker(p)
     rows: dict[str, list] = {
         k: []
@@ -389,7 +383,7 @@ def scan_rows(
     }
     for n in targets:
         t0 = time.perf_counter() if timing else 0.0
-        touched = step(n)
+        touched = inc.advance_to(n)
         stats = tracker.update(n, inc.slopes, inc.shot, touched, inc.quiet)
         elapsed = int((time.perf_counter() - t0) * 1e6) if timing else 0
         sample = (
@@ -414,7 +408,7 @@ def log_fit(rows, field: str) -> dict:
     :class:`InsufficientData`.  ``max_ratio`` maximizes ``value / log2(N)``
     over rows with ``N >= 16``.
     """
-    pts = [(n, v) for n, v in zip(rows["N"], rows[field]) if v is not None and n >= 2]
+    pts = [(n, v) for n, v in zip(rows["N"], rows[field]) if n >= 2]
     if len(pts) < 10:
         raise InsufficientData(f"need at least 10 rows for a fit, got {len(pts)}")
     ns = [n for n, _ in pts]
@@ -447,7 +441,7 @@ class DecadeGate:
 def decade_regression(rows, field: str, slack: float = 1.25) -> DecadeGate:
     """Require the worst ``value/log2(n)`` of the column ``field`` over the
     last decade to stay within ``slack`` times the previous decade's worst."""
-    pts = [(n, v) for n, v in zip(rows["N"], rows[field]) if v is not None and n >= 16]
+    pts = [(n, v) for n, v in zip(rows["N"], rows[field]) if n >= 16]
     if not pts:
         raise InsufficientData("no rows with n >= 16")
     top = max(n for n, _ in pts)

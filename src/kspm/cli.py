@@ -300,14 +300,11 @@ def _fit_dict(rows, field: str) -> dict:
 
 def cmd_scan(args) -> int:
     targets = range(args.stride, args.n_max + 1, args.stride)
-    incremental = args.mode == "incremental"
-    rows = Table(analyzer.scan_rows(args.p, targets, incremental, args.timing))
+    rows = Table(analyzer.scan_rows(args.p, targets, args.timing))
     fits = {
-        "n_strict": _fit_dict(rows, "n_strict"),
-        "uniform_index": _fit_dict(rows, "uniform_index"),
+        field: _fit_dict(rows, field)
+        for field in ("n_strict", "uniform_index", "density_column")
     }
-    if incremental:
-        fits["density_column"] = _fit_dict(rows, "density_column")
     if args.emit_plot_data:
         _write_plot_data(args.emit_plot_data, rows)
     trailer = "".join(
@@ -354,7 +351,7 @@ def cmd_spectral(args) -> int:
 
 def cmd_avalanche(args) -> int:
     inc = IncrementalStabilizer(args.p, expect=args.k)
-    inc.jump_to(args.k - 1)
+    inc.advance_to(args.k - 1)
     av = inc.advance()
     result = {
         "p": args.p,
@@ -484,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True, help="number of grains")
     sp.add_argument(
         "--strategy",
-        choices=("batch", "leftmost", "random", "incremental"),
+        choices=("batch", "random", "incremental"),
         default="batch",
         help="engine; every choice reaches the same slopes and shot vector",
     )
@@ -496,13 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n-max", type=int, required=True, help="largest grain count")
     sp.add_argument("--stride", type=int, default=1, help="sample every this many grains")
-    sp.add_argument(
-        "--mode",
-        choices=("incremental", "direct"),
-        default="incremental",
-        help="replay every avalanche (density columns) vs settle each sample's "
-        "new grains at once",
-    )
     sp.add_argument(
         "--timing",
         action="store_true",

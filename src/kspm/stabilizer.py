@@ -1,6 +1,6 @@
 """Stabilization engines and avalanche bookkeeping.
 
-Four ways to reach the unique fixed point of ``N`` grains:
+Three engines reach the unique fixed point of ``N`` grains:
 
 * ``batch`` -- the default: fire every column ``slope // (p+1)`` times
   at once, in whole-array numpy sweeps over the columns that can still
@@ -8,9 +8,6 @@ Four ways to reach the unique fixed point of ``N`` grains:
   A sweep is three numpy calls on the shot vector alone, since each new
   shot is ``(a_{i-p} + p a_{i+1}) // (p+1)``; it checks stability and
   widens its columns once per block of sweeps.
-* ``leftmost`` -- always fire the smallest fireable column, found by a
-  pointer that walks left only onto a column the last firing pushed
-  over the threshold.
 * ``random`` -- draw a uniformly random column over ``p`` and topple it
   to stability, firing it ``slope // (p+1)`` times at once.  The draws
   come from a seeded Mersenne Twister, so runs are reproducible.
@@ -33,13 +30,18 @@ Four ways to reach the unique fixed point of ``N`` grains:
   and its edge ``[M, M + p]``; only the rest is what
   :class:`kspm.analyzer.WaveTracker` reads again.
 
+The reference walk, :func:`trace_leftmost`, drops all ``N`` grains at
+once and always fires the smallest fireable column, found by a pointer
+that walks left only onto a column the last firing pushed over the
+threshold.  It jumps nothing, so it stays an independent check of
+``batch`` and of the pile, and its ``on_fire`` hook gives the firing
+order.
+
 All engines record the shot vector (number of firings per column).  The
 fixed point itself does not depend on the strategy; the firing order
-does, and is kept only where ``advance()`` returns it, which walks every
-firing.  An avalanche's density column comes from the walk, which marks
-each column it fires, until ``jump_to`` skips avalanches.  The leftmost
-walk stays wherever the order is the output or a grown pile takes a
-small jump, where a sweep over the whole pile costs more.
+does, and is kept only where ``advance()`` or ``trace_leftmost`` returns
+it, which walk every firing.  An avalanche's density column comes from
+the walk, which marks each column it fires.
 """
 
 from __future__ import annotations
@@ -429,7 +431,7 @@ def _run_random(p: int, n: int, seed: int):
 
 
 class IncrementalStabilizer:
-    """Stabilization of a growing pile, grain by grain or many at once.
+    """Stabilization of a growing pile, one avalanche at a time.
 
     The running configuration is always the fixed point of the grains
     added so far, so the cumulative work over all avalanches equals one
@@ -440,13 +442,12 @@ class IncrementalStabilizer:
     ``jumps`` counts the settles that jumped their regular block and
     ``jumped`` the columns those jumps fired, each updated once per jump.
     ``density_max`` is the largest density column of the avalanches so
-    far, or None once :meth:`jump_to` has skipped some.  ``quiet`` holds
-    the columns ``[lo, hi)`` inside the last step's extent that the step's
-    one avalanche left quiet: right of its prefix ``[0, density_column + p)``
-    and left of its edge ``[M, M + p]``, so no slope there changed and the
-    avalanche fired all of ``[lo - p, hi]`` once.  It is None after a step
-    that settled no avalanche or several, after one whose prefix reaches
-    its edge, and while ``density_max`` is.
+    far.  ``quiet`` holds the columns ``[lo, hi)`` inside the last step's
+    extent that the step's one avalanche left quiet: right of its prefix
+    ``[0, density_column + p)`` and left of its edge ``[M, M + p]``, so no
+    slope there changed and the avalanche fired all of ``[lo - p, hi]``
+    once.  It is None after a step that settled no avalanche or several,
+    and after one whose prefix reaches its edge.
     """
 
     def __init__(self, p: int, expect: int):
@@ -454,7 +455,7 @@ class IncrementalStabilizer:
         self.p = p
         self.expect = check_grains(expect)
         self.grains = 0
-        self.density_max: int | None = 0
+        self.density_max = 0
         self.slopes = [0] * _capacity(p, expect)
         self.shot = [0] * len(self.slopes)
         # the grain count at the settle that last fired each column; a run
@@ -473,9 +474,9 @@ class IncrementalStabilizer:
         shots only left of it minus ``p``.  ``on_fire(i)``, if given, is
         called after each firing.  A drop that tips column 0 by one grain
         settles one avalanche, whose fired block ends at ``top`` and runs
-        left as far as the walk marked columns.  Unless ``density_max`` is
-        None, the drop records the block's start and sets :attr:`quiet`:
-        slopes changed only left of it plus ``p`` and in ``[top, top + p]``.
+        left as far as the walk marked columns.  The drop records the
+        block's start as a density column and sets :attr:`quiet`: slopes
+        changed only left of it plus ``p`` and in ``[top, top + p]``.
         """
         p = self.p
         slopes = self.slopes
@@ -490,7 +491,7 @@ class IncrementalStabilizer:
         extent = top + p + 1
         if extent > self._reach:
             self._reach = extent
-        if self.density_max is not None and low <= top:
+        if low <= top:
             mark, serial = self._mark, self.grains
             while low and mark[low - 1] == serial:
                 low -= 1
@@ -580,20 +581,6 @@ class IncrementalStabilizer:
             self.quiet = None
         return touched
 
-    def jump_to(self, target: int) -> int:
-        """Add all ``target - grains`` grains to column 0 at once and settle them.
-
-        Firing is abelian, so this reaches the same fixed point and shot
-        vector as :meth:`advance_to` without replaying each avalanche.  It
-        returns the touched extent, as :meth:`advance_to`, and leaves
-        :attr:`quiet` None, and ``density_max`` too once it drops grains.
-        """
-        self._check_target(target)
-        self.quiet = None
-        if target > self.grains:
-            self.density_max = None
-        return self._drop(target - self.grains)
-
     def snapshot(self) -> FixedPoint:
         reach = self._reach
         return _fixed_point(
@@ -604,11 +591,11 @@ class IncrementalStabilizer:
 def stabilize(p: int, n: int, strategy: str = "batch", seed: int = 0) -> FixedPoint:
     """Stabilize ``n`` grains dropped on column 0 and return the fixed point.
 
-    ``strategy`` is ``"batch"``, ``"leftmost"``, ``"random"`` or
-    ``"incremental"``; the resulting slopes and shot vector are
-    strategy-independent.  ``seed`` only matters for the random strategy;
-    a negative one is refused, since it would draw the same numbers as its
-    absolute value.
+    ``strategy`` is ``"batch"``, ``"random"`` or ``"incremental"``; the
+    resulting slopes and shot vector are strategy-independent, and equal
+    those of :func:`trace_leftmost`.  ``seed`` only matters for the random
+    strategy; a negative one is refused, since it would draw the same
+    numbers as its absolute value.
     """
     check_p(p)
     check_grains(n)
@@ -617,8 +604,6 @@ def stabilize(p: int, n: int, strategy: str = "batch", seed: int = 0) -> FixedPo
     if strategy == "batch":
         slopes, shot = _run_batch(p, n)
         return _fixed_point(p, n, slopes, shot, "batch")
-    if strategy == "leftmost":
-        return trace_leftmost(p, n)
     if strategy == "random":
         slopes, shot = _run_random(p, n, seed)
         return _fixed_point(p, n, slopes, shot, f"random(mt19937:{seed})")
@@ -630,7 +615,10 @@ def stabilize(p: int, n: int, strategy: str = "batch", seed: int = 0) -> FixedPo
 
 
 def trace_leftmost(p: int, n: int, on_fire=None) -> FixedPoint:
-    """Leftmost stabilization calling ``on_fire(i)``, if given, after each firing."""
+    """The reference walk: drop ``n`` grains at once and fire leftmost to stability.
+
+    It walks every firing, calling ``on_fire(i)``, if given, after each.
+    """
     pile = IncrementalStabilizer(p, expect=n)
     pile._drop(n, on_fire)
     # not ``snapshot``, where benchmarks/tracing.py counts a grown pile's firings

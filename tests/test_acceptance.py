@@ -111,7 +111,7 @@ def test_criterion_05_confluence_under_random_orders():
     _verdict(
         5,
         dt < 60.0,
-        f"p in 1..4, N <= 300, 20 seeds: {piles} random runs all matched leftmost ({dt:.1f}s)",
+        f"p in 1..4, N <= 300, 20 seeds: {piles} random runs all matched batch ({dt:.1f}s)",
     )
 
 

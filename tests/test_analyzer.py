@@ -311,7 +311,7 @@ def test_climbing_zero_scan_p4_spot():
 
 def test_climbing_zero_not_applicable_for_short_avalanche():
     inc = IncrementalStabilizer(4, expect=2000)
-    inc.jump_to(1999)
+    inc.advance_to(1999)
     prev = inc.snapshot()
     av = inc.advance()
     nxt = inc.snapshot()
@@ -411,18 +411,14 @@ def test_row_statistics_refuse_tampered_fixed_points(p, n):
     [range(1, 151), range(7, 701, 7), range(37, 1500, 37), [523]],
     ids=["stride1", "stride7", "stride37", "one-sample"],
 )
-def test_scan_rows_both_modes_match_from_scratch(p, targets):
+def test_scan_rows_match_from_scratch(p, targets):
     want = from_scratch_rows(p, targets)
-    got = analyzer.scan_rows(p, targets, incremental=True)
+    got = analyzer.scan_rows(p, targets)
     # the columns in the order the CLI writes them
     assert list(got.items()) == list(want.items())
-    # direct scans do not replay avalanches, so they have no density column,
-    # even at stride 1, where each sample's jump_to drops one grain
-    direct = analyzer.scan_rows(p, targets, incremental=False)
-    assert direct == {**want, "density_column": [None] * len(targets)}
 
 
-def tracked_statistics(p, targets, incremental, quiet=False):
+def tracked_statistics(p, targets, quiet=False):
     """Per sample: the tracker's statistics and a full-width check of the same pile.
 
     With ``quiet`` the tracker also skips the pile's quiet columns.
@@ -430,21 +426,20 @@ def tracked_statistics(p, targets, incremental, quiet=False):
     inc = IncrementalStabilizer(p, expect=max(targets))
     tracker = analyzer.WaveTracker(p)
     for n in targets:
-        touched = inc.advance_to(n) if incremental else inc.jump_to(n)
+        touched = inc.advance_to(n)
         got = tracker.update(n, inc.slopes, inc.shot, touched, inc.quiet if quiet else None)
         fp = inc.snapshot()
         yield got, analyzer.row_statistics(p, n, fp.slopes.slopes, fp.shot)
 
 
 @pytest.mark.parametrize("p", range(1, 9))
-@pytest.mark.parametrize("incremental", [True, False], ids=["advance", "jump"])
 @pytest.mark.parametrize(
     "targets",
     [range(1, 2001), range(7, 3001, 7), range(37, 3001, 37), [2345]],
     ids=["stride1", "stride7", "stride37", "one-sample"],
 )
-def test_tracked_statistics_match_a_full_check_at_every_sample(p, incremental, targets):
-    for got, want in tracked_statistics(p, targets, incremental):
+def test_tracked_statistics_match_a_full_check_at_every_sample(p, targets):
+    for got, want in tracked_statistics(p, targets):
         assert got == want
 
 
@@ -455,7 +450,7 @@ def test_tracked_statistics_match_a_full_check_at_every_sample(p, incremental, t
     ids=["stride1", "stride7", "stride10"],
 )
 def test_quiet_statistics_match_a_full_check_at_every_sample(p, targets):
-    for got, want in tracked_statistics(p, targets, True, quiet=True):
+    for got, want in tracked_statistics(p, targets, quiet=True):
         assert got == want
 
 
@@ -487,11 +482,11 @@ def test_the_quiet_columns_lie_inside_the_extent(p):
     for n in range(2 * p + 2, 3001, 2 * p + 2):
         assert inc.advance_to(n) > 1
         assert inc.quiet is None
-    # neither does a step of many avalanches, nor a drop of many grains
+    # neither does a step of many avalanches, the first or a later one
     inc = IncrementalStabilizer(p, expect=3000)
     inc.advance_to(1500)
     assert inc.quiet is None
-    inc.jump_to(3000)
+    inc.advance_to(3000)
     assert inc.quiet is None
 
 
@@ -621,16 +616,15 @@ def test_the_tracker_checks_the_prefix_and_the_edge(p):
     st.integers(min_value=1, max_value=8),
     st.integers(min_value=1, max_value=60),
     st.integers(min_value=60, max_value=2500),
-    st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_tracked_statistics_match_for_any_scan(p, stride, n_max, incremental):
+def test_tracked_statistics_match_for_any_scan(p, stride, n_max):
     targets = range(stride, n_max + 1, stride)
     full = []
-    for got, want in tracked_statistics(p, targets, incremental):
+    for got, want in tracked_statistics(p, targets):
         assert got == want
         full.append(want)
-    rows = analyzer.scan_rows(p, targets, incremental=incremental)
+    rows = analyzer.scan_rows(p, targets)
     fields = ("w", "n_strict", "n_loose", "uniform_index", "ambiguous_count")
     assert list(zip(*[rows[f] for f in fields])) == [
         (s.width, s.n_strict, s.n_loose, s.uniform_index, s.ambiguous_count)
@@ -677,12 +671,10 @@ def test_a_change_outside_the_touched_extent_waits_for_the_full_check(p):
         tracker.update(n, inc.slopes, inc.shot, touched)
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_scan_rows_checks_the_last_sample_at_full_width(monkeypatch, incremental):
+def test_scan_rows_checks_the_last_sample_at_full_width(monkeypatch):
     # a slope written past every extent at the last sample is seen only by
     # the scan's closing full-width check
-    name = "advance_to" if incremental else "jump_to"
-    step = getattr(IncrementalStabilizer, name)
+    step = IncrementalStabilizer.advance_to
 
     def tampering(self, target):
         touched = step(self, target)
@@ -690,10 +682,10 @@ def test_scan_rows_checks_the_last_sample_at_full_width(monkeypatch, incremental
             self.slopes[touched + 2] += 1
         return touched
 
-    monkeypatch.setattr(IncrementalStabilizer, name, tampering)
-    assert len(analyzer.scan_rows(3, range(10, 891, 10), incremental=incremental)["N"]) == 89
+    monkeypatch.setattr(IncrementalStabilizer, "advance_to", tampering)
+    assert len(analyzer.scan_rows(3, range(10, 891, 10))["N"]) == 89
     with pytest.raises(NonIntegral):
-        analyzer.scan_rows(3, range(10, 901, 10), incremental=incremental)
+        analyzer.scan_rows(3, range(10, 901, 10))
 
 
 def test_scan_rows_hold_each_sample_compactly():

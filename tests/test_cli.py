@@ -23,7 +23,7 @@ from conftest import GOLDEN_P2_N24_SHOT, GOLDEN_P2_N24_SLOPES
 import kspm
 from kspm import analyzer, cli, spectral
 from kspm.errors import RecurrenceMismatch
-from kspm.stabilizer import IncrementalStabilizer
+from kspm.stabilizer import IncrementalStabilizer, trace_leftmost
 
 
 def run_cli(capsys, *argv):
@@ -36,7 +36,9 @@ def run_cli(capsys, *argv):
 
 
 def test_stabilize_json_golden(capsys):
-    rc, out, err = run_cli(capsys, "stabilize", "--p", "2", "--n", "24", "--strategy", "leftmost")
+    rc, out, err = run_cli(
+        capsys, "stabilize", "--p", "2", "--n", "24", "--strategy", "incremental"
+    )
     assert rc == 0 and err == ""
     doc = json.loads(out)
     assert doc["meta"]["command"] == "stabilize"
@@ -49,7 +51,7 @@ def test_stabilize_json_golden(capsys):
     assert res["uniform_index"] == 5
     assert res["interior_zeros"] == 0
     assert res["ambiguous_count"] == 3
-    assert res["strategy"] == "leftmost"
+    assert res["strategy"] == "incremental"
 
 
 def test_stabilize_default_strategy_is_batch(capsys):
@@ -61,18 +63,21 @@ def test_stabilize_default_strategy_is_batch(capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("p,n", [(1, 0), (1, 1), (2, 24), (3, 5000), (7, 40123)])
-def test_stabilize_default_matches_leftmost_but_for_strategy(capsys, p, n, fmt):
+def test_stabilize_default_matches_leftmost_but_for_strategy(monkeypatch, capsys, p, n, fmt):
     args = ("stabilize", "--p", str(p), "--n", str(n), "--format", fmt)
     rc_b, out_b, err_b = run_cli(capsys, *args)
-    rc_l, out_l, err_l = run_cli(capsys, *args, "--strategy", "leftmost")
+    # the same command on the reference walk's fixed point, named as the default
+    walk = dataclasses.replace(trace_leftmost(p, n), strategy="batch")
+    monkeypatch.setattr(cli, "stabilize", lambda *a, **k: walk)
+    rc_l, out_l, err_l = run_cli(capsys, *args)
     assert (rc_b, err_b) == (rc_l, err_l) == (0, "")
     # JSON names the strategy in meta.config and in the result, CSV once
     if fmt == "json":
-        quoted, fields = ('"strategy": "batch"', '"strategy": "leftmost"'), 2
+        quoted, fields = '"strategy": "batch"', 2
     else:
-        quoted, fields = ("strategy,batch", "strategy,leftmost"), 1
-    assert out_b.count(quoted[0]) == fields
-    assert out_b.replace(*quoted) == out_l
+        quoted, fields = "strategy,batch", 1
+    assert out_b.count(quoted) == fields
+    assert out_b == out_l
 
 
 def test_stabilize_output_is_byte_deterministic(capsys):
@@ -83,13 +88,13 @@ def test_stabilize_output_is_byte_deterministic(capsys):
 
 def test_stabilize_strategies_agree(capsys):
     docs = []
-    for strat in ("leftmost", "random", "incremental", "batch"):
+    for strat in ("random", "incremental", "batch"):
         rc, out, _ = run_cli(capsys, "stabilize", "--p", "3", "--n", "200", "--strategy", strat)
         assert rc == 0
         docs.append(json.loads(out)["result"])
-    assert docs[0]["slopes"] == docs[1]["slopes"] == docs[2]["slopes"] == docs[3]["slopes"]
-    assert docs[0]["shot"] == docs[1]["shot"] == docs[2]["shot"] == docs[3]["shot"]
-    assert docs[1]["strategy"] == "random(mt19937:0)"
+    assert docs[0]["slopes"] == docs[1]["slopes"] == docs[2]["slopes"]
+    assert docs[0]["shot"] == docs[1]["shot"] == docs[2]["shot"]
+    assert docs[0]["strategy"] == "random(mt19937:0)"
 
 
 def test_stabilize_csv_layout(capsys):
@@ -152,19 +157,6 @@ def test_scan_fit_unavailable_on_narrow_range(capsys):
     assert all("reason" in f for f in doc["fits"].values())
 
 
-def test_scan_direct_mode_matches_incremental(capsys):
-    rc1, out1, _ = run_cli(capsys, "scan", "--p", "3", "--n-max", "120", "--stride", "30")
-    rc2, out2, _ = run_cli(
-        capsys, "scan", "--p", "3", "--n-max", "120", "--stride", "30", "--mode", "direct"
-    )
-    assert rc1 == rc2 == 0
-    rows1 = json.loads(out1)["result"]["rows"]
-    rows2 = json.loads(out2)["result"]["rows"]
-    for a, b in zip(rows1, rows2):
-        assert a["w"] == b["w"] and a["n_strict"] == b["n_strict"]
-        assert b["density_column"] is None
-
-
 def test_scan_emit_plot_data(tmp_path, capsys):
     path = tmp_path / "plot.csv"
     rc, _, _ = run_cli(
@@ -185,17 +177,17 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("mode", ["incremental", "direct"])
 @pytest.mark.parametrize("n_max,stride", [(400, 3), (5, 5)], ids=["fits", "no-fits"])
-def test_scan_documents_are_pinned(tmp_path, capsys, n_max, stride, mode, fmt):
+def test_scan_documents_are_pinned(tmp_path, capsys, n_max, stride, fmt):
     plot = tmp_path / "plot.csv"
     rc, out, err = run_cli(
         capsys,
         "scan", "--p", "2", "--n-max", str(n_max), "--stride", str(stride),
-        "--mode", mode, "--format", fmt, "--emit-plot-data", str(plot),
+        "--format", fmt, "--emit-plot-data", str(plot),
     )
     assert (rc, err) == (0, "")
-    assert out.encode() == (GOLDEN / f"scan_p2_n{n_max}_s{stride}_{mode}.{fmt}").read_bytes()
+    golden = GOLDEN / f"scan_p2_n{n_max}_s{stride}_incremental.{fmt}"
+    assert out.encode() == golden.read_bytes()
     if n_max == 400:
         assert plot.read_bytes() == (GOLDEN / "scan_p2_n400_s3.plot.csv").read_bytes()
 
@@ -204,7 +196,7 @@ def test_scan_documents_are_pinned(tmp_path, capsys, n_max, stride, mode, fmt):
 PINNED_DOCUMENTS = {
     **{
         f"stabilize_p4_n2000_{s}.json": f"stabilize --p 4 --n 2000 --strategy {s}"
-        for s in ("batch", "leftmost", "random", "incremental")
+        for s in ("batch", "random", "incremental")
     },
     "stabilize_p4_n2000.csv": "stabilize --p 4 --n 2000 --format csv",
     "avalanche_p3_k5489.json": "avalanche --p 3 --k 5489",
@@ -450,9 +442,8 @@ CONFIG_CASES = {
         [("p", 2), ("n", 24), ("strategy", "random"), ("seed", 7)],
     ),
     "scan": (
-        "scan --output OUT --emit-plot-data PLOT --timing --mode direct --stride 3 "
-        "--n-max 30 --p 2",
-        [("p", 2), ("n_max", 30), ("stride", 3), ("mode", "direct"), ("timing", True)],
+        "scan --output OUT --emit-plot-data PLOT --timing --stride 3 --n-max 30 --p 2",
+        [("p", 2), ("n_max", 30), ("stride", 3), ("timing", True)],
     ),
     "spectral": (
         "spectral --output OUT --tol 1e-6 --p-max 4 --p-min 3",
@@ -827,6 +818,31 @@ def test_usage_errors_exit_2(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["scan", "--p", "3", "--n-max", "120", "--stride", "30", "--mode", "direct"],
+            "error: unrecognized arguments: --mode direct",
+        ),
+        (
+            ["stabilize", "--p", "2", "--n", "24", "--strategy", "leftmost"],
+            "error: argument --strategy: invalid choice: 'leftmost'",
+        ),
+    ],
+    ids=["scan-mode", "stabilize-leftmost"],
+)
+def test_removed_arguments_are_usage_errors(argv, message, capsys):
+    # every scan replays its avalanches, and the leftmost walk is a test oracle
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: kspm ")
+    assert message in err
 
 
 @pytest.mark.parametrize(

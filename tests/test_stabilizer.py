@@ -64,7 +64,7 @@ def naive_leftmost(p, n):
 
 
 def test_golden_small():
-    fp = stabilize(2, 24, "leftmost")
+    fp = trace_leftmost(2, 24)
     assert fp.slopes.slopes == GOLDEN_P2_N24_SLOPES
     assert fp.shot == GOLDEN_P2_N24_SHOT
     assert fp.strategy == "leftmost"
@@ -122,7 +122,7 @@ def test_incremental_equals_direct_along_the_way():
 @pytest.mark.parametrize("p,seed", [(1, 0), (2, 1), (3, 7), (4, 42)])
 def test_random_strategy_reaches_same_fixed_point(p, seed):
     for n in (0, 1, 17, 100, 257):
-        a = stabilize(p, n, "leftmost")
+        a = trace_leftmost(p, n)
         b = stabilize(p, n, "random", seed=seed)
         assert a.slopes == b.slopes
         assert a.shot == b.shot
@@ -144,8 +144,9 @@ def test_random_strategy_reaches_same_fixed_point(p, seed):
 @example(4, 5, 2)
 @example(6, 6, 7)
 def test_three_strategies_agree(p, n, seed):
-    """Batch, leftmost, incremental and random reach one fixed point and odometer."""
-    a = stabilize(p, n, "leftmost")
+    """Batch, incremental, random and the leftmost walk reach one fixed point
+    and odometer."""
+    a = trace_leftmost(p, n)
     b = stabilize(p, n, "incremental")
     c = stabilize(p, n, "random", seed=seed)
     d = stabilize(p, n, "batch")
@@ -171,7 +172,7 @@ def test_batch_agrees_with_leftmost_at_scale(p, n):
     fixed-point and verify-wide sizes; p = 1 widens one column per block,
     and p = 1000 widens by 1000 columns, behind 1000 virtual shots."""
     batch = stabilize(p, n, "batch")
-    walk = stabilize(p, n, "leftmost")
+    walk = trace_leftmost(p, n)
     assert batch.slopes == walk.slopes
     assert batch.shot == walk.shot
 
@@ -255,9 +256,9 @@ def test_avalanche_records():
 
 
 def test_leftmost_avalanche_from_fixed_point():
-    jumped = IncrementalStabilizer(2, expect=24)
-    jumped.jump_to(23)
-    av = jumped.advance()
+    grown = IncrementalStabilizer(2, expect=24)
+    grown.advance_to(23)
+    av = grown.advance()
     assert av.k == 24
     stepped = IncrementalStabilizer(2, expect=24)
     avs = [stepped.advance() for _ in range(24)]
@@ -266,12 +267,12 @@ def test_leftmost_avalanche_from_fixed_point():
 
 def test_leftmost_avalanche_trivial_cases():
     pile = IncrementalStabilizer(3, expect=4)
-    pile.jump_to(1)
+    pile.advance_to(1)
     # an empty avalanche has no maximum and density 0
     quiet = pile.advance()
     # a pile holding exactly p grains is one grain below the threshold,
     # so the next grain fires column 0 exactly once
-    pile.jump_to(3)
+    pile.advance_to(3)
     av = pile.advance()
     assert av.fired == (0,)
     assert av.density_column == 0
@@ -338,18 +339,11 @@ def test_a_fresh_pile_knows_its_density_column(p, n):
     assert inc.density_max == want
 
 
-@pytest.mark.parametrize("jumped", [False, True])
 @pytest.mark.parametrize("p", range(1, 9))
-def test_advance_to_matches_grain_by_grain(p, jumped):
-    # after a jump neither pile knows its density column, and it stays unknown
+def test_advance_to_matches_grain_by_grain(p):
     batched = IncrementalStabilizer(p, expect=1500)
     stepped = IncrementalStabilizer(p, expect=1500)
-    if jumped:
-        batched.jump_to(1)
-        stepped.jump_to(1)
     for n in (0, 1, p, p + 1, p + 2, 37, 38, 38, 211, 999, 1500):
-        if n < batched.grains:
-            continue
         batched.advance_to(n)
         while stepped.grains < n:
             stepped.advance()
@@ -358,7 +352,6 @@ def test_advance_to_matches_grain_by_grain(p, jumped):
             stepped.grains,
             stepped.density_max,
         )
-        assert (batched.density_max is None) == jumped
     assert batched.grains == 1500
 
 
@@ -459,18 +452,6 @@ def test_density_from_the_shot_prefix_matches_the_firing_order(p):
     assert p == 1 or holed > 20  # no p = 1 avalanche here leaves a hole
 
 
-@pytest.mark.parametrize("p", range(1, 7))
-def test_jump_to_matches_advance_to(p):
-    jumped = IncrementalStabilizer(p, expect=1500)
-    stepped = IncrementalStabilizer(p, expect=1500)
-    for n in (0, 5, 5, 37, 38, 200, 999, 1500):
-        jumped.jump_to(n)
-        stepped.advance_to(n)
-        a, b = jumped.snapshot(), stepped.snapshot()
-        assert (a.n_grains, a.slopes, a.shot) == (b.n_grains, b.slopes, b.shot)
-    assert a.n_grains == 1500
-
-
 # (p, grains, every how many grains the whole lists are compared): every N up
 # to 20,000 at p = 1..6, where the jump fires 98% to 72% of the columns, and
 # p = 30 up to 1e5, where it fires 15%
@@ -561,57 +542,25 @@ def test_backward_targets_are_refused():
     inc = IncrementalStabilizer(2, expect=100)
     inc.advance_to(50)
     before = columns(inc)
-    for move, target in ((inc.advance_to, 10), (inc.jump_to, 5)):
+    for target in (10, 5):
         with pytest.raises(ValueError, match="below the 50 grains"):
-            move(target)
-        move(50)  # the current count stays a no-op
+            inc.advance_to(target)
+        inc.advance_to(50)  # the current count stays a no-op
     assert inc.grains == 50 and columns(inc) == before
 
 
 @pytest.mark.parametrize("p", range(1, 7))
 def test_pile_reach_covers_the_whole_fixed_point(p):
-    # snapshot() reads only the columns before the pile's reach; a reach
-    # that fell short would cut slopes or shots the batch engine keeps
-    jumped = IncrementalStabilizer(p, expect=2000)
+    # snapshot() and the reference walk read only the columns before the
+    # pile's reach; a reach that fell short would cut slopes or shots the
+    # batch engine keeps
     stepped = IncrementalStabilizer(p, expect=2000)
     for n in (0, 1, p, p + 1, 40, 41, 300, 2000):
-        jumped.jump_to(n)
         stepped.advance_to(n)
         want = stabilize(p, n)
-        for pile in (jumped, stepped):
-            assert columns(pile) == (want.slopes.slopes, want.shot)
-
-
-@pytest.mark.parametrize("p", range(1, 7))
-def test_jump_to_leaves_the_density_column_unknown(p):
-    inc = IncrementalStabilizer(p, expect=3000)
-    # a jump to the grains already added drops nothing and keeps the density
-    # column, but claims no quiet column, as a step that settled nothing
-    n = 0
-    while not inc.quiet:
-        n += 1
-        inc.advance_to(n)
-    known = inc.density_max
-    assert inc.jump_to(n) == 1
-    assert (inc.density_max, inc.quiet) == (known, None)
-    inc.jump_to(n + 1)
-    assert (inc.density_max, inc.quiet) == (None, None)
-    # later steps that tip column 0 record nothing; a twin pile that never
-    # jumped settles the same avalanches and claims quiet columns for some
-    twin = IncrementalStabilizer(p, expect=3000)
-    twin.advance_to(n + 1)
-    tipped = claimed = 0
-    for m in range(n + 2, 3001):
-        if m % 2:
-            tipped += inc.advance_to(m) > 1
-            twin.advance_to(m)
-        else:
-            tipped += bool(inc.advance().fired)
-            twin.advance()
-        assert (inc.density_max, inc.quiet) == (None, None)
-        assert columns(inc) == columns(twin)
-        claimed += twin.quiet is not None
-    assert tipped > 100 and claimed > 20
+        assert columns(stepped) == (want.slopes.slopes, want.shot)
+        walk = trace_leftmost(p, n)
+        assert (walk.slopes, walk.shot) == (want.slopes, want.shot)
 
 
 @pytest.mark.parametrize("p,n", [(1, 77), (2, 24), (3, 260), (5, 1001)])
@@ -650,8 +599,9 @@ def test_stabilize_argument_validation():
 
 @pytest.mark.parametrize("strategy", ["batch", "leftmost", "random", "incremental"])
 def test_huge_p_is_refused_before_allocating(strategy):
+    run = trace_leftmost if strategy == "leftmost" else partial(stabilize, strategy=strategy)
     with pytest.raises(CapacityError, match="columns exceed"):
-        stabilize(10**9, 5, strategy)
+        run(10**9, 5)
 
 
 def firing_bound(p, n):
@@ -679,15 +629,14 @@ def test_firing_limit_is_checked_before_settling(p):
     for refused in (
         lambda: IncrementalStabilizer(p, expect=n + 1),
         lambda: stabilize(p, n + 1, "batch"),
-        lambda: stabilize(p, n + 1, "leftmost"),
+        lambda: trace_leftmost(p, n + 1),
         lambda: stabilize(p, n + 1, "random"),
     ):
         with pytest.raises(CapacityError, match="firing limit"):
             refused()
     # the pile passed the preflight for n grains only
-    for move in (inc.jump_to, inc.advance_to):
-        with pytest.raises(ValueError, match="past the"):
-            move(n + 1)
+    with pytest.raises(ValueError, match="past the"):
+        inc.advance_to(n + 1)
     assert inc.grains == 0 and columns(inc) == ((), ())
 
 
@@ -717,10 +666,10 @@ def test_a_pile_is_sized_once_and_refuses_targets_past_expect(monkeypatch, p):
     inc.advance_to(20)
     while inc.grains < 25:
         inc.advance()
-    inc.jump_to(40)
+    inc.advance_to(40)
     assert calls == [40]
     before = (inc.grains, list(inc.slopes), list(inc.shot))
-    for move in (inc.advance, partial(inc.advance_to, 41), partial(inc.jump_to, 50)):
+    for move in (inc.advance, partial(inc.advance_to, 41)):
         with pytest.raises(ValueError, match="past the 40 grains"):
             move()
         assert (inc.grains, inc.slopes, inc.shot) == before
@@ -729,12 +678,9 @@ def test_a_pile_is_sized_once_and_refuses_targets_past_expect(monkeypatch, p):
 
 
 OVERRUN_ENTRY_POINTS = {
-    **{
-        s: partial(stabilize, 2, 100, s)
-        for s in ("batch", "leftmost", "random", "incremental")
-    },
-    "scan-incremental": partial(analyzer.scan_rows, 2, [50, 100], incremental=True),
-    "scan-direct": partial(analyzer.scan_rows, 2, [50, 100], incremental=False),
+    **{s: partial(stabilize, 2, 100, s) for s in ("batch", "random", "incremental")},
+    "leftmost": partial(trace_leftmost, 2, 100),
+    "scan-incremental": partial(analyzer.scan_rows, 2, [50, 100]),
     "avalanche": partial(cli.main, ["avalanche", "--p", "2", "--k", "100"]),
 }
 
@@ -751,7 +697,7 @@ def test_batch_refuses_a_kick_past_its_arrays_late_in_the_run(monkeypatch):
     # the prefix widens only between blocks of sweeps, so the guard must
     # still trip when the arrays run out at the last widening, one column
     # short of the fixed point's support, not just at the start
-    cap = stabilize(2, 40000, "leftmost").slopes.support - 1
+    cap = trace_leftmost(2, 40000).slopes.support - 1
     monkeypatch.setattr(stabilizer, "_capacity", lambda p, n: cap)
     with pytest.raises(RuntimeError, match=f"past the {cap} columns allocated"):
         stabilize(2, 40000)
