@@ -128,14 +128,15 @@ def support_bounds(p: int, n: int, width: int) -> bool:
 
     Both inequalities are cross-multiplied into pure integer comparisons:
     the lower bound is ``n < p**2 (width+1)**2`` and the upper bound is
-    ``(width - p - 1)**2 < (p+1)**2 n`` (trivially true for small widths).
+    ``(width - p - 1)**2 < (p+1)**2 n`` (trivially true for widths below ``p + 1``;
+    at ``p + 1`` it needs ``n > 0``).
     """
     check_p(p)
     check_grains(n)
     if width < 0:
         raise ValueError("width must be non-negative")
     lower_ok = n < p * p * (width + 1) * (width + 1)
-    upper_ok = width <= p + 1 or (width - p - 1) ** 2 < (p + 1) ** 2 * n
+    upper_ok = width < p + 1 or (width - p - 1) ** 2 < (p + 1) ** 2 * n
     return lower_ok and upper_ok
 
 

@@ -165,7 +165,10 @@ def test_support_bounds_exact_boundaries():
     assert analyzer.support_bounds(2, 4 * 36 - 1, 5)
     # huge width fails the upper inequality: (w-p-1)^2 >= (p+1)^2 n
     assert not analyzer.support_bounds(2, 4, 9)
-    assert analyzer.support_bounds(2, 4, 3)  # w <= p+1 short-circuit
+    assert analyzer.support_bounds(2, 4, 3)  # w = p+1: 0 < (p+1)^2 n
+    # ... which an empty pile fails: 0 < (p+1) sqrt(0) + p + 1 is false
+    assert not analyzer.support_bounds(1, 0, 2)
+    assert analyzer.support_bounds(1, 0, 1)
 
 
 @given(
@@ -173,6 +176,8 @@ def test_support_bounds_exact_boundaries():
     st.integers(min_value=0, max_value=10**6),
     st.integers(min_value=0, max_value=4000),
 )
+@example(1, 0, 2)
+@example(3, 0, 4)
 def test_support_bounds_agree_with_symbolic_sqrt(p, n, w):
     root = sympy.sqrt(n)
     want = bool(root / p - 1 < w) and bool(w < (p + 1) * root + p + 1)
@@ -411,7 +416,7 @@ def test_row_statistics_refuse_tampered_fixed_points(p, n):
     [range(1, 151), range(7, 701, 7), range(37, 1500, 37), [523]],
     ids=["stride1", "stride7", "stride37", "one-sample"],
 )
-def test_scan_rows_match_from_scratch(p, targets):
+def test_scan_rows_both_modes_match_from_scratch(p, targets):
     want = from_scratch_rows(p, targets)
     got = analyzer.scan_rows(p, targets)
     # the columns in the order the CLI writes them
@@ -436,7 +441,8 @@ def tracked_statistics(p, targets, quiet=False):
 @pytest.mark.parametrize(
     "targets",
     [range(1, 2001), range(7, 3001, 7), range(37, 3001, 37), [2345]],
-    ids=["stride1", "stride7", "stride37", "one-sample"],
+    # the pile reaches each sample with advance_to
+    ids=["stride1-advance", "stride7-advance", "stride37-advance", "one-sample-advance"],
 )
 def test_tracked_statistics_match_a_full_check_at_every_sample(p, targets):
     for got, want in tracked_statistics(p, targets):

@@ -177,8 +177,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
+# the golden files are named for the scan's replayed avalanches
+@pytest.mark.parametrize("suffix", ["incremental"])
 @pytest.mark.parametrize("n_max,stride", [(400, 3), (5, 5)], ids=["fits", "no-fits"])
-def test_scan_documents_are_pinned(tmp_path, capsys, n_max, stride, fmt):
+def test_scan_documents_are_pinned(tmp_path, capsys, n_max, stride, suffix, fmt):
     plot = tmp_path / "plot.csv"
     rc, out, err = run_cli(
         capsys,
@@ -186,8 +188,7 @@ def test_scan_documents_are_pinned(tmp_path, capsys, n_max, stride, fmt):
         "--format", fmt, "--emit-plot-data", str(plot),
     )
     assert (rc, err) == (0, "")
-    golden = GOLDEN / f"scan_p2_n{n_max}_s{stride}_incremental.{fmt}"
-    assert out.encode() == golden.read_bytes()
+    assert out.encode() == (GOLDEN / f"scan_p2_n{n_max}_s{stride}_{suffix}.{fmt}").read_bytes()
     if n_max == 400:
         assert plot.read_bytes() == (GOLDEN / "scan_p2_n400_s3.plot.csv").read_bytes()
 
