@@ -6,20 +6,20 @@ Subcommands: ``stabilize`` (one fixed point, fully described),
 ``avalanche`` (detail of the avalanche triggered by grain k), and
 ``verify`` (consolidated invariant check for one pile).
 
-Exit codes: 0 success, 2 bad arguments or an unwritable output path,
-3 resource or overflow limits, 4 spectral gate failure, 5 verification
-violation.
+Exit codes: 0 success, 2 bad arguments or an unwritable or empty output
+path, 3 resource or overflow limits, 4 spectral gate failure, 5
+verification violation.
 
 Output is JSON (default) or CSV, written to stdout or ``--output``.
 A JSON document is ``{"meta": {"tool", "version", "command", "config"},
 "result"}``, where ``config`` holds every parsed argument except
 ``--format``, ``--output`` and ``--emit-plot-data``; its text is
-``json.dumps(doc, indent=2)`` byte for byte, encoded through the C
-encoder by ``_pieces``, with every ``Table`` (columns from producer to
-writer) written as the list of its rows.  The whole document is checked
-first, so one that ``json.dumps`` refuses writes nothing, and its text
-is then written in pieces of at most ``CHUNK`` rows, never as one
-string.  CSV writes one ``Table`` through ``csv.writer`` straight to
+``json.dumps(doc, indent=2)`` byte for byte.  ``_pieces`` writes each
+value of ``result`` with ``json.dumps``, except a ``Table`` (columns from
+producer to writer), written as the list of its rows through one row
+template.  The whole document is encoded first, so one that ``json.dumps``
+refuses writes nothing; the text then goes out in pieces of at most
+``CHUNK`` table rows.  CSV writes one ``Table`` through ``csv.writer`` to
 the destination: ``stabilize`` and ``avalanche`` results as
 ``field,value`` rows (a list space-separated), ``scan`` rows followed by
 one ``# fit`` line per fit, ``spectral`` rows and ``verify`` checks.  A
@@ -73,6 +73,8 @@ def _check_writable(path: str) -> None:
     An existing file is tested itself, so ``/dev/null`` passes; a new one
     by its directory.
     """
+    if not path:
+        raise _Unwritable("cannot write an empty path")
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR
@@ -89,10 +91,9 @@ def _check_writable(path: str) -> None:
 # argparse bookkeeping and output settings; every other parsed argument is config
 _NOT_CONFIG = ("command", "func", "format", "output", "emit_plot_data")
 
-# CPython runs its C encoder only without ``indent``, so scalars go through these.
-# With ``ensure_ascii`` every string escapes its control characters, so the raw
-# newline between the items of ``_encode_items`` cannot occur inside one.
-_encode = json.JSONEncoder().encode
+# CPython runs its C encoder only without ``indent``, so table cells go through
+# this one.  With ``ensure_ascii`` every string escapes its control characters,
+# so the raw newline between its items cannot occur inside one.
 _encode_items = json.JSONEncoder(separators=("\n", ": ")).encode
 # most table rows joined into one piece of the written text
 CHUNK = 512
@@ -104,128 +105,81 @@ class Table(dict):
     CSV as its keys and then one line per row."""
 
 
-def _key(k) -> str:
-    """A dict key as ``json.dumps`` writes it; any other key than a string as
-    the string of its JSON text."""
-    if not isinstance(k, str):
-        if not (k is None or isinstance(k, (int, float))):
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {type(k).__name__}"
-            )
-        k = _encode(k)
-    return _encode(k)
+def _cells(values):
+    """Each value's JSON text; a dict, list or tuple raises ``TypeError``.
 
-
-def _scalar_texts(values):
-    """Each value's JSON text, or None if one is a dict, list or tuple.
-
-    Exact ints are their own text under ``str`` and ``%s`` and come back as
-    they are, which halves the writer's time on scan rows; any other values
-    are one C encoder call, split at its items.
+    Exact ints are their own text under ``%s`` and come back as they are,
+    which halves the writer's time on scan rows; any other values are one C
+    encoder call, split at its items.
     """
     if all(type(v) is int for v in values):
         return values
     if any(isinstance(v, (dict, list, tuple)) for v in values):
-        return None
+        raise TypeError("a table column holds a dict, list or tuple")
     return _encode_items(values)[1:-1].split("\n")
 
 
-def _chunks(template: str, columns, sep: str):
-    """The rows' text through ``template``, ``CHUNK`` rows to a piece."""
-    for start in range(0, len(columns[0]), CHUNK):
-        if start:
-            yield sep
-        rows = zip(*[c[start : start + CHUNK] for c in columns])
-        yield sep.join([template % row for row in rows])
+def _rows(table: Table):
+    """The table's text as the list of its rows, as a value of ``result``.
 
-
-def _parts(obj, indent: str):
-    """``obj``'s JSON text as strings and generators of row pieces.
-
-    ``indent`` is the newline and indentation of ``obj``'s closing bracket.  A
-    list of scalars is one string from one encoder call, a ``Table`` the list
-    of its rows as one generator from ``_chunks``, and anything else is walked
-    recursively.
+    Every cell is encoded here; the returned pieces only fill one ``%``
+    template per row, ``CHUNK`` rows to a piece.
     """
-    if isinstance(obj, Table):
-        # every value is encoded here, a column at a time; the generator only
-        # fills one ``%`` template per row
-        columns = [_scalar_texts(c) for c in obj.values()]
-        if not (columns and len(columns[0])):
-            yield "[]"
-            return
-        if any(c is None for c in columns):
-            raise TypeError("a table column holds a dict, list or tuple")
-        inner = indent + "  "
-        field = inner + "  "
-        fields = ("," + field).join(_key(k).replace("%", "%%") + ": %s" for k in obj)
-        yield "[" + inner
-        yield _chunks("{" + field + fields + inner + "}", columns, "," + inner)
-        yield indent + "]"
-        return
-    if isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for k, v in obj.items():
-            yield sep + _key(k) + ": "
-            yield from _parts(v, inner)
-            sep = "," + inner
-        yield indent + "}"
-        return
-    if not isinstance(obj, (list, tuple)):
-        yield _encode(obj)
-        return
-    if not obj:
-        yield "[]"
-        return
-    inner = indent + "  "
-    texts = _scalar_texts(obj)
-    if texts is not None:
-        yield "[" + inner + ("," + inner).join(map(str, texts)) + indent + "]"
-        return
-    sep = "[" + inner
-    for v in obj:
-        yield sep
-        yield from _parts(v, inner)
-        sep = "," + inner
-    yield indent + "]"
+    columns = [_cells(c) for c in table.values()]
+    if not (columns and len(columns[0])):
+        return ["[]"]
+    # each key as json.dumps writes it, with a stand-in 0 that ``%s`` replaces
+    names = _encode_items(dict.fromkeys(table, 0))[1:-1].replace("%", "%%").split("\n")
+    template = "{\n        " + ",\n        ".join(n[:-1] + "%s" for n in names) + "\n      }"
+
+    def chunks():
+        for start in range(0, len(columns[0]), CHUNK):
+            rows = zip(*[c[start : start + CHUNK] for c in columns])
+            yield ("," if start else "[") + "\n      " + ",\n      ".join(
+                [template % row for row in rows]
+            )
+        yield "\n    ]"
+
+    return chunks()
 
 
-def _pieces(obj):
-    """``json.dumps(obj, indent=2)`` as an iterator of text pieces, with every
-    ``Table`` written as the list of its rows.
+def _pieces(meta: dict, result: dict):
+    """``json.dumps({"meta": meta, "result": result}, indent=2)`` as an
+    iterator of text pieces, with each ``Table`` directly under ``result``
+    written as the list of its rows; that is where every command puts one,
+    and a table anywhere else is written as the dict of its columns.
 
-    The whole document is walked and every value encoded first, so whatever
-    ``json.dumps`` raises is raised here, before the first piece.  A table's
-    rows then come ``CHUNK`` to a piece.  A document that contains itself ends
-    in ``RecursionError``, not ``ValueError``.
+    Any other value of ``result`` is one ``json.dumps`` call with its key,
+    indented to its depth: ``json.dumps`` escapes every newline inside a
+    string, so each raw newline in its text is structural.  Everything is
+    encoded first, so whatever ``json.dumps`` raises is raised here, before
+    the first piece.
     """
-    parts = list(_parts(obj, "\n"))
+    parts = ['{\n  "meta": ' + json.dumps(meta, indent=2).replace("\n", "\n  ")]
+    sep = ',\n  "result": {\n    '
+    for k, v in result.items():
+        table = isinstance(v, Table)
+        # the one-key dict's text is ``{\n  k: v\n}``: keep ``k: v``, one level deeper
+        item = json.dumps({k: [] if table else v}, indent=2)[4:-2].replace("\n", "\n  ")
+        parts += [sep + item[:-2], _rows(v)] if table else [sep + item]
+        sep = ",\n    "
+    parts.append("\n  }\n}" if result else ',\n  "result": {}\n}')
     return chain.from_iterable([p] if isinstance(p, str) else p for p in parts)
-
-
-def _json(obj) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, raising where it raises;
-    a ``Table`` is written as the list of its rows."""
-    return "".join(_pieces(obj))
 
 
 def _emit(args, result: dict, table: Table | None = None, trailer: str = "") -> None:
     """Write the document to ``--output`` or stdout.
 
-    JSON is ``{"meta": …, "result": result}``, checked whole before the
-    destination is opened and then written in pieces.  CSV is ``table``
-    (``None`` is written as ``""``), then ``trailer``; with no ``table`` it
-    is the result as ``field,value`` rows, a list written space-separated.
-    A reader that closes the destination early ends the output quietly.
+    JSON is ``{"meta": …, "result": result}``, encoded whole by ``_pieces``
+    before the destination is opened.  CSV is ``table`` (``None`` is
+    written as ``""``), then ``trailer``; with no ``table`` it is the result
+    as ``field,value`` rows, a list written space-separated.  A reader that
+    closes the destination early ends the output quietly.
     """
     if args.format == "json":
         meta = {"tool": "kspm", "version": __version__, "command": args.command}
         meta["config"] = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
-        pieces = _pieces({"meta": meta, "result": result})
+        pieces = _pieces(meta, result)
 
         def write(fh) -> None:
             fh.writelines(pieces)
@@ -559,7 +513,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _validate(parser, args)
     try:
-        paths = list(filter(None, (args.output, getattr(args, "emit_plot_data", None))))
+        paths = [p for p in (args.output, getattr(args, "emit_plot_data", None)) if p is not None]
         for path in paths:
             _check_writable(path)
         if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):

@@ -217,21 +217,89 @@ def test_documents_are_pinned(capsys, golden):
 # ------------------------------------------------------------ JSON writer
 
 
-def assert_writes_like_json_dumps(obj):
-    """``cli._json`` writes ``json.dumps(obj, indent=2)``, or raises its error."""
+# a meta with a nested dict, as every command's config is
+META = {"tool": "kspm", "config": {"p": 2}}
+
+
+def written(result) -> str:
+    return "".join(cli._pieces(META, result))
+
+
+def dumped(result) -> str:
+    return json.dumps({"meta": META, "result": result}, indent=2)
+
+
+def assert_writes_like_json_dumps(result):
+    """``cli._pieces`` writes ``result`` as ``json.dumps`` does, or raises its
+    error before the first piece."""
     try:
-        want = json.dumps(obj, indent=2)
+        want = dumped(result)
     except (TypeError, ValueError) as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            cli._json(obj)
+            cli._pieces(META, result)
     else:
-        assert cli._json(obj) == want
+        assert written(result) == want
+
+
+def as_table(rows):
+    """A list of dicts that share their keys in one order as a ``Table``, else None."""
+    if not (isinstance(rows, (list, tuple)) and rows and all(isinstance(r, dict) for r in rows)):
+        return None
+    keys = list(rows[0])
+    if not keys or any(list(r) != keys for r in rows):
+        return None
+    return cli.Table((k, [r[k] for r in rows]) for k in keys)
+
+
+def row_lists_in(obj):
+    """Every list of dicts in ``obj``, at any depth, that a ``Table`` can hold."""
+    if as_table(obj) is not None:
+        yield obj
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from row_lists_in(v)
+
+
+def assert_table_writes_as_its_rows(table):
+    """``table`` under ``result`` writes as the list of its rows, or raises what
+    ``json.dumps`` raises on them, or refuses a nested cell."""
+    result = {"t": table}
+    try:
+        want = dumped({"t": rows_of(table)})
+    except (TypeError, ValueError) as exc:
+        # cells are encoded a column at a time, so with two bad cells the error
+        # may name another one than json.dumps meets first, row by row
+        with pytest.raises(type(exc)):
+            cli._pieces(META, result)
+        return
+    if any(isinstance(v, (dict, list, tuple)) for c in table.values() for v in c):
+        with pytest.raises(TypeError, match="table column"):
+            cli._pieces(META, result)
+    else:
+        assert written(result) == want
+
+
+def assert_writes_each_part_like_json_dumps(obj):
+    """``obj`` as a value of ``result``, and as the whole ``result`` if it is a
+    dict; each flat row list in it, as a ``Table``, writes as its rows."""
+    assert_writes_like_json_dumps({"x": obj})
+    if isinstance(obj, dict):
+        assert_writes_like_json_dumps(obj)
+    for rows in row_lists_in(obj):
+        assert_table_writes_as_its_rows(as_table(rows))
 
 
 @pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.json")))
 def test_json_writer_matches_json_dumps_on_every_pinned_document(golden):
-    doc = json.loads((GOLDEN / golden).read_text(encoding="utf-8"))
-    assert cli._json(doc) == json.dumps(doc, indent=2)
+    text = (GOLDEN / golden).read_text(encoding="utf-8")
+    doc = json.loads(text)
+    # each row list back into the columns its command writes it from
+    result = {k: as_table(v) or v for k, v in doc["result"].items()}
+    if golden.startswith(("scan", "spectral", "verify")):
+        assert any(isinstance(v, cli.Table) for v in result.values())
+    assert "".join(cli._pieces(doc["meta"], result)) + "\n" == text
 
 
 # non-ASCII, quote, backslash, control characters and % (the row template's own)
@@ -268,7 +336,7 @@ DOCUMENTS = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(DOCUMENTS)
 def test_json_writer_matches_json_dumps_on_generated_documents(doc):
-    assert_writes_like_json_dumps(doc)
+    assert_writes_each_part_like_json_dumps(doc)
 
 
 @pytest.mark.parametrize(
@@ -307,7 +375,7 @@ def test_json_writer_matches_json_dumps_on_generated_documents(doc):
     ],
 )
 def test_json_writer_matches_json_dumps_on_traps(obj):
-    assert_writes_like_json_dumps(obj)
+    assert_writes_each_part_like_json_dumps(obj)
 
 
 def emit_args(output=None):
@@ -351,8 +419,9 @@ def test_emit_writes_flat_rows_in_chunks_as_json_dumps_does(tmp_path, capsys, n)
     assert path.read_text(encoding="utf-8") == want
     cli._emit(emit_args(), doc)
     assert capsys.readouterr().out == want
-    # the table's rows take the template path, at most CHUNK of them to a piece
-    largest = max(piece.count('"N": ') for piece in cli._pieces(doc))
+    # the table's rows take the template path, at most CHUNK of them to a piece;
+    # the nested rows are one json.dumps text, so the table is counted alone
+    largest = max(piece.count('"N": ') for piece in cli._pieces(META, {"rows": table}))
     assert largest == min(n, cli.CHUNK)
 
 
@@ -360,15 +429,13 @@ def test_emit_writes_flat_rows_in_chunks_as_json_dumps_does(tmp_path, capsys, n)
 @given(row_lists())
 def test_a_table_writes_as_the_list_of_its_rows(rows):
     table = cli.Table((k, [r[k] for r in rows]) for k in rows[0])
-    assert cli._json({"t": table, "x": [table]}) == json.dumps(
-        {"t": rows, "x": [rows]}, indent=2
-    )
-    assert cli._json(cli.Table((k, []) for k in rows[0])) == "[]"
+    assert written({"t": table, "x": 1}) == dumped({"t": rows, "x": 1})
+    assert written({"t": cli.Table((k, []) for k in rows[0])}) == dumped({"t": []})
 
 
 def test_a_table_refuses_a_nested_value_before_writing():
     with pytest.raises(TypeError, match="table column"):
-        cli._pieces({"t": cli.Table(a=[1, 2], b=[3, [4]])})
+        cli._pieces(META, {"t": cli.Table(a=[1, 2], b=[3, [4]])})
 
 
 @pytest.mark.parametrize("where", ["file", "stdout"])
@@ -881,6 +948,25 @@ def test_a_refused_plot_path_leaves_the_output_file_untouched(tmp_path, capsys):
     )
     assert rc == 2 and err.startswith("error: cannot write ")
     assert kept.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--p", "2", "--n", "30", "--output", ""],
+        ["scan", "--p", "2", "--n-max", "20", "--stride", "10", "--emit-plot-data", ""],
+    ],
+    ids=["output", "emit-plot-data"],
+)
+def test_an_empty_output_path_exits_2(capsys, monkeypatch, argv):
+    # an empty path names no file; stdout, or no plot file at all, must not stand in
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started with an empty output path")
+
+    monkeypatch.setattr(cli, "stabilize", no_work)
+    monkeypatch.setattr(analyzer, "scan_rows", no_work)
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (2, "", "error: cannot write an empty path\n")
 
 
 @pytest.mark.parametrize("plot", ["P", "./P", "absolute"])
