@@ -9,10 +9,12 @@ aggregates all of it into scan rows with logarithmic fits.  A scan's
 rows are columns, one list per field in the order the CLI writes them,
 and a fit is a dict keyed as the CLI writes it.  A scan grows one pile
 avalanche by avalanche, so every sample has its density column.  It
-keeps its row statistics current over the prefix of columns each
-sample's settles touched, less the quiet columns the step's one
-avalanche fired through once, and checks the whole width once more at
-its last sample.
+walks the wave chain again only where each sample's settles touched,
+less the quiet columns the step's one avalanche fired through once.  It
+copies that touched prefix of the pile's lists into a row of a block of
+samples, computes the mass balance, the ambiguity counts and the first
+uniform windows of a whole block with numpy array operations, and
+checks the whole width once more at its last sample.
 The audits of the paper's lemmas along whole trajectories (plateaus in
 every intermediate state, the climbing interior zero) are test-side, in
 ``tests/lemma_audits.py``.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain, islice, pairwise, repeat
+from itertools import pairwise, repeat
 from math import inf, log2
 
 from .errors import CapacityError, InsufficientData, NonIntegral, RecurrenceMismatch
@@ -36,6 +38,9 @@ ZERO = "zero"
 #: ``scan --p 2 --n-max 100000 --stride 1`` peaks at about 60 MiB of RSS as
 #: JSON and as CSV (x86-64 Linux, CPython 3.11).
 MAX_SAMPLES = 2**21
+#: Samples whose statistics a scan computes together in one pass of array
+#: operations; blocks of 32 and 128 rows take the same time.
+BLOCK_ROWS = 64
 
 
 def support(slopes) -> int:
@@ -176,134 +181,47 @@ class RowStatistics:
 
 
 class WaveTracker:
-    """Scan statistics of one growing pile, kept current where it changed.
-
-    Padding the shot vector with the virtual ``n, 0, ..., 0`` makes the
-    shot window at column ``i`` the slice ``a[i : i + p + 1]``, which
-    closes at column ``steps``.  The mass balance is checked at every
-    column before it, so the windows are exactly those
-    :func:`kspm.dds.trajectory_report` replays from ``a_0``; with
-    non-negative slopes it also rules out an all-zero window before
-    ``steps``.
+    """The wave chain of one growing pile, kept current where it changed.
 
     ``touched`` bounds what changed since the last update: slopes only in
-    ``[0, touched)`` and shots only in ``[0, touched - p)``, as the
-    pile's ``advance_to`` returns it.  Inside it, the pile's ``quiet``
-    columns ``[lo, hi)``, between the prefix and the edge of the step's
-    one avalanche, kept their slopes, and that avalanche fired each
-    column of ``[lo - p, hi]`` once.  The balance of column
-    ``i`` reads slope ``i``, shots ``i - p``, ``i`` and ``i + 1``, and
-    ``n`` at column 0; it holds on wherever the three shots gained the
-    same, so only ``[0, lo)`` and ``[hi, touched)`` are checked again.
-    The shot differences of the quiet columns hold too: a last
-    ``uniform_index`` answer in ``[lo, hi]`` stays unless a window left
-    of ``lo`` is uniform now, and one at or past ``touched`` unless a
-    window left of ``touched`` is.  The ambiguity terms, both trimmed
-    lengths and the wave chain nodes whose next step reads only quiet
-    columns or columns at or past ``touched`` carry over: the walk back
-    from the support tries once for the rightmost quiet node of the old
-    chain, and if it lands there the old chain goes on from there.
+    ``[0, touched)``, as the pile's ``advance_to`` returns it, so the
+    support carries over while it lies past ``touched``.  A chain node's
+    next step reads the ``p`` slopes left of it, so the nodes at or past
+    ``touched + p`` step as before.  Inside ``touched``, the pile's
+    ``quiet`` columns ``[lo, hi)``, between the prefix and the edge of the
+    step's one avalanche, kept their slopes, so the nodes in ``[lo + p,
+    hi]`` step as before too: the walk back from the support tries once
+    for the rightmost of them, and if it lands there the old chain goes on
+    from there.
     """
 
     def __init__(self, p: int):
         check_p(p)
         self.p = p
-        self._width = self._shots = self._steps = self._uniform = 0
-        self._flags: list[bool] = []  # slope % p == 0 for columns before steps
-        self._ambiguous = 0
+        self._width = 0
         self._nodes: list[int] = []  # wave chain from the support leftwards
         self._zeros: list[int] = []  # its zero blocks, right to left
 
-    def _balance(self, n: int, slopes: list, shot: list, lo: int, hi: int) -> list:
-        """Check the balance of columns ``[lo, hi)`` and return their flags."""
-        p = self.p
-        b = slopes[lo:hi]
-        a = shot[lo : hi + 1]
-        if lo >= p:
-            back = shot[lo - p : hi - p]
-        else:
-            back = ([n] + [0] * (p - 1))[lo:hi] + shot[: max(hi - p, 0)]
-        if len(b) < hi - lo or len(a) <= hi - lo:
-            # the lists end early; every column past them holds 0
-            b += [0] * (hi - lo - len(b))
-            back += [0] * (hi - lo - len(back))
-            a += [0] * (hi + 1 - lo - len(a))
-        pp1 = p + 1
-        balance = [x - pp1 * y + p * z for x, y, z in zip(back, a, a[1:])]
-        if balance != b:
-            i = next(i for i, (u, v) in enumerate(zip(balance, b), lo) if u != v)
-            raise NonIntegral(f"shot vector breaks the mass balance at column {i}")
-        # the balance makes shot[i - p] - shot[i] congruent to b[i] mod p
-        return [v % p == 0 for v in b]
-
     def update(
         self,
-        n: int,
         slopes: list,
-        shot: list,
         touched: int | None = None,
         quiet: tuple[int, int] | None = None,
-    ) -> RowStatistics:
-        """Statistics of ``n`` grains on these lists, changed only inside ``touched``.
+    ) -> tuple[int, int, int, tuple[int, ...]]:
+        """Width, strict and loose wave starts and strict zeros of these slopes.
 
-        The first update, or one without ``touched``, covers the whole
-        width; one without ``quiet`` checks all of ``touched`` again.
-        Raises :class:`NonIntegral` when the balance fails or the slopes
-        run past the closing window, and leaves the tracker as it was.
+        Without ``touched`` every column may have changed.  A strict tail
+        holds at most one interior zero, the chain's first.
         """
         p = self.p
-        if touched is None or not self._steps:
-            touched = max(len(slopes), len(shot) + p + 1)
-            quiet = None
+        if touched is None:
+            touched = len(slopes)
         lo, hi = quiet or (touched, touched)
-        w, m = self._width, self._shots
+        w = self._width
         if w <= touched:
             w = min(touched, len(slopes))
             while w and not slopes[w - 1]:
                 w -= 1
-        if m <= touched - p:
-            m = max(min(touched - p, len(shot)), 0)
-            while m and not shot[m - 1]:
-                m -= 1
-        steps = max(m + p, p + 1)
-        if w > steps:
-            raise NonIntegral(
-                f"shot window closes at column {steps} but slopes run to column {w - 1}"
-            )
-        # columns [0, head) and [tail, end) may have changed; the shots grow
-        # only inside ``touched``, so the columns new to [0, steps) lie in them
-        flags = self._flags
-        head = min(lo, steps)
-        tail = max(min(hi, len(flags)), head)
-        end = min(touched, steps)
-        head_flags = self._balance(n, slopes, shot, 0, head)
-        tail_flags = self._balance(n, slopes, shot, tail, end) if tail < end else []
-        self._ambiguous += (
-            sum(head_flags) - sum(flags[:head]) + sum(tail_flags) - sum(flags[tail:end])
-        )
-        flags[:head] = head_flags
-        flags[tail:end] = tail_flags
-        # window i is uniform when its p differences, d[i .. i+p-1], are equal;
-        # the closing window is all zero, so one is always found.  Only the
-        # windows left of ``limit - p`` can replace an answer that still holds
-        uniform = self._uniform
-        if lo <= uniform <= hi:
-            limit = lo + p - 1
-        elif uniform >= touched:
-            limit = touched + p - 1
-        else:
-            limit = None
-        run = 0
-        prev = None
-        padded = chain((n,), repeat(0, p - 1), shot, repeat(0, p + 1))
-        for k, (x, y) in enumerate(islice(pairwise(padded), limit), 1 - p):
-            run = run + 1 if y - x == prev else 1
-            prev = y - x
-            if run == p:
-                uniform = k
-                break
-        # a chain node's next step reads the p slopes left of it, so the nodes
-        # at or past touched + p, and the quiet ones in [lo + p, hi], step as before
         nodes, zeros = self._nodes, self._zeros
         middle = []  # the quiet nodes, left to right
         while nodes and nodes[-1] < touched + p:
@@ -326,21 +244,151 @@ class WaveTracker:
                 nodes += reversed(middle)
                 zeros += [z for z in reversed(quiet_zeros) if z < i]
         strict, loose = _wave_chain(p, slopes, nodes, zeros)
-        self._width, self._shots, self._steps = w, m, steps
-        self._uniform = uniform
-        return RowStatistics(
-            width=w,
-            n_strict=strict,
-            n_loose=loose,
-            zero_positions=tuple(zeros[:1]),  # a strict tail holds the first zero
-            uniform_index=uniform,
-            ambiguous_count=self._ambiguous,
-        )
+        self._width = w
+        return w, strict, loose, tuple(zeros[:1])
 
 
 def row_statistics(p: int, n: int, slopes, shot) -> RowStatistics:
-    """Scan statistics of a fixed point, checked over its whole width."""
-    return WaveTracker(p).update(n, list(slopes), list(shot))
+    """Scan statistics of a fixed point, checked over its whole width.
+
+    Padding the shot vector with the virtual ``n, 0, ..., 0`` makes the
+    shot window at column ``i`` the slice ``a[i : i + p + 1]``, which
+    closes at column ``steps``.  The mass balance is checked at every
+    column before it, so the windows are exactly those
+    :func:`kspm.dds.trajectory_report` replays from ``a_0``; with
+    non-negative slopes it also rules out an all-zero window before
+    ``steps``.  Raises :class:`NonIntegral` when the balance fails or the
+    slopes run past the closing window.
+    """
+    check_p(p)
+    slopes, shot = list(trimmed(slopes)), list(trimmed(shot))
+    w = len(slopes)
+    steps = max(len(shot) + p, p + 1)
+    if w > steps:
+        raise NonIntegral(
+            f"shot window closes at column {steps} but slopes run to column {w - 1}"
+        )
+    a = [n, *repeat(0, p - 1), *shot, *repeat(0, p + 2)]
+    b = slopes + [0] * (steps - w)
+    pp1 = p + 1
+    balance = [x - pp1 * y + p * z for x, y, z in zip(a, a[p:], a[p + 1 :])]
+    if balance[:steps] != b:
+        i = next(i for i, (u, v) in enumerate(zip(balance, b)) if u != v)
+        raise NonIntegral(f"shot vector breaks the mass balance at column {i}")
+    # the balance makes shot[i - p] - shot[i] congruent to b[i] mod p
+    ambiguous = sum(v % p == 0 for v in b)
+    # window i is uniform when its p differences, d[i .. i+p-1], are equal;
+    # the closing window is all zero, so one is always found
+    run = 0
+    prev = None
+    for uniform, (x, y) in enumerate(pairwise(a), 1 - p):
+        run = run + 1 if y - x == prev else 1
+        prev = y - x
+        if run == p:
+            break
+    zeros: list[int] = []
+    strict, loose = _wave_chain(p, slopes, [w], zeros)
+    return RowStatistics(
+        width=w,
+        n_strict=strict,
+        n_loose=loose,
+        zero_positions=tuple(zeros[:1]),
+        uniform_index=uniform,
+        ambiguous_count=ambiguous,
+    )
+
+
+class _SampleBlock:
+    """A growing pile's lists at up to ``BLOCK_ROWS`` samples, checked together.
+
+    Row ``r`` of ``slopes`` holds the slopes at the ``r``-th sample of the
+    block, and the same row of ``padded`` its shots as ``a_{j-p}``, after
+    the virtual ``n, 0, ..., 0``.  Row 0 repeats the last sample of the
+    block before.  A sample copies into its row only what its step may
+    have changed, the slopes of ``[0, touched)`` and the shots of ``[0,
+    touched - p)``; the rest of the row repeats the row before.  The rows
+    are as wide as the largest extent so far, and at least ``p + 1`` so
+    that the closing window fits; every column past them holds slope 0
+    and shot 0.  They widen geometrically, never past the pile's lists.
+    """
+
+    def __init__(self, p: int, cap: int):
+        import numpy as np
+
+        self.p = p
+        self.cap = cap
+        self.ns: list[int] = []  # the grain counts of the block's samples
+        self.slopes = self.padded = np.zeros((BLOCK_ROWS + 1, 0), np.int64)
+        self._widen(p + 1)
+
+    def add(self, n: int, slopes: list, shot: list, touched: int) -> None:
+        """Copy the pile's lists at ``n`` grains, changed only inside ``touched``."""
+        p = self.p
+        if touched > self.slopes.shape[1]:
+            self._widen(touched)
+        r = len(self.ns) + 1
+        s, a = self.slopes, self.padded
+        s[r] = s[r - 1]
+        a[r] = a[r - 1]
+        s[r, :touched] = slopes[:touched]
+        a[r, 0] = n
+        if touched > p:
+            a[r, p:touched] = shot[: touched - p]
+        self.ns.append(n)
+
+    def _widen(self, touched: int) -> None:
+        """Widen the rows to at least ``touched`` columns, keeping their values."""
+        import numpy as np
+
+        width = min(max(touched, 2 * self.slopes.shape[1]), self.cap)
+        slopes = np.zeros((BLOCK_ROWS + 1, width), np.int64)
+        padded = np.zeros((BLOCK_ROWS + 1, width + self.p + 1), np.int64)
+        slopes[:, : self.slopes.shape[1]] = self.slopes
+        padded[:, : self.padded.shape[1]] = self.padded
+        self.slopes, self.padded = slopes, padded
+
+    def flush(self) -> tuple[list[int], list[int]]:
+        """Check the block's rows; return their uniform windows and ambiguity counts.
+
+        The mass balance is checked at every column of every row, which
+        also refuses slopes past a closing window, where every shot the
+        balance reads is 0.  It raises :class:`NonIntegral` naming the
+        grain count of the first row it fails.  Row 0 then takes the
+        block's last row.
+        """
+        import numpy as np
+
+        p, k = self.p, len(self.ns)
+        s, a = self.slopes[1 : k + 1], self.padded[1 : k + 1]
+        width = s.shape[1]
+        pp1 = p + 1
+        # as in the batch engine: a_{i-p} + p a_{i+1} is at most n plus p times
+        # the firing bound, and (p+1) a_i no larger, since no slope is negative
+        bad = a[:, :width] + p * a[:, pp1:] - pp1 * a[:, p : p + width] != s
+        if bad.any():
+            r, i = divmod(int(bad.argmax()), width)
+            raise NonIntegral(
+                f"N={self.ns[r]}: shot vector breaks the mass balance at column {i}"
+            )
+        # with the balance, the slopes end where the window closes, p columns
+        # right of the last nonzero shot, unless no column fired
+        steps = np.maximum(((s != 0) * np.arange(1, width + 1)).max(axis=1), pp1)
+        # the balance makes shot[i - p] - shot[i] congruent to slope i mod p, and
+        # a pile's slopes lie in [0, p]; the columns from steps on, all 0, are
+        # flagged too and taken off
+        flags = (s == 0) | (s == p)
+        ambiguous = np.count_nonzero(flags, axis=1) - (width - steps)
+        # window i is uniform when its p differences, d[i .. i+p-1], are equal,
+        # that is when the p - 1 comparisons of neighbours from i on all hold;
+        # the closing window is all zero, so one is always found
+        d = np.diff(a, axis=1)
+        same = np.zeros(d.shape, np.int64)
+        np.cumsum(d[:, 1:] == d[:, :-1], axis=1, out=same[:, 1:])
+        uniform = same[:, p - 1 :] - same[:, : same.shape[1] - p + 1] == p - 1
+        self.slopes[0] = self.slopes[k]
+        self.padded[0] = self.padded[k]
+        self.ns.clear()
+        return uniform.argmax(axis=1).tolist(), ambiguous.tolist()
 
 
 def scan_rows(p: int, n_values, timing: bool = False) -> dict[str, list]:
@@ -349,15 +397,20 @@ def scan_rows(p: int, n_values, timing: bool = False) -> dict[str, list]:
     The rows come back as columns: one list per field, with one value per
     sample in sample order, keyed ``N, p, w, n_strict, n_loose,
     uniform_index, interior_zeros, density_column, ambiguous_count,
-    elapsed_us`` as ``kspm scan`` writes them.  ``elapsed_us`` is 0 unless
-    ``timing`` is set, keeping default output reproducible.  One growing
-    pile replays every avalanche up to each sample, and ``density_column``
-    is the largest density column of those avalanches.  One
-    :class:`WaveTracker` follows the pile; the last sample is checked
-    again over the whole width, and a difference raises
-    :class:`RecurrenceMismatch`.  A scan of more than
-    ``MAX_SAMPLES`` samples raises :class:`CapacityError` before its pile
-    is built, after the pile's own firing preflight.
+    elapsed_us`` as ``kspm scan`` writes them.  One growing pile replays
+    every avalanche up to each sample, and ``density_column`` is the
+    largest density column of those avalanches.  One :class:`WaveTracker`
+    walks the pile's wave chain at each sample.  The pile's lists go into
+    blocks of ``BLOCK_ROWS`` samples, and each block's mass balance,
+    ``uniform_index`` and ``ambiguous_count`` come from one pass of array
+    operations.  The last sample is checked again over the whole width by
+    :func:`row_statistics`, and a difference raises
+    :class:`RecurrenceMismatch`.  ``elapsed_us`` is 0 unless ``timing`` is
+    set, keeping default output reproducible; with it, a row's time is its
+    settles, its copy and its chain walk, plus an equal share of its
+    block's array pass.  A scan of more than ``MAX_SAMPLES`` samples
+    raises :class:`CapacityError` before its pile is built, after the
+    pile's own firing preflight.
     """
     check_p(p)
     # a range is already sorted and distinct; left lazy, its largest sample
@@ -370,31 +423,54 @@ def scan_rows(p: int, n_values, timing: bool = False) -> dict[str, list]:
         raise ValueError("no grain counts to scan")
     # the firing preflight the pile repeats answers first; the pile can take
     # MAX_COLUMNS columns, so the sample count is refused before it is built
-    check_work(p, check_grains(targets[-1]))
+    work = check_work(p, check_grains(targets[-1]))
     if len(targets) > MAX_SAMPLES:
         raise CapacityError(
             f"{len(targets)} samples exceed the {MAX_SAMPLES}-sample limit of one scan"
         )
+    # every shot is at most the firing bound, so a balance term of the blocks,
+    # a_{i-p} + p a_{i+1}, is at most N plus p times it: int64 never wraps
+    assert targets[-1] + p * work < 2**63
     inc = IncrementalStabilizer(p, expect=targets[-1])
     tracker = WaveTracker(p)
+    block = _SampleBlock(p, len(inc.slopes))
     rows: dict[str, list] = {
         k: []
         for k in ("N", "p", "w", "n_strict", "n_loose", "uniform_index",
                   "interior_zeros", "density_column", "ambiguous_count", "elapsed_us")
     }
+    sampled = [rows[k] for k in ("N", "p", "w", "n_strict", "n_loose",
+                                 "interior_zeros", "density_column")]
+    spent: list[float] = []  # seconds per sample of the block, before its pass
+
+    def flush() -> None:
+        t0 = time.perf_counter() if timing else 0.0
+        uniform, ambiguous = block.flush()
+        share = (time.perf_counter() - t0) / len(spent) if timing else 0.0
+        rows["uniform_index"] += uniform
+        rows["ambiguous_count"] += ambiguous
+        rows["elapsed_us"] += [int((s + share) * 1e6) for s in spent]
+        spent.clear()
+
     for n in targets:
         t0 = time.perf_counter() if timing else 0.0
         touched = inc.advance_to(n)
-        stats = tracker.update(n, inc.slopes, inc.shot, touched, inc.quiet)
-        elapsed = int((time.perf_counter() - t0) * 1e6) if timing else 0
-        sample = (
-            n, p, stats.width, stats.n_strict, stats.n_loose, stats.uniform_index,
-            len(stats.zero_positions), inc.density_max, stats.ambiguous_count, elapsed,
-        )
-        for column, value in zip(rows.values(), sample):
+        block.add(n, inc.slopes, inc.shot, touched)
+        w, strict, loose, zeros = tracker.update(inc.slopes, touched, inc.quiet)
+        sample = (n, p, w, strict, loose, len(zeros), inc.density_max)
+        for column, value in zip(sampled, sample):
             column.append(value)
-    # every column's balance once more, so a change the extents missed still fails
-    if row_statistics(p, n, inc.slopes, inc.shot) != stats:
+        spent.append(time.perf_counter() - t0 if timing else 0.0)
+        if len(spent) == BLOCK_ROWS:
+            flush()
+    if spent:
+        flush()
+    # every column's balance once more, on the live lists, so a change the
+    # extents missed still fails
+    last = RowStatistics(
+        w, strict, loose, zeros, rows["uniform_index"][-1], rows["ambiguous_count"][-1]
+    )
+    if row_statistics(p, n, inc.slopes, inc.shot) != last:
         raise RecurrenceMismatch(
             f"tracked statistics at N={n} differ from a full-width check"
         )

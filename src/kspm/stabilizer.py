@@ -27,8 +27,8 @@ Three engines reach the unique fixed point of ``N`` grains:
   the extent of columns its avalanches touched.  A step that settled one
   avalanche also sets the pile's ``quiet`` columns inside it, which lie
   between the step's one avalanche's prefix ``[0, density_column + p)``
-  and its edge ``[M, M + p]``; only the rest is what
-  :class:`kspm.analyzer.WaveTracker` reads again.
+  and its edge ``[M, M + p]``; only the rest is where
+  :class:`kspm.analyzer.WaveTracker` walks the wave chain again.
 
 The reference walk, :func:`trace_leftmost`, drops all ``N`` grains at
 once and always fires the smallest fireable column, found by a pointer

@@ -17,7 +17,7 @@ from conftest import (
     GOLDEN_P4_N2000_ZERO_AT,
 )
 from kspm import analyzer, dds
-from kspm.errors import CapacityError, InsufficientData, NonIntegral
+from kspm.errors import CapacityError, InsufficientData, NonIntegral, RecurrenceMismatch
 from kspm.model import heights_from_slopes, trimmed
 from lemma_audits import (
     check_plateaus_along_leftmost,
@@ -423,18 +423,43 @@ def test_scan_rows_both_modes_match_from_scratch(p, targets):
     assert list(got.items()) == list(want.items())
 
 
-def tracked_statistics(p, targets, quiet=False):
-    """Per sample: the tracker's statistics and a full-width check of the same pile.
+#: The scan row's fields that row statistics give, and how to read them off.
+ROW_FIELDS = ("w", "n_strict", "n_loose", "interior_zeros", "uniform_index", "ambiguous_count")
 
-    With ``quiet`` the tracker also skips the pile's quiet columns.
+
+def row_fields(stats):
+    return (
+        stats.width,
+        stats.n_strict,
+        stats.n_loose,
+        len(stats.zero_positions),
+        stats.uniform_index,
+        stats.ambiguous_count,
+    )
+
+
+def chain_fields(stats):
+    """What the tracker's chain walk gives of the same statistics."""
+    return stats.width, stats.n_strict, stats.n_loose, stats.zero_positions
+
+
+def check_tracked_statistics(p, targets, quiet=False):
+    """Check the scan's row and the tracker's chain against a full-width check,
+    at every sample.
+
+    The tracker walks a twin of the scan's pile, and skips the pile's quiet
+    columns only with ``quiet``; the scan always does.
     """
+    rows = analyzer.scan_rows(p, targets)
     inc = IncrementalStabilizer(p, expect=max(targets))
     tracker = analyzer.WaveTracker(p)
-    for n in targets:
+    for n, row in zip(targets, zip(*[rows[f] for f in ROW_FIELDS]), strict=True):
         touched = inc.advance_to(n)
-        got = tracker.update(n, inc.slopes, inc.shot, touched, inc.quiet if quiet else None)
+        chain = tracker.update(inc.slopes, touched, inc.quiet if quiet else None)
         fp = inc.snapshot()
-        yield got, analyzer.row_statistics(p, n, fp.slopes.slopes, fp.shot)
+        want = analyzer.row_statistics(p, n, fp.slopes.slopes, fp.shot)
+        assert row == row_fields(want), n
+        assert chain == chain_fields(want), n
 
 
 @pytest.mark.parametrize("p", range(1, 9))
@@ -445,8 +470,7 @@ def tracked_statistics(p, targets, quiet=False):
     ids=["stride1-advance", "stride7-advance", "stride37-advance", "one-sample-advance"],
 )
 def test_tracked_statistics_match_a_full_check_at_every_sample(p, targets):
-    for got, want in tracked_statistics(p, targets):
-        assert got == want
+    check_tracked_statistics(p, targets)
 
 
 @pytest.mark.parametrize("p", [*range(1, 9), 30])
@@ -456,8 +480,29 @@ def test_tracked_statistics_match_a_full_check_at_every_sample(p, targets):
     ids=["stride1", "stride7", "stride10"],
 )
 def test_quiet_statistics_match_a_full_check_at_every_sample(p, targets):
-    for got, want in tracked_statistics(p, targets, quiet=True):
-        assert got == want
+    check_tracked_statistics(p, targets, quiet=True)
+
+
+B = analyzer.BLOCK_ROWS
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 30])
+@pytest.mark.parametrize("count", [1, B - 1, B, B + 1, 3 * B + 5])
+def test_every_row_of_every_block_matches_a_full_check(monkeypatch, p, count):
+    # the first and last rows of a block, a block of one row and a last block
+    # cut short; at a stride of 7 grains the longest scans widen the rows
+    # inside a block
+    widened = []  # the rows a block held before each widening
+    widen = analyzer._SampleBlock._widen
+
+    def spy(self, touched):
+        widened.append(len(self.ns))
+        widen(self, touched)
+
+    monkeypatch.setattr(analyzer._SampleBlock, "_widen", spy)
+    check_tracked_statistics(p, range(7, 7 * count + 1, 7), quiet=True)
+    if count == 3 * B + 5:
+        assert max(widened) > 0
 
 
 def avalanche_quiet(p, av):
@@ -535,14 +580,14 @@ def test_a_narrower_quiet_claim_gives_the_same_statistics(p):
         touched = inc.advance_to(n)
         if inc.quiet:
             lo, hi = inc.quiet
-            want = analyzer.row_statistics(p, n, inc.slopes, inc.shot)
+            want = chain_fields(analyzer.row_statistics(p, n, inc.slopes, inc.shot))
             for raised, lowered in itertools.product(range(p + 2), repeat=2):
                 if lo + raised < hi - lowered:
                     claim = (lo + raised, hi - lowered)
                     trial = copy.deepcopy(tracker)
-                    assert trial.update(n, inc.slopes, inc.shot, touched, claim) == want
+                    assert trial.update(inc.slopes, touched, claim) == want
                     narrowed += 1
-        tracker.update(n, inc.slopes, inc.shot, touched, inc.quiet)
+        tracker.update(inc.slopes, touched, inc.quiet)
     assert narrowed > 100
 
 
@@ -566,21 +611,21 @@ def test_a_walk_back_that_stops_short_of_the_quiet_node():
     before = balanced_slopes(p, n, shot)
     assert trimmed(before) == fp.slopes.slopes
     tracker = analyzer.WaveTracker(p)
-    tracker.update(n, before, shot)
+    tracker.update(before)
     assert tracker._nodes == [16, 14, 12, 10, 9]
     shot = [a + (i <= 10) for i, a in enumerate(shot)]
     slopes = balanced_slopes(p, n + 1, shot)
     assert slopes[2:10] == before[2:10] and slopes[12] == p + 1
     want = analyzer.row_statistics(p, n + 1, slopes, shot)
-    assert tracker.update(n + 1, slopes, shot, 13, (2, 10)) == want
+    assert tracker.update(slopes, 13, (2, 10)) == chain_fields(want)
     assert (want.width, want.n_loose) == (16, 14)
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_the_quiet_columns_keep_a_stride_one_scan_narrow(p):
-    # the columns the tracker re-checks per sample, every N up to 20,000: the
-    # whole extent, 67 columns on average at p = 1 and 20 at p = 2, without
-    # quiet columns, and about 3 with them
+    # the columns whose wave chain the tracker walks again per sample, every
+    # N up to 20,000: the whole extent, 67 columns on average at p = 1 and
+    # 20 at p = 2, without quiet columns, and about 3 with them
     inc = IncrementalStabilizer(p, expect=20000)
     rechecked = 0
     for n in range(1, 20001):
@@ -590,32 +635,55 @@ def test_the_quiet_columns_keep_a_stride_one_scan_narrow(p):
     assert rechecked / 20000 <= 4
 
 
+def check_each_changed_value(p, n_max, changes, check):
+    """Walk a pile through ``1..n_max`` grains, adding each sample to a block.
+
+    At each sample, ``changes(touched, quiet)`` lists ``(list name,
+    column)`` pairs.  Each is added, one at a time, to the pile's list; a
+    copy of the block holding the samples before takes the sample, and
+    ``check(n, column, trial, pile)`` runs before the change is undone.
+    Returns the number of samples with changes.
+    """
+    inc = IncrementalStabilizer(p, expect=n_max)
+    block = analyzer._SampleBlock(p, len(inc.slopes))
+    changed = 0
+    for n in range(1, n_max + 1):
+        touched = inc.advance_to(n)
+        todo = changes(touched, inc.quiet)
+        changed += bool(todo)
+        for name, column in todo:
+            values = getattr(inc, name)
+            values[column] += 1
+            trial = copy.deepcopy(block)
+            trial.add(n, inc.slopes, inc.shot, touched)
+            check(n, column, trial, inc)
+            values[column] -= 1
+        block.add(n, inc.slopes, inc.shot, touched)
+        if len(block.ns) == analyzer.BLOCK_ROWS:
+            block.flush()
+    return changed
+
+
+def fails_at_its_sample(n, column, trial, pile):
+    with pytest.raises(NonIntegral, match=f"^N={n}: "):
+        trial.flush()
+
+
 @pytest.mark.parametrize("p", range(1, 7))
 def test_the_tracker_checks_the_prefix_and_the_edge(p):
-    inc = IncrementalStabilizer(p, expect=1500)
-    tracker = analyzer.WaveTracker(p)
-    quiet = 0
-    for n in range(1, 1500):
-        touched = inc.advance_to(n)
-        lo, hi = inc.quiet or (touched, touched)
-        if lo < hi:
-            quiet += 1
-            # a wrong slope at the prefix's last column or the edge's first one
-            # fails this sample; the update changes nothing when it raises
-            for column in (lo - 1, hi):
-                inc.slopes[column] += 1
-                with pytest.raises(NonIntegral):
-                    tracker.update(n, inc.slopes, inc.shot, touched, inc.quiet)
-                inc.slopes[column] -= 1
-            # a quiet column is left to the scan's full-width check
-            inc.slopes[lo] += 1
-            tracker.update(n, inc.slopes, inc.shot, touched, inc.quiet)
-            with pytest.raises(NonIntegral):
-                analyzer.row_statistics(p, n, inc.slopes, inc.shot)
-            inc.slopes[lo] -= 1
-            tracker = analyzer.WaveTracker(p)
-        tracker.update(n, inc.slopes, inc.shot, touched, inc.quiet)
-    assert quiet > 20
+    # a wrong slope at the prefix's last column, the edge's first one or a
+    # quiet column fails the block at this sample, wherever it falls in it
+    def changes(touched, quiet):
+        if not quiet:
+            return []
+        lo, hi = quiet
+        return [("slopes", lo - 1), ("slopes", hi), ("slopes", lo)]
+
+    def fails_at_the_column(n, column, trial, pile):
+        with pytest.raises(NonIntegral, match=f"^N={n}: .* at column {column}$"):
+            trial.flush()
+
+    assert check_each_changed_value(p, 1499, changes, fails_at_the_column) > 20
 
 
 @given(
@@ -626,72 +694,100 @@ def test_the_tracker_checks_the_prefix_and_the_edge(p):
 @settings(max_examples=40, deadline=None)
 def test_tracked_statistics_match_for_any_scan(p, stride, n_max):
     targets = range(stride, n_max + 1, stride)
-    full = []
-    for got, want in tracked_statistics(p, targets):
-        assert got == want
-        full.append(want)
-    rows = analyzer.scan_rows(p, targets)
-    fields = ("w", "n_strict", "n_loose", "uniform_index", "ambiguous_count")
-    assert list(zip(*[rows[f] for f in fields])) == [
-        (s.width, s.n_strict, s.n_loose, s.uniform_index, s.ambiguous_count)
-        for s in full
-    ]
+    check_tracked_statistics(p, targets)
 
 
 @pytest.mark.parametrize("p", range(1, 7))
 def test_tracker_checks_the_balance_across_the_whole_touched_extent(p):
-    inc = IncrementalStabilizer(p, expect=1499)
-    tracker = analyzer.WaveTracker(p)
-    settled = 0
-    for n in range(1, 1500):
-        touched = inc.advance_to(n)
-        if touched > 1:
-            settled += 1
-            # a wrong value at the extent's last column or at its last shot
-            # column fails this sample; the update changes nothing when it raises
-            for column, lists in ((touched - 1, "slopes"), (touched - p - 1, "shot")):
-                values = getattr(inc, lists)
-                values[column] += 1
-                with pytest.raises(NonIntegral):
-                    tracker.update(n, inc.slopes, inc.shot, touched)
-                values[column] -= 1
-        tracker.update(n, inc.slopes, inc.shot, touched)
-    assert settled > 100
+    # a wrong value at the extent's last column or at its last shot column
+    # fails the block at this sample
+    def changes(touched, quiet):
+        if touched == 1:
+            return []
+        return [("slopes", touched - 1), ("shot", touched - p - 1)]
+
+    assert check_each_changed_value(p, 1499, changes, fails_at_its_sample) > 100
 
 
 @pytest.mark.parametrize("p", range(1, 7))
 def test_a_change_outside_the_touched_extent_waits_for_the_full_check(p):
-    inc = IncrementalStabilizer(p, expect=1500)
-    tracker = analyzer.WaveTracker(p)
-    for n in range(1, 1500):
-        touched = inc.advance_to(n)
-        if touched > 1 and n % 5 == 0:
-            # the first balance columns these changes break are touched and up
-            for column, lists in ((touched, "slopes"), (touched + 1, "shot")):
-                values = getattr(inc, lists)
-                values[column] += 1
-                tracker.update(n, inc.slopes, inc.shot, touched)
-                with pytest.raises(NonIntegral):
-                    analyzer.row_statistics(p, n, inc.slopes, inc.shot)
-                values[column] -= 1
-        tracker.update(n, inc.slopes, inc.shot, touched)
+    # the first balance columns these changes break are touched and up; the
+    # block never copies them, and the full-width check on the lists fails
+    def changes(touched, quiet):
+        if touched == 1:
+            return []
+        return [("slopes", touched), ("shot", touched + 1)]
+
+    def waits(n, column, trial, pile):
+        trial.flush()
+        with pytest.raises(NonIntegral):
+            analyzer.row_statistics(p, n, pile.slopes, pile.shot)
+
+    assert check_each_changed_value(p, 1499, changes, waits) > 100
+
+
+def tampered_scan(monkeypatch, change):
+    """Make each step of a pile call ``change(pile, target, touched)`` after it."""
+    step = IncrementalStabilizer.advance_to
+
+    def tampering(self, target):
+        touched = step(self, target)
+        change(self, target, touched)
+        return touched
+
+    monkeypatch.setattr(IncrementalStabilizer, "advance_to", tampering)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 30])
+@pytest.mark.parametrize("name", ["slopes", "shot"])
+def test_a_changed_value_inside_the_extent_fails_its_sample(monkeypatch, p, name):
+    # one value of the touched prefix, changed in the middle of the second
+    # block of a scan of 3B + 5 samples, names that sample
+    targets = range(7, 7 * (3 * B + 5) + 1, 7)
+    changed = []
+
+    def change(pile, target, touched):
+        if target >= targets[B + B // 2] and not changed and touched > p + 1:
+            getattr(pile, name)[touched - p - 2] += 1
+            changed.append(target)
+
+    tampered_scan(monkeypatch, change)
+    with pytest.raises(NonIntegral, match=r"^N=(\d+): ") as err:
+        analyzer.scan_rows(p, targets)
+    assert int(err.value.args[0].split(":")[0][2:]) == changed[0]
+    assert targets.index(changed[0]) % B not in (0, B - 1)
 
 
 def test_scan_rows_checks_the_last_sample_at_full_width(monkeypatch):
     # a slope written past every extent at the last sample is seen only by
     # the scan's closing full-width check
-    step = IncrementalStabilizer.advance_to
-
-    def tampering(self, target):
-        touched = step(self, target)
+    def change(pile, target, touched):
         if target == 900:
-            self.slopes[touched + 2] += 1
-        return touched
+            pile.slopes[touched + 2] += 1
 
-    monkeypatch.setattr(IncrementalStabilizer, "advance_to", tampering)
+    tampered_scan(monkeypatch, change)
     assert len(analyzer.scan_rows(3, range(10, 891, 10))["N"]) == 89
     with pytest.raises(NonIntegral):
         analyzer.scan_rows(3, range(10, 901, 10))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 30])
+def test_a_balanced_change_outside_the_extent_fails_the_last_check(monkeypatch, p):
+    # one more firing of column touched + 1 at the last sample, in the middle
+    # of its block, keeps the balance of the lists, but no row copies it
+    targets = range(7, 7 * (3 * B + 5) + 1, 7)
+
+    def change(pile, target, touched):
+        if target == targets[-1]:
+            j = touched + 1
+            pile.shot[j] += 1
+            pile.slopes[j - 1] += p
+            pile.slopes[j] -= p + 1
+            pile.slopes[j + p] += 1
+
+    tampered_scan(monkeypatch, change)
+    with pytest.raises(RecurrenceMismatch, match=f"N={targets[-1]}"):
+        analyzer.scan_rows(p, targets)
 
 
 def test_scan_rows_hold_each_sample_compactly():
@@ -704,6 +800,19 @@ def test_scan_rows_hold_each_sample_compactly():
         tracemalloc.stop()
     assert held / 20_000 < 160, f"{held / 20_000:.0f} bytes per sample"
     assert rows["N"] == list(range(1, 20_001))
+
+
+def test_a_scan_at_the_largest_admitted_p_sizes_its_blocks_by_the_reach():
+    # the pile's lists hold about 1.42 million columns each at p = 1000 and
+    # N = 2e6; blocks as wide would take about 1.4 GB
+    tracemalloc.start()
+    try:
+        rows = analyzer.scan_rows(1000, range(100000, 2000001, 100000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"{peak / 2**20:.1f} MiB at peak"
+    assert len(rows["N"]) == 20
 
 
 def test_scan_rows_rejects_empty():
