@@ -9,12 +9,11 @@ aggregates all of it into scan rows with logarithmic fits.  A scan's
 rows are columns, one list per field in the order the CLI writes them,
 and a fit is a dict keyed as the CLI writes it.  A scan grows one pile
 avalanche by avalanche, so every sample has its density column.  It
-walks the wave chain again only where each sample's settles touched,
-less the quiet columns the step's one avalanche fired through once.  It
-copies that touched prefix of the pile's lists into a row of a block of
-samples, computes the mass balance, the ambiguity counts and the first
-uniform windows of a whole block with numpy array operations, and
-checks the whole width once more at its last sample.
+copies the prefix of the pile's lists that each sample's settles touched
+into a row of a block of samples, computes the mass balance, the wave
+tails, the ambiguity counts and the first uniform windows of a whole
+block with numpy array operations, and checks the whole width once more
+at its last sample.
 The audits of the paper's lemmas along whole trajectories (plateaus in
 every intermediate state, the climbing interior zero) are test-side, in
 ``tests/lemma_audits.py``.
@@ -41,6 +40,8 @@ MAX_SAMPLES = 2**21
 #: Samples whose statistics a scan computes together in one pass of array
 #: operations; blocks of 32 and 128 rows take the same time.
 BLOCK_ROWS = 64
+#: The scan row's fields that :meth:`_SampleBlock.flush` returns, in order.
+_BLOCK_FIELDS = ("w", "n_strict", "n_loose", "uniform_index", "interior_zeros", "ambiguous_count")
 
 
 def support(slopes) -> int:
@@ -180,74 +181,6 @@ class RowStatistics:
     ambiguous_count: int
 
 
-class WaveTracker:
-    """The wave chain of one growing pile, kept current where it changed.
-
-    ``touched`` bounds what changed since the last update: slopes only in
-    ``[0, touched)``, as the pile's ``advance_to`` returns it, so the
-    support carries over while it lies past ``touched``.  A chain node's
-    next step reads the ``p`` slopes left of it, so the nodes at or past
-    ``touched + p`` step as before.  Inside ``touched``, the pile's
-    ``quiet`` columns ``[lo, hi)``, between the prefix and the edge of the
-    step's one avalanche, kept their slopes, so the nodes in ``[lo + p,
-    hi]`` step as before too: the walk back from the support tries once
-    for the rightmost of them, and if it lands there the old chain goes on
-    from there.
-    """
-
-    def __init__(self, p: int):
-        check_p(p)
-        self.p = p
-        self._width = 0
-        self._nodes: list[int] = []  # wave chain from the support leftwards
-        self._zeros: list[int] = []  # its zero blocks, right to left
-
-    def update(
-        self,
-        slopes: list,
-        touched: int | None = None,
-        quiet: tuple[int, int] | None = None,
-    ) -> tuple[int, int, int, tuple[int, ...]]:
-        """Width, strict and loose wave starts and strict zeros of these slopes.
-
-        Without ``touched`` every column may have changed.  A strict tail
-        holds at most one interior zero, the chain's first.
-        """
-        p = self.p
-        if touched is None:
-            touched = len(slopes)
-        lo, hi = quiet or (touched, touched)
-        w = self._width
-        if w <= touched:
-            w = min(touched, len(slopes))
-            while w and not slopes[w - 1]:
-                w -= 1
-        nodes, zeros = self._nodes, self._zeros
-        middle = []  # the quiet nodes, left to right
-        while nodes and nodes[-1] < touched + p:
-            x = nodes.pop()
-            if lo + p <= x <= hi:
-                middle.append(x)
-        quiet_zeros = []
-        while zeros and zeros[-1] < touched + p:
-            z = zeros.pop()
-            if lo + p <= z < hi:
-                quiet_zeros.append(z)
-        if not nodes:
-            nodes.append(w)
-        if middle:
-            # once the walk back lands on the rightmost quiet node, the old chain
-            # goes on from there; otherwise the walk below goes on where it stopped
-            i = middle.pop()
-            _wave_chain(p, slopes, nodes, zeros, i)
-            if nodes[-1] == i:
-                nodes += reversed(middle)
-                zeros += [z for z in reversed(quiet_zeros) if z < i]
-        strict, loose = _wave_chain(p, slopes, nodes, zeros)
-        self._width = w
-        return w, strict, loose, tuple(zeros[:1])
-
-
 def row_statistics(p: int, n: int, slopes, shot) -> RowStatistics:
     """Scan statistics of a fixed point, checked over its whole width.
 
@@ -296,6 +229,37 @@ def row_statistics(p: int, n: int, slopes, shot) -> RowStatistics:
         uniform_index=uniform,
         ambiguous_count=ambiguous,
     )
+
+
+def _wave_tails(p: int, s):
+    """Width, strict and loose wave starts, interior zeros and 0-or-``p`` flags.
+
+    One per row of ``s``, slopes in ``[0, p]`` with slope 0 past the rows,
+    by facts (a) and (b) of :meth:`_SampleBlock.flush`.
+    """
+    import numpy as np
+
+    k, width = s.shape
+    rows = np.arange(k)
+    zero = s == 0
+    w = (~zero * np.arange(1, width + 1)).max(axis=1)
+    flags = zero | (s == p)
+    # (a): ``after`` is one right of the last pair that is not allowed, or 0;
+    # past the rows every slope is 0, so a last column over 1 makes it width
+    bad = np.diff(s, axis=1) != -1
+    bad &= (s[:, :-1] > 1) | ~flags[:, 1:]
+    after = (bad * np.arange(1, width)).max(axis=1, initial=0)
+    after[s[:, -1] > 1] = width
+    head = s[rows, np.minimum(after, width - 1)] % p
+    loose = np.where(after < width, after + head, width)
+    # (b): ``seen`` counts the zeros up to each column, and every column from
+    # w on holds one, so the zeros of the tail [loose, w) are zero blocks
+    seen = np.cumsum(zero, axis=1)
+    total = seen[:, -1] - (width - w)
+    tail = total - np.where(loose > 0, seen[rows, loose - 1], 0)
+    second = np.count_nonzero(seen < (total - 1)[:, None], axis=1)
+    strict = np.where(tail > 1, second + 1, loose)
+    return w, strict, loose, np.minimum(tail, 1), flags
 
 
 class _SampleBlock:
@@ -347,14 +311,38 @@ class _SampleBlock:
         padded[:, : self.padded.shape[1]] = self.padded
         self.slopes, self.padded = slopes, padded
 
-    def flush(self) -> tuple[list[int], list[int]]:
-        """Check the block's rows; return their uniform windows and ambiguity counts.
+    def flush(self) -> tuple[list[int], ...]:
+        """Check the block's rows; return their ``_BLOCK_FIELDS``, as lists.
 
         The mass balance is checked at every column of every row, which
         also refuses slopes past a closing window, where every shot the
-        balance reads is 0.  It raises :class:`NonIntegral` naming the
-        grain count of the first row it fails.  Row 0 then takes the
-        block's last row.
+        balance reads is 0; :class:`NonIntegral` names the grain count of
+        the first row it fails.  Row 0 then takes the block's last row.
+
+        The wave tails rest on two facts about slopes ``s`` in ``[0, p]``
+        with support ``[0, w)``.  The pair ``(j, j + 1)`` is allowed when
+        ``s_{j+1} = s_j - 1``, or when ``s_j`` is 0 or 1 and ``s_{j+1}`` is
+        0 or ``p``.  (a) ``[u, w)`` parses as waves iff ``s_u`` is 0 or
+        ``p`` (or ``u = w``) and every pair in ``[u, w]`` is allowed.  A
+        parse allows every pair: a block steps down by one and ends on 0 or
+        1, and the next block, or the zero tail at ``w``, begins on 0 or
+        ``p``.  Conversely, from a column holding 0 or ``p``, allowed pairs
+        force a zero block or the run ``p, ..., 1``, nonzero and so left of
+        ``w``, and the column after it holds 0 or ``p`` or is ``w``.  So
+        ``n_loose`` is the first column holding 0 or ``p`` right of the
+        last pair not allowed; from there a slope ``v`` in ``[1, p)`` steps
+        down to 1, so that column lies ``v`` further on.  (b) A wave block
+        holds no 0, so every 0 in ``[n_loose, w)`` is a zero block, and the
+        parse from a later start is a suffix of the one from ``n_loose``.
+        So ``n_strict`` is one right of the second-rightmost 0 there, or
+        ``n_loose`` with fewer than two, and the strict tail holds
+        ``min(1, #zeros)`` interior zeros.
+
+        A row's ``n_loose`` must equal its ``uniform_index``, the identity
+        ``verify`` checks as ``wave_tail``: a fault in the wave passes that
+        moves any row's start, not only the last row's, which the scan
+        checks at full width, raises :class:`RecurrenceMismatch` naming
+        that row's grain count.
         """
         import numpy as np
 
@@ -370,13 +358,13 @@ class _SampleBlock:
             raise NonIntegral(
                 f"N={self.ns[r]}: shot vector breaks the mass balance at column {i}"
             )
+        w, strict, loose, zeros, flags = _wave_tails(p, s)
         # with the balance, the slopes end where the window closes, p columns
         # right of the last nonzero shot, unless no column fired
-        steps = np.maximum(((s != 0) * np.arange(1, width + 1)).max(axis=1), pp1)
+        steps = np.maximum(w, pp1)
         # the balance makes shot[i - p] - shot[i] congruent to slope i mod p, and
         # a pile's slopes lie in [0, p]; the columns from steps on, all 0, are
         # flagged too and taken off
-        flags = (s == 0) | (s == p)
         ambiguous = np.count_nonzero(flags, axis=1) - (width - steps)
         # window i is uniform when its p differences, d[i .. i+p-1], are equal,
         # that is when the p - 1 comparisons of neighbours from i on all hold;
@@ -384,11 +372,17 @@ class _SampleBlock:
         d = np.diff(a, axis=1)
         same = np.zeros(d.shape, np.int64)
         np.cumsum(d[:, 1:] == d[:, :-1], axis=1, out=same[:, 1:])
-        uniform = same[:, p - 1 :] - same[:, : same.shape[1] - p + 1] == p - 1
+        uniform = (same[:, p - 1 :] - same[:, : same.shape[1] - p + 1] == p - 1).argmax(1)
+        wrong = loose != uniform
+        if wrong.any():
+            r = int(wrong.argmax())
+            raise RecurrenceMismatch(
+                f"N={self.ns[r]}: loose wave start {loose[r]}, first uniform window {uniform[r]}"
+            )
         self.slopes[0] = self.slopes[k]
         self.padded[0] = self.padded[k]
         self.ns.clear()
-        return uniform.argmax(axis=1).tolist(), ambiguous.tolist()
+        return tuple(x.tolist() for x in (w, strict, loose, uniform, zeros, ambiguous))
 
 
 def scan_rows(p: int, n_values, timing: bool = False) -> dict[str, list]:
@@ -399,18 +393,17 @@ def scan_rows(p: int, n_values, timing: bool = False) -> dict[str, list]:
     uniform_index, interior_zeros, density_column, ambiguous_count,
     elapsed_us`` as ``kspm scan`` writes them.  One growing pile replays
     every avalanche up to each sample, and ``density_column`` is the
-    largest density column of those avalanches.  One :class:`WaveTracker`
-    walks the pile's wave chain at each sample.  The pile's lists go into
-    blocks of ``BLOCK_ROWS`` samples, and each block's mass balance,
-    ``uniform_index`` and ``ambiguous_count`` come from one pass of array
-    operations.  The last sample is checked again over the whole width by
-    :func:`row_statistics`, and a difference raises
+    largest density column of those avalanches.  The pile's lists go into
+    blocks of ``BLOCK_ROWS`` samples, and each block's mass balance, wave
+    tails, ``uniform_index`` and ``ambiguous_count`` come from one pass of
+    array operations.  The last sample is checked again over the whole
+    width by :func:`row_statistics`, and a difference raises
     :class:`RecurrenceMismatch`.  ``elapsed_us`` is 0 unless ``timing`` is
     set, keeping default output reproducible; with it, a row's time is its
-    settles, its copy and its chain walk, plus an equal share of its
-    block's array pass.  A scan of more than ``MAX_SAMPLES`` samples
-    raises :class:`CapacityError` before its pile is built, after the
-    pile's own firing preflight.
+    settles and its copy, plus an equal share of its block's array pass.
+    A scan of more than ``MAX_SAMPLES`` samples raises
+    :class:`CapacityError` before its pile is built, after the pile's own
+    firing preflight.
     """
     check_p(p)
     # a range is already sorted and distinct; left lazy, its largest sample
@@ -432,23 +425,21 @@ def scan_rows(p: int, n_values, timing: bool = False) -> dict[str, list]:
     # a_{i-p} + p a_{i+1}, is at most N plus p times it: int64 never wraps
     assert targets[-1] + p * work < 2**63
     inc = IncrementalStabilizer(p, expect=targets[-1])
-    tracker = WaveTracker(p)
     block = _SampleBlock(p, len(inc.slopes))
     rows: dict[str, list] = {
         k: []
         for k in ("N", "p", "w", "n_strict", "n_loose", "uniform_index",
                   "interior_zeros", "density_column", "ambiguous_count", "elapsed_us")
     }
-    sampled = [rows[k] for k in ("N", "p", "w", "n_strict", "n_loose",
-                                 "interior_zeros", "density_column")]
     spent: list[float] = []  # seconds per sample of the block, before its pass
+    shared: dict[int, int] = {}  # one int object per distinct value, not one per row
 
     def flush() -> None:
         t0 = time.perf_counter() if timing else 0.0
-        uniform, ambiguous = block.flush()
+        fields = block.flush()
         share = (time.perf_counter() - t0) / len(spent) if timing else 0.0
-        rows["uniform_index"] += uniform
-        rows["ambiguous_count"] += ambiguous
+        for k, values in zip(_BLOCK_FIELDS, fields):
+            rows[k] += map(shared.setdefault, values, values)
         rows["elapsed_us"] += [int((s + share) * 1e6) for s in spent]
         spent.clear()
 
@@ -456,24 +447,19 @@ def scan_rows(p: int, n_values, timing: bool = False) -> dict[str, list]:
         t0 = time.perf_counter() if timing else 0.0
         touched = inc.advance_to(n)
         block.add(n, inc.slopes, inc.shot, touched)
-        w, strict, loose, zeros = tracker.update(inc.slopes, touched, inc.quiet)
-        sample = (n, p, w, strict, loose, len(zeros), inc.density_max)
-        for column, value in zip(sampled, sample):
-            column.append(value)
+        rows["N"].append(n)
+        rows["density_column"].append(inc.density_max)
         spent.append(time.perf_counter() - t0 if timing else 0.0)
         if len(spent) == BLOCK_ROWS:
             flush()
     if spent:
         flush()
-    # every column's balance once more, on the live lists, so a change the
-    # extents missed still fails
-    last = RowStatistics(
-        w, strict, loose, zeros, rows["uniform_index"][-1], rows["ambiguous_count"][-1]
-    )
-    if row_statistics(p, n, inc.slopes, inc.shot) != last:
-        raise RecurrenceMismatch(
-            f"tracked statistics at N={n} differ from a full-width check"
-        )
+    rows["p"] = [p] * len(rows["N"])
+    # the whole width once more, on the live lists: a change the extents missed fails
+    full = row_statistics(p, n, inc.slopes, inc.shot)
+    want = full.width, full.n_strict, full.n_loose, full.uniform_index, len(full.zero_positions)
+    if tuple(rows[k][-1] for k in _BLOCK_FIELDS) != (*want, full.ambiguous_count):
+        raise RecurrenceMismatch(f"block statistics at N={n} differ from a full-width check")
     return rows
 
 

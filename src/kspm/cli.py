@@ -450,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--timing",
         action="store_true",
-        help="fill elapsed_us with each row's settles, copy and chain walk plus an "
-        "equal share of its block's array pass (output no longer byte-stable)",
+        help="fill elapsed_us with each row's settles and copy plus an equal share "
+        "of its block's array pass (output no longer byte-stable)",
     )
     sp.add_argument(
         "--emit-plot-data",

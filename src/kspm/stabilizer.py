@@ -24,11 +24,8 @@ Three engines reach the unique fixed point of ``N`` grains:
   walk stops where that regular block begins and jumps it: it finds
   the block's last column ``M`` by one comparison per ``p`` columns,
   and applies the firings at the block's ends alone.  Each step returns
-  the extent of columns its avalanches touched.  A step that settled one
-  avalanche also sets the pile's ``quiet`` columns inside it, which lie
-  between the step's one avalanche's prefix ``[0, density_column + p)``
-  and its edge ``[M, M + p]``; only the rest is where
-  :class:`kspm.analyzer.WaveTracker` walks the wave chain again.
+  the extent of columns its avalanches touched, the prefix of the
+  pile's lists that a scan copies into its block of samples.
 
 The reference walk, :func:`trace_leftmost`, drops all ``N`` grains at
 once and always fires the smallest fireable column, found by a pointer
@@ -441,13 +438,7 @@ class IncrementalStabilizer:
     and a target past ``expect`` is refused before any grain is added.
     ``jumps`` counts the settles that jumped their regular block and
     ``jumped`` the columns those jumps fired, each updated once per jump.
-    ``density_max`` is the largest density column of the avalanches so
-    far.  ``quiet`` holds the columns ``[lo, hi)`` inside the last step's
-    extent that the step's one avalanche left quiet: right of its prefix
-    ``[0, density_column + p)`` and left of its edge ``[M, M + p]``, so no
-    slope there changed and the avalanche fired all of ``[lo - p, hi]``
-    once.  It is None after a step that settled no avalanche or several,
-    and after one whose prefix reaches its edge.
+    ``density_max`` is the largest density column of the avalanches so far.
     """
 
     def __init__(self, p: int, expect: int):
@@ -465,7 +456,6 @@ class IncrementalStabilizer:
         self._reach = 1
         # settles that ended in a jump, and the columns those jumps fired
         self.jumps = self.jumped = 0
-        self.quiet: tuple[int, int] | None = None
 
     def _drop(self, k: int, on_fire=None) -> int:
         """Add ``k`` grains to column 0 and settle the pile if column 0 tips.
@@ -474,9 +464,8 @@ class IncrementalStabilizer:
         shots only left of it minus ``p``.  ``on_fire(i)``, if given, is
         called after each firing.  A drop that tips column 0 by one grain
         settles one avalanche, whose fired block ends at ``top`` and runs
-        left as far as the walk marked columns.  The drop records the
-        block's start as a density column and sets :attr:`quiet`: slopes
-        changed only left of it plus ``p`` and in ``[top, top + p]``.
+        left as far as the walk marked columns; the drop records the
+        block's start as a density column.
         """
         p = self.p
         slopes = self.slopes
@@ -497,8 +486,6 @@ class IncrementalStabilizer:
                 low -= 1
             if low > self.density_max:
                 self.density_max = low
-            pre = low + p
-            self.quiet = (pre, top) if top > pre else None
         return extent
 
     def _check_target(self, target: int) -> None:
@@ -514,12 +501,8 @@ class IncrementalStabilizer:
             )
 
     def advance(self) -> Avalanche:
-        """Add one grain to column 0, settle it and return its avalanche.
-
-        This is a step too: it sets :attr:`quiet` as :meth:`_drop` says.
-        """
+        """Add one grain to column 0, settle it and return its avalanche."""
         self._check_target(self.grains + 1)
-        self.quiet = None
         order: list[int] = []
         self._drop(1, order.append)
         fired = tuple(order)
@@ -541,17 +524,14 @@ class IncrementalStabilizer:
         tip, and column ``p`` gains one per tip.  Only the other tips go
         through :meth:`_drop`.  Returns the touched extent of all the
         avalanches: slopes changed only left of it and shots only left of
-        it minus ``p``.  Each settle is recorded as :meth:`_drop` says, a
-        run's density columns are 0, and :attr:`quiet` is None unless the
-        step settled exactly one avalanche.
+        it minus ``p``.  Each settle is recorded as :meth:`_drop` says, and
+        a run's density columns are 0.
         """
         self._check_target(target)
         p = self.p
         slopes = self.slopes
         edge = p + 1
-        self.quiet = None
         touched = 1
-        settles = 0
         while self.grains < target:
             left = target - self.grains
             need = edge - slopes[0]
@@ -565,20 +545,14 @@ class IncrementalStabilizer:
                 slopes[p] = q + t
                 self.shot[0] += t
                 self._mark[0] = self.grains
-                settles += t
                 if edge > touched:
                     touched = edge
                 if edge > self._reach:
                     self._reach = edge
                 continue
             extent = self._drop(min(left, need))
-            # a drop returns 1 exactly when it tipped nothing
-            if extent > 1:
-                settles += 1
-                if extent > touched:
-                    touched = extent
-        if settles > 1:
-            self.quiet = None
+            if extent > touched:
+                touched = extent
         return touched
 
     def snapshot(self) -> FixedPoint:

@@ -438,49 +438,45 @@ def row_fields(stats):
     )
 
 
-def chain_fields(stats):
-    """What the tracker's chain walk gives of the same statistics."""
-    return stats.width, stats.n_strict, stats.n_loose, stats.zero_positions
-
-
-def check_tracked_statistics(p, targets, quiet=False):
-    """Check the scan's row and the tracker's chain against a full-width check,
-    at every sample.
-
-    The tracker walks a twin of the scan's pile, and skips the pile's quiet
-    columns only with ``quiet``; the scan always does.
-    """
+def check_tracked_statistics(p, targets):
+    """Check the scan's row against a full-width check, at every sample."""
     rows = analyzer.scan_rows(p, targets)
     inc = IncrementalStabilizer(p, expect=max(targets))
-    tracker = analyzer.WaveTracker(p)
     for n, row in zip(targets, zip(*[rows[f] for f in ROW_FIELDS]), strict=True):
-        touched = inc.advance_to(n)
-        chain = tracker.update(inc.slopes, touched, inc.quiet if quiet else None)
+        inc.advance_to(n)
         fp = inc.snapshot()
         want = analyzer.row_statistics(p, n, fp.slopes.slopes, fp.shot)
         assert row == row_fields(want), n
-        assert chain == chain_fields(want), n
 
 
-@pytest.mark.parametrize("p", range(1, 9))
+# (p, targets, id): every p up to 8 at strides 1, 7 and 37 and one sample,
+# and p = 30 too on the longer scans at strides 1, 7 and 10
+TRACKED_SCANS = [
+    (p, targets, f"{name}-{p}")
+    for targets, name in [
+        (range(1, 2001), "stride1-advance"),
+        (range(7, 3001, 7), "stride7-advance"),
+        (range(37, 3001, 37), "stride37-advance"),
+        ([2345], "one-sample-advance"),
+    ]
+    for p in range(1, 9)
+] + [
+    (p, targets, f"{name}-{p}")
+    for targets, name in [
+        (range(1, 3001), "stride1"),
+        (range(7, 5001, 7), "stride7"),
+        (range(10, 8001, 10), "stride10"),
+    ]
+    for p in [*range(1, 9), 30]
+]
+
+
 @pytest.mark.parametrize(
-    "targets",
-    [range(1, 2001), range(7, 3001, 7), range(37, 3001, 37), [2345]],
-    # the pile reaches each sample with advance_to
-    ids=["stride1-advance", "stride7-advance", "stride37-advance", "one-sample-advance"],
+    "p,targets",
+    [pytest.param(p, targets, id=name) for p, targets, name in TRACKED_SCANS],
 )
 def test_tracked_statistics_match_a_full_check_at_every_sample(p, targets):
     check_tracked_statistics(p, targets)
-
-
-@pytest.mark.parametrize("p", [*range(1, 9), 30])
-@pytest.mark.parametrize(
-    "targets",
-    [range(1, 3001), range(7, 5001, 7), range(10, 8001, 10)],
-    ids=["stride1", "stride7", "stride10"],
-)
-def test_quiet_statistics_match_a_full_check_at_every_sample(p, targets):
-    check_tracked_statistics(p, targets, quiet=True)
 
 
 B = analyzer.BLOCK_ROWS
@@ -500,9 +496,48 @@ def test_every_row_of_every_block_matches_a_full_check(monkeypatch, p, count):
         widen(self, touched)
 
     monkeypatch.setattr(analyzer._SampleBlock, "_widen", spy)
-    check_tracked_statistics(p, range(7, 7 * count + 1, 7), quiet=True)
+    check_tracked_statistics(p, range(7, 7 * count + 1, 7))
     if count == 3 * B + 5:
         assert max(widened) > 0
+
+
+def wave_rows(p):
+    """Rows of slopes in [0, p]: random values, wave blocks and zeros, then
+    up to two zeros, so that some supports reach the rows' last column."""
+    token = st.one_of(
+        st.integers(min_value=0, max_value=p).map(lambda v: [v]),
+        st.just(list(range(p, 0, -1))),
+        st.just([0]),
+    )
+    row = st.lists(token, min_size=1, max_size=12).map(lambda ts: sum(ts, []))
+    return st.lists(row, min_size=1, max_size=6)
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda p: st.tuples(
+    st.just(p), wave_rows(p), st.integers(min_value=0, max_value=2))))
+@example((1, [[1, 0, 1, 1], [0, 1]], 0))  # at p = 1 every pair is allowed
+@example((3, [[3, 1, 1], [3, 1, 2], [2, 1, 3]], 0))  # no 0 or p right of the last bad pair
+@example((2, [[2, 1, 0, 2, 1, 0, 2, 1, 0, 0, 2, 1]], 1))  # zeros at 2, 5, 8 and 9
+@settings(max_examples=300, deadline=None)
+def test_the_block_reads_the_wave_tails_of_any_rows(case):
+    import numpy as np
+
+    p, rows, pad = case
+    width = max(map(len, rows)) + pad
+    s = np.array([row + [0] * (width - len(row)) for row in rows], np.int64)
+    w, strict, loose, zeros, flags = analyzer._wave_tails(p, s)
+    assert p > 1 or not loose.any()
+    assert flags.tolist() == [[v in (0, p) for v in row] for row in s.tolist()]
+    for r, row in enumerate(rows):
+        seq = list(trimmed(row))
+        n_strict, zero_positions = regex_oracle(p, seq, "strict")
+        n_loose, _ = regex_oracle(p, seq, "loose")
+        chain_zeros = []
+        chain = analyzer._wave_chain(p, seq, [len(seq)], chain_zeros)
+        assert chain == (n_strict, n_loose)
+        assert len(zero_positions) == len(chain_zeros[:1])
+        got = (w[r], strict[r], loose[r], zeros[r])
+        assert got == (len(seq), n_strict, n_loose, len(zero_positions)), row
 
 
 def avalanche_quiet(p, av):
@@ -513,134 +548,12 @@ def avalanche_quiet(p, av):
     return pre, av.max_fired
 
 
-@pytest.mark.parametrize("p", range(1, 7))
-def test_the_quiet_columns_lie_inside_the_extent(p):
-    quiet = 0
-    # only a step that settled one avalanche claims quiet columns, and at
-    # p = 1 every step of 3 grains settles two at least
-    for stride in (1, 3):
-        inc = IncrementalStabilizer(p, expect=3000)
-        for n in range(stride, 3001, stride):
-            touched = inc.advance_to(n)
-            if inc.quiet:
-                lo, hi = inc.quiet
-                assert 1 <= lo < hi <= touched
-                quiet += 1
-    assert quiet > 40
-    # a step of 2(p + 1) grains settles two avalanches at least, and one
-    # interval does not describe both
-    inc = IncrementalStabilizer(p, expect=3000)
-    for n in range(2 * p + 2, 3001, 2 * p + 2):
-        assert inc.advance_to(n) > 1
-        assert inc.quiet is None
-    # neither does a step of many avalanches, the first or a later one
-    inc = IncrementalStabilizer(p, expect=3000)
-    inc.advance_to(1500)
-    assert inc.quiet is None
-    inc.advance_to(3000)
-    assert inc.quiet is None
-
-
-@pytest.mark.parametrize("p", range(1, 7))
-def test_the_quiet_columns_are_the_one_avalanches(p):
-    # at stride 1 each step settles one avalanche or none; a twin pile
-    # driven by advance() reads the same avalanche's firing order
-    inc = IncrementalStabilizer(p, expect=3000)
-    twin = IncrementalStabilizer(p, expect=3000)
-    quiet = 0
-    for n in range(1, 3001):
-        inc.advance_to(n)
-        want = avalanche_quiet(p, twin.advance())
-        assert inc.quiet == twin.quiet == want
-        quiet += want is not None
-    assert quiet > 60
-
-
-@pytest.mark.parametrize("p", range(1, 7))
-def test_advance_is_a_step_too(p):
-    # after advance(), quiet describes that grain's avalanche alone, not the
-    # avalanches of the advance_to before it
-    inc = IncrementalStabilizer(p, expect=3000)
-    tipped = 0
-    for n in range(3, 3001, 3):
-        inc.advance_to(n - 1)
-        av = inc.advance()
-        assert inc.quiet == avalanche_quiet(p, av)
-        tipped += bool(av.fired)
-    assert tipped > 50
-
-
-@pytest.mark.parametrize("p", range(1, 7))
-def test_a_narrower_quiet_claim_gives_the_same_statistics(p):
-    # the rightmost quiet node the tracker walks back to moves with the claim
-    inc = IncrementalStabilizer(p, expect=1000)
-    tracker = analyzer.WaveTracker(p)
-    narrowed = 0
-    for n in range(1, 1001):
-        touched = inc.advance_to(n)
-        if inc.quiet:
-            lo, hi = inc.quiet
-            want = chain_fields(analyzer.row_statistics(p, n, inc.slopes, inc.shot))
-            for raised, lowered in itertools.product(range(p + 2), repeat=2):
-                if lo + raised < hi - lowered:
-                    claim = (lo + raised, hi - lowered)
-                    trial = copy.deepcopy(tracker)
-                    assert trial.update(inc.slopes, touched, claim) == want
-                    narrowed += 1
-        tracker.update(inc.slopes, touched, inc.quiet)
-    assert narrowed > 100
-
-
-def balanced_slopes(p, n, shot):
-    """Slopes from the mass balance, with ``n, 0, ..., 0`` as the virtual shots."""
-    a = [n] + [0] * (p - 1) + list(shot) + [0] * (p + 1)
-    return [a[i] - (p + 1) * a[i + p] + p * a[i + p + 1] for i in range(len(shot) + p)]
-
-
-def test_a_walk_back_that_stops_short_of_the_quiet_node():
-    # No scan makes the walk back miss the rightmost quiet node, so this
-    # step is built by hand from the fixed point of 197 grains at p = 2,
-    # whose wave chain runs 16, 14, 12, 10, 9.  One grain more and one more
-    # firing of each column 0..10 keep the slopes of [2, 10), so the claim
-    # (2, 10) holds; but column 12 ends over p and the new chain stops at
-    # 14, right of the quiet node 10.  Splicing the old chain in from 10
-    # would give a loose start of 9
-    p, n = 2, 197
-    fp = stabilize(p, n)
-    shot = list(fp.shot) + [0] * 4
-    before = balanced_slopes(p, n, shot)
-    assert trimmed(before) == fp.slopes.slopes
-    tracker = analyzer.WaveTracker(p)
-    tracker.update(before)
-    assert tracker._nodes == [16, 14, 12, 10, 9]
-    shot = [a + (i <= 10) for i, a in enumerate(shot)]
-    slopes = balanced_slopes(p, n + 1, shot)
-    assert slopes[2:10] == before[2:10] and slopes[12] == p + 1
-    want = analyzer.row_statistics(p, n + 1, slopes, shot)
-    assert tracker.update(slopes, 13, (2, 10)) == chain_fields(want)
-    assert (want.width, want.n_loose) == (16, 14)
-
-
-@pytest.mark.parametrize("p", [1, 2])
-def test_the_quiet_columns_keep_a_stride_one_scan_narrow(p):
-    # the columns whose wave chain the tracker walks again per sample, every
-    # N up to 20,000: the whole extent, 67 columns on average at p = 1 and
-    # 20 at p = 2, without quiet columns, and about 3 with them
-    inc = IncrementalStabilizer(p, expect=20000)
-    rechecked = 0
-    for n in range(1, 20001):
-        touched = inc.advance_to(n)
-        lo, hi = inc.quiet or (touched, touched)
-        rechecked += lo + max(0, touched - hi)
-    assert rechecked / 20000 <= 4
-
-
 def check_each_changed_value(p, n_max, changes, check):
     """Walk a pile through ``1..n_max`` grains, adding each sample to a block.
 
-    At each sample, ``changes(touched, quiet)`` lists ``(list name,
-    column)`` pairs.  Each is added, one at a time, to the pile's list; a
-    copy of the block holding the samples before takes the sample, and
+    At each sample, ``changes(touched)`` lists ``(list name, column)``
+    pairs.  Each is added, one at a time, to the pile's list; a copy of
+    the block holding the samples before takes the sample, and
     ``check(n, column, trial, pile)`` runs before the change is undone.
     Returns the number of samples with changes.
     """
@@ -649,7 +562,7 @@ def check_each_changed_value(p, n_max, changes, check):
     changed = 0
     for n in range(1, n_max + 1):
         touched = inc.advance_to(n)
-        todo = changes(touched, inc.quiet)
+        todo = changes(touched)
         changed += bool(todo)
         for name, column in todo:
             values = getattr(inc, name)
@@ -671,9 +584,14 @@ def fails_at_its_sample(n, column, trial, pile):
 
 @pytest.mark.parametrize("p", range(1, 7))
 def test_the_tracker_checks_the_prefix_and_the_edge(p):
-    # a wrong slope at the prefix's last column, the edge's first one or a
-    # quiet column fails the block at this sample, wherever it falls in it
-    def changes(touched, quiet):
+    # a wrong slope at the last column of the avalanche's prefix, the first
+    # of its edge or the first between them fails the block at this sample,
+    # wherever it falls in it; at stride 1 a step settles one avalanche at
+    # most, and a twin pile driven by advance() reads its firing order
+    twin = IncrementalStabilizer(p, expect=1499)
+
+    def changes(touched):
+        quiet = avalanche_quiet(p, twin.advance())
         if not quiet:
             return []
         lo, hi = quiet
@@ -701,7 +619,7 @@ def test_tracked_statistics_match_for_any_scan(p, stride, n_max):
 def test_tracker_checks_the_balance_across_the_whole_touched_extent(p):
     # a wrong value at the extent's last column or at its last shot column
     # fails the block at this sample
-    def changes(touched, quiet):
+    def changes(touched):
         if touched == 1:
             return []
         return [("slopes", touched - 1), ("shot", touched - p - 1)]
@@ -713,7 +631,7 @@ def test_tracker_checks_the_balance_across_the_whole_touched_extent(p):
 def test_a_change_outside_the_touched_extent_waits_for_the_full_check(p):
     # the first balance columns these changes break are touched and up; the
     # block never copies them, and the full-width check on the lists fails
-    def changes(touched, quiet):
+    def changes(touched):
         if touched == 1:
             return []
         return [("slopes", touched), ("shot", touched + 1)]
@@ -758,6 +676,27 @@ def test_a_changed_value_inside_the_extent_fails_its_sample(monkeypatch, p, name
     assert targets.index(changed[0]) % B not in (0, B - 1)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 30])
+def test_a_wrong_wave_start_fails_its_sample(monkeypatch, p):
+    # a fault in the block's wave passes that moves one loose start, in the
+    # middle of the second block of a scan of 3B + 5 samples, names that
+    # sample; the closing full-width check reads only the last one
+    targets = range(7, 7 * (3 * B + 5) + 1, 7)
+    wave_tails = analyzer._wave_tails
+    blocks = []
+
+    def faulty(p, s):
+        tails = wave_tails(p, s)
+        blocks.append(len(s))
+        if len(blocks) == 2:
+            tails[2][B // 2] += 1
+        return tails
+
+    monkeypatch.setattr(analyzer, "_wave_tails", faulty)
+    with pytest.raises(RecurrenceMismatch, match=f"^N={targets[B + B // 2]}: "):
+        analyzer.scan_rows(p, targets)
+
+
 def test_scan_rows_checks_the_last_sample_at_full_width(monkeypatch):
     # a slope written past every extent at the last sample is seen only by
     # the scan's closing full-width check
@@ -800,6 +739,16 @@ def test_scan_rows_hold_each_sample_compactly():
         tracemalloc.stop()
     assert held / 20_000 < 160, f"{held / 20_000:.0f} bytes per sample"
     assert rows["N"] == list(range(1, 20_001))
+
+
+def test_a_value_repeated_across_rows_is_one_int_object():
+    # at p = 1 the widths and ambiguity counts pass 256, past CPython's cached
+    # small ints, from N = 33,000 on; a scan to 1e6 would otherwise hold about
+    # 32 MB of repeated ints per column
+    rows = analyzer.scan_rows(1, range(37, 40_001, 37))
+    assert max(rows["w"]) > 256
+    for field in ROW_FIELDS:
+        assert len(set(map(id, rows[field]))) == len(set(rows[field])), field
 
 
 def test_a_scan_at_the_largest_admitted_p_sizes_its_blocks_by_the_reach():

@@ -390,14 +390,11 @@ def drop_grain_by_grain(pile, target):
     column 0 alone: column 0 tips from ``p`` and column ``p`` stays stable.
     """
     p = pile.p
-    pile.quiet = None
     touched, lone = 1, []
     while pile.grains < target:
         if pile.slopes[0] == p:
             lone.append(pile.slopes[p] < p)
         touched = max(touched, pile._drop(1))
-    if len(lone) > 1:
-        pile.quiet = None
     return touched, lone
 
 
@@ -409,7 +406,6 @@ def full_state(pile):
         pile._mark,
         pile._reach,
         pile.density_max,
-        pile.quiet,
         pile.jumps,
         pile.jumped,
     )
