@@ -6,9 +6,9 @@ Subcommands: ``stabilize`` (one fixed point, fully described),
 ``avalanche`` (detail of the avalanche triggered by grain k), and
 ``verify`` (consolidated invariant check for one pile).
 
-Exit codes: 0 success, 2 bad arguments or an unwritable or empty output
-path, 3 resource or overflow limits, 4 spectral gate failure, 5
-verification violation.
+Exit codes: 0 success, 1 domain error, 2 bad arguments or an unwritable
+or empty output path, 3 resource or overflow limits, 4 spectral gate
+failure, 5 verification violation.
 
 Output is JSON (default) or CSV, written to stdout or ``--output``.
 A JSON document is ``{"meta": {"tool", "version", "command", "config"},
@@ -331,12 +331,14 @@ def _verification_checks(p: int, n: int, seed: int) -> Table:
         checks["ok"].append(bool(ok))
         checks["detail"].append(detail)
 
+    failures = (NonIntegral, Divergence, RecurrenceMismatch)
+
     @contextmanager
     def replaying(name: str):
         # a recurrence that fails to replay is a violation, not a crash
         try:
             yield
-        except (NonIntegral, Divergence, RecurrenceMismatch) as exc:
+        except failures as exc:
             add(name, False, str(exc))
 
     direct = stabilize(p, n, "batch")
@@ -366,24 +368,31 @@ def _verification_checks(p: int, n: int, seed: int) -> Table:
             recon.slopes == direct.slopes and recon.shot == direct.shot,
             "window recurrence rebuilds the fixed point from (N, a0)",
         )
-    with replaying("trajectory_invariants"):
+    # one replay fills trajectory_invariants here and centered_recurrence last
+    try:
         rep = dds.trajectory_report(p, direct.slopes, direct.shot_at(0), n)
+    except failures as exc:
+        invariants = centered = (False, str(exc))
+    else:
         violations = list(rep.violations)
         # the replay is the independent check of the scan statistics
-        if stats is not None and (rep.uniform_index, rep.ambiguous_count) != (
-            stats.uniform_index,
-            stats.ambiguous_count,
-        ):
+        read = (rep.uniform_index, rep.ambiguous_count)
+        if stats is not None and read != (stats.uniform_index, stats.ambiguous_count):
             violations.append(
                 f"replay reads uniform_index {rep.uniform_index} and ambiguous_count "
                 f"{rep.ambiguous_count}, the row statistics {stats.uniform_index} "
                 f"and {stats.ambiguous_count}"
             )
-        add(
-            "trajectory_invariants",
+        invariants = (
             not violations,
             "; ".join(violations) or "determinations, commutation and envelopes hold",
         )
+        if rep.centered_mismatch is None:
+            detail = "exact centered recurrence and initial spread identity"
+            centered = (rep.spread0_identity_ok, detail)
+        else:
+            centered = (False, f"centered recurrence mismatch at column {rep.centered_mismatch}")
+    add("trajectory_invariants", *invariants)
     if stats is None:
         add("wave_tail", False, "no wave statistics without the shot balance")
     else:
@@ -399,13 +408,7 @@ def _verification_checks(p: int, n: int, seed: int) -> Table:
     add("support_bounds", analyzer.support_bounds(p, n, w), f"w={w} inside exact bounds")
     plateau = analyzer.max_plateau(heights_from_slopes(direct.slopes))
     add("plateau_bound", plateau <= p + 1, f"longest plateau {plateau} <= {p + 1}")
-    with replaying("centered_recurrence"):
-        zrep = spectral.z_trajectory(p, n, direct.slopes, direct.shot_at(0))
-        add(
-            "centered_recurrence",
-            zrep.spread0_identity_ok,
-            "exact centered recurrence and initial spread identity",
-        )
+    add("centered_recurrence", *centered)
     return checks
 
 

@@ -20,10 +20,12 @@ The averaging view replaces the window by its ``p`` consecutive
 differences.  The slope again drives a one-step shift whose new entry
 is the old mean plus ``b_i / p``, and the min/max envelope of that
 difference vector contracts, which is what eventually freezes the
-pattern into waves.  The wave grammar itself is decided in
-:mod:`kspm.analyzer`; the brute-force ``uniform_index`` oracle that
-checks this walk's uniform column is test-side, in
-``tests/lemma_audits.py``.
+pattern into waves.  Centered by its mean, it follows the contraction
+``O`` of :mod:`kspm.spectral`, whose integer step :func:`_scaled_step`
+is written here so that one walk replays both views without numpy.
+The wave grammar itself is decided in :mod:`kspm.analyzer`; the
+brute-force ``uniform_index`` oracle that checks this walk's uniform
+column is test-side, in ``tests/lemma_audits.py``.
 """
 
 from __future__ import annotations
@@ -92,6 +94,27 @@ def determine_slope_from_mean(p: int, y) -> int | None:
     return (-sum(y)) % p or None
 
 
+def _scaled_step(p: int, zs: list[int], pb: int) -> list[int]:
+    """``(p**2 O) Z + pb (p kick)`` in ``O(p)``, the one definition of ``O``.
+
+    Centering the averaging advance subtracts each column's mean, which
+    gives ``p**2 O = p**2 J + U V^T`` with ``J`` the upper shift,
+    ``U = (-1, p e_last)`` and ``V = ((p [j >= 1] + 1)_j, 1)``, and the
+    kick ``p kick = p e_last - 1``.  So row ``r < p - 1`` of the step is
+    ``p**2 Z[r + 1] - v - pb`` and the last row is ``p s - v + (p - 1) pb``,
+    with ``s = sum(Z)`` and ``v = V[:, 0] . Z``.  No term leans on
+    ``s = 0``, so the step is linear on every integer vector, and the
+    dense matrix of :func:`kspm.spectral._centered_scaled` is read off it.
+    """
+    pp = p * p
+    s = sum(zs)
+    # V[:, 0] is 1 at j = 0 and p + 1 after it
+    v = s + p * (s - zs[0])
+    step = [pp * z - v - pb for z in zs[1:]]
+    step.append(p * s - v + (p - 1) * pb)
+    return step
+
+
 def _check_a0(a0: int) -> None:
     """Validate the shot count of column 0 (a non-negative integer)."""
     if not isinstance(a0, int) or isinstance(a0, bool) or a0 < 0:
@@ -153,13 +176,19 @@ class TrajectoryReport:
     ``uniform_index`` is the first column whose difference vector is
     constant.  ``ambiguous_count`` counts positions where the residue
     alone does not pin the slope.
-    ``violations`` is empty when all audited invariants held.
+    ``violations`` is empty when all audited invariants held.  ``spread0``
+    is the min/max spread of the first difference vector, ``N + a0`` if
+    ``p > 1``.  ``centered_mismatch`` is the first column whose centered
+    vector is not the step of the one before it, or ``None``.
     """
 
     steps: int
     uniform_index: int
     ambiguous_count: int
     violations: tuple[str, ...]
+    spread0: int
+    spread0_identity_ok: bool
+    centered_mismatch: int | None
 
 
 def trajectory_report(p, slopes, a0, n) -> TrajectoryReport:
@@ -171,32 +200,41 @@ def trajectory_report(p, slopes, a0, n) -> TrajectoryReport:
     differencing the advanced window; and at nonconstant difference
     vectors the min/max envelope never widens, the new entry lands inside
     the old open/closed envelope, and the envelope width strictly shrinks
-    within ``p`` steps.  Scans read the same statistics off the engine's
-    shot vector instead (:func:`kspm.analyzer.row_statistics`); this walk
-    is their independent audit.
+    within ``p`` steps.  Each centered vector, scaled into integers, must
+    be :func:`_scaled_step` of the one before; the first column where it
+    is not is recorded, not raised.  Scans read the same statistics off
+    the engine's shot vector instead (:func:`kspm.analyzer.row_statistics`);
+    this walk is their independent audit.
     """
     violations: list[str] = []
     spreads: list[int] = []
     nonuniform: list[int] = []
     uniform_at = -1
     ambiguous = 0
+    mismatch = zs = None
+    pp = p * p
     for i, window, b in iter_windows(p, slopes, a0, n):
         if i == 0:
             y = to_averaging(window)
+            total = sum(y)
         else:
-            # differencing the window incrementally; y_step is the audit
-            y_prev, y = y, y[1:] + (window[-1] - window[-2],)
-            if y_step(p, y_prev, b_prev) != y:
+            new = window[-1] - window[-2]
+            # y_step keeps y[1:] and appends (sum(y) + b) / p, so only that
+            # entry can differ from differencing the advanced window
+            q, r = divmod(total + b_prev, p)
+            if r or q != new:
                 violations.append(f"i={i - 1}: averaging step does not commute")
-            if mn != mx:
-                new = y[-1]
-                if not (mn < new <= mx):
-                    violations.append(
-                        f"i={i - 1}: new entry {new} outside envelope ({mn}, {mx}]"
-                    )
-                if min(y) < mn or max(y) > mx:
-                    violations.append(f"i={i - 1}: envelope widened")
-        mn, mx = min(y), max(y)
+            total += new - y[0]
+            y = y[1:] + (new,)
+        lo, hi = min(y), max(y)
+        if i and mn != mx:
+            if not (mn < new <= mx):
+                violations.append(
+                    f"i={i - 1}: new entry {new} outside envelope ({mn}, {mx}]"
+                )
+            if lo < mn or hi > mx:
+                violations.append(f"i={i - 1}: envelope widened")
+        mn, mx = lo, hi
         spreads.append(mx - mn)
         if mn == mx:
             if uniform_at < 0:
@@ -204,8 +242,16 @@ def trajectory_report(p, slopes, a0, n) -> TrajectoryReport:
         else:
             nonuniform.append(i)
 
+        # Z = p y - sum(y) is p times the centered vector, and Z' = O Z + b kick,
+        # so p^2 Z' = (p^2 O) Z + p b (p kick) holds exactly in integers
+        zs_prev, zs = zs, [p * v - total for v in y]
+        if i and mismatch is None:
+            if _scaled_step(p, zs_prev, p * b_prev) != [pp * z for z in zs]:
+                mismatch = i
+
         det = determine_slope(p, window[0], window[-1])
-        if det != determine_slope_from_mean(p, y):
+        # determine_slope_from_mean, read off the running sum
+        if det != ((-total) % p or None):
             violations.append(f"i={i}: window and mean determinations differ")
         if det is None:
             ambiguous += 1
@@ -227,6 +273,9 @@ def trajectory_report(p, slopes, a0, n) -> TrajectoryReport:
         # the closing window has residue 0 but reads no slope
         ambiguous_count=ambiguous - 1,
         violations=tuple(violations),
+        spread0=spreads[0],
+        spread0_identity_ok=p == 1 or spreads[0] == n + a0,
+        centered_mismatch=mismatch,
     )
 
 

@@ -17,21 +17,21 @@ entries.  Characteristic polynomials come from the Hessenberg recurrence
 in Python integers, after scaling by the common denominator, and are
 checked in tests against Faddeev-LeVerrier and sympy.  The centered
 contraction is written down once, as its ``O(p)`` integer step
-:func:`_scaled_step` through the shift plus rank 2 form; the dense
-matrix is read off that step column by column, and tests check it
+:func:`kspm.dds._scaled_step` through the shift plus rank 2 form; the
+dense matrix is read off that step column by column, and tests check it
 against the product definition.  Floating point only enters for root
 finding, the bare eigenvalues of the contraction and the perturbation
 bound.  :func:`certify` decides one row of the ``spectral`` command: it
 runs every certificate, measures the roots' residuals and separation,
 and builds the float contraction once for the eigenvalues and the
-bound.  :func:`z_trajectory` replays a pile's centered trajectory
-exactly in integers through the same step, without a dense matrix,
-and checks its initial spread.
+bound.  A pile's centered trajectory is replayed through the same step
+by :func:`kspm.dds.trajectory_report`, in the walk that audits its
+window recurrence; :func:`z_trajectory` runs that walk and raises on a
+centered mismatch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import inf, lcm
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import dds
 from .errors import NoConvergence, RecurrenceMismatch
-from .model import check_grains, check_p
+from .model import check_p
 from .stabilizer import check_matrix
 
 
@@ -203,31 +203,10 @@ def averaging_matrix(p: int) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def _scaled_step(p: int, zs: list[int], pb: int) -> list[int]:
-    """``(p**2 O) Z + pb (p kick)`` in ``O(p)``, the one definition of ``O``.
-
-    Centering the averaging advance subtracts each column's mean, which
-    gives ``p**2 O = p**2 J + U V^T`` with ``J`` the upper shift,
-    ``U = (-1, p e_last)`` and ``V = ((p [j >= 1] + 1)_j, 1)``, and the
-    kick ``p kick = p e_last - 1``.  So row ``r < p - 1`` of the step is
-    ``p**2 Z[r + 1] - v - pb`` and the last row is ``p s - v + (p - 1) pb``,
-    with ``s = sum(Z)`` and ``v = V[:, 0] . Z``.  No term leans on
-    ``s = 0``, so the step is linear on every integer vector, and the
-    dense matrix of :func:`_centered_scaled` is read off it.
-    """
-    pp = p * p
-    s = sum(zs)
-    # V[:, 0] is 1 at j = 0 and p + 1 after it
-    v = s + p * (s - zs[0])
-    step = [pp * z - v - pb for z in zs[1:]]
-    step.append(p * s - v + (p - 1) * pb)
-    return step
-
-
 def _centered_scaled(p: int) -> tuple[list[list[int]], list[int]]:
     """``p**2`` times the centered contraction, and ``p`` times its kick.
 
-    Both are read off :func:`_scaled_step`, the one place their
+    Both are read off :func:`kspm.dds._scaled_step`, the one place their
     coefficients are written: column ``j`` of the matrix is the step of
     the ``j``-th unit vector without a kick, and the kick is the step of
     the zero vector with ``pb = 1``.  Refuses, before building it, a
@@ -239,8 +218,8 @@ def _centered_scaled(p: int) -> tuple[list[list[int]], list[int]]:
     for j in range(p):
         unit = [0] * p
         unit[j] = 1
-        columns.append(_scaled_step(p, unit, 0))
-    return [list(row) for row in zip(*columns)], _scaled_step(p, [0] * p, 1)
+        columns.append(dds._scaled_step(p, unit, 0))
+    return [list(row) for row in zip(*columns)], dds._scaled_step(p, [0] * p, 1)
 
 
 def _centered_floats(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -389,55 +368,20 @@ def certify(p: int, tol: float) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ZTrajectoryReport:
-    """Centered difference vector along a real fixed-point trajectory.
+def z_trajectory(p: int, n: int, slopes, a0: int) -> dds.TrajectoryReport:
+    """Replay a pile's trajectory and require its exact centered recurrence.
 
-    ``steps`` counts the window advances replayed, and ``spread0`` is
-    the min/max spread of the first difference vector, which equals
-    ``N + a0`` whenever ``p > 1``.
-    """
-
-    steps: int
-    spread0: int
-    spread0_identity_ok: bool
-
-
-def z_trajectory(p: int, n: int, slopes, a0: int) -> ZTrajectoryReport:
-    """Replay the centered difference trajectory of a stabilized pile.
-
-    The recurrence is replayed exactly, on the centered vectors scaled
-    by ``p`` into integers, and compared entry by entry with directly
-    centered data; a mismatch raises :class:`RecurrenceMismatch` (it
-    would mean an implementation bug, not bad data).  Each column goes
-    through :func:`_scaled_step` in ``O(p)``; no ``p``-by-``p`` matrix is
-    built.  A ``p`` past the limits of :func:`check_matrix` is still
-    refused up front, as ``verify`` refuses it.
+    Runs :func:`kspm.dds.trajectory_report`, which replays the centered
+    vectors in ``O(p)`` per column without a ``p``-by-``p`` matrix, and
+    raises :class:`RecurrenceMismatch` at its first mismatching column
+    (an implementation bug, not bad data).  A ``p`` past the limits of
+    :func:`check_matrix` is refused up front, as ``verify`` refuses it.
     """
     check_p(p)
-    check_grains(n)
     check_matrix(p)
-    # Z = p * z = p * y - sum(y) is integral, and Z' = O Z + b * kick, so
-    # p^2 Z' = (p^2 O) Z + p b (p kick) holds exactly in integers
-    pp = p * p
-    for i, window, b in dds.iter_windows(p, slopes, a0, n):
-        if i:
-            # differencing the window incrementally, as trajectory_report does
-            y = y[1:] + (window[-1] - window[-2],)
-        else:
-            y = dds.to_averaging(window)
-        total = sum(y)
-        zs = [p * v - total for v in y]
-        if i:
-            step = _scaled_step(p, zs_prev, p * b_prev)
-            if [pp * z for z in zs] != step:
-                raise RecurrenceMismatch(f"centered recurrence mismatch at column {i}")
-        else:
-            spread0 = max(y) - min(y)
-        zs_prev = zs
-        b_prev = b
-    return ZTrajectoryReport(
-        steps=i,
-        spread0=spread0,
-        spread0_identity_ok=(p == 1) or (spread0 == n + a0),
-    )
+    rep = dds.trajectory_report(p, slopes, a0, n)
+    if rep.centered_mismatch is not None:
+        raise RecurrenceMismatch(
+            f"centered recurrence mismatch at column {rep.centered_mismatch}"
+        )
+    return rep

@@ -730,7 +730,9 @@ def test_a_balanced_change_outside_the_extent_fails_the_last_check(monkeypatch, 
 
 
 def test_scan_rows_hold_each_sample_compactly():
-    # the rows are columns of lists, not a dict per sample (312 bytes each)
+    # the rows are columns of lists, not a dict per sample (312 bytes each);
+    # numpy is loaded first, so its import is not counted when this runs alone
+    import numpy  # noqa: F401
     tracemalloc.start()
     try:
         rows = analyzer.scan_rows(2, range(1, 20_001))

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import GOLDEN_P2_N24_SHOT, GOLDEN_P2_N24_SLOPES
 import kspm
-from kspm import analyzer, cli, spectral
+from kspm import analyzer, cli, dds, spectral
 from kspm.errors import RecurrenceMismatch
 from kspm.stabilizer import IncrementalStabilizer, trace_leftmost
 
@@ -679,14 +679,14 @@ def change_one_coefficient_of_R(monkeypatch):
 
 def change_one_entry_of_O(monkeypatch):
     # entry (1, 0) of p^2 O, changed in the one step both commands use
-    scaled_step = spectral._scaled_step
+    scaled_step = dds._scaled_step
 
     def changed(p, zs, pb):
         step = scaled_step(p, zs, pb)
         step[1] += zs[0]
         return step
 
-    monkeypatch.setattr(spectral, "_scaled_step", changed)
+    monkeypatch.setattr(dds, "_scaled_step", changed)
 
 
 # p = 20 is past both charpoly columns, so the float gates alone must fail
@@ -753,16 +753,32 @@ def test_verify_reports_a_failed_replay_as_a_violation(monkeypatch, capsys):
     def broken_replay(*args, **kwargs):
         raise RecurrenceMismatch("centered recurrence mismatch at column 3")
 
-    monkeypatch.setattr(spectral, "z_trajectory", broken_replay)
+    monkeypatch.setattr(dds, "trajectory_report", broken_replay)
     rc, out, err = run_cli(capsys, "verify", "--p", "3", "--n", "200")
     assert rc == 5
-    assert "centered_recurrence" in err
-    check = json.loads(out)["result"]["checks"][-1]
-    assert check == {
-        "name": "centered_recurrence",
-        "ok": False,
-        "detail": "centered recurrence mismatch at column 3",
-    }
+    assert err == "verification violated: trajectory_invariants\n"
+    checks = json.loads(out)["result"]["checks"]
+    failed = [c for c in checks if not c["ok"]]
+    # the one replay fills both rows, each in its place
+    assert [c["name"] for c in failed] == ["trajectory_invariants", "centered_recurrence"]
+    assert checks[-1] == failed[-1]
+    assert {c["detail"] for c in failed} == {"centered recurrence mismatch at column 3"}
+
+
+def test_verify_walks_the_window_twice(monkeypatch):
+    # the reconstruction, and one replay for both the window audit and the
+    # centered recurrence
+    walk = dds._walk
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:3])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(dds, "_walk", counted)
+    checks = cli._verification_checks(30, 2000, 1)
+    assert all(checks["ok"])
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("p", [5, 20])

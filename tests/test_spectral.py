@@ -1,6 +1,7 @@
 """Exact linear algebra, characteristic polynomials, root finding, contraction."""
 
 import cmath
+import dataclasses
 import math
 import operator
 import tracemalloc
@@ -426,12 +427,21 @@ def test_z_trajectory_detects_tampered_slopes():
 
 def test_z_trajectory_replay_detects_a_wrong_kick(monkeypatch):
     fp = stabilize(3, 200)
-    scaled_step = spectral._scaled_step
-    monkeypatch.setattr(
-        spectral, "_scaled_step", lambda p, zs, pb: scaled_step(p, zs, 2 * pb)
-    )
+    scaled_step = dds._scaled_step
+    monkeypatch.setattr(dds, "_scaled_step", lambda p, zs, pb: scaled_step(p, zs, 2 * pb))
     with pytest.raises(RecurrenceMismatch, match="at column 1$"):
         spectral.z_trajectory(3, 200, fp.slopes.slopes, fp.shot_at(0))
+
+
+def test_the_replay_records_a_centered_mismatch_without_raising(monkeypatch):
+    fp = stabilize(3, 200)
+    clean = dds.trajectory_report(3, fp.slopes, fp.shot_at(0), 200)
+    assert clean.centered_mismatch is None
+    scaled_step = dds._scaled_step
+    monkeypatch.setattr(dds, "_scaled_step", lambda p, zs, pb: scaled_step(p, zs, 2 * pb))
+    rep = dds.trajectory_report(3, fp.slopes, fp.shot_at(0), 200)
+    # the window audit is untouched; only the centered view fails, from column 1
+    assert rep == dataclasses.replace(clean, centered_mismatch=1)
 
 
 @pytest.mark.parametrize("p", list(range(1, 31)) + [100, 1000])
@@ -447,7 +457,7 @@ def test_structured_step_matches_the_dense_product(p):
         pb = int(rng.integers(-50, 50))
         for b in (0, pb):
             dense = [o + b * k for o, k in zip(product, kick)]
-            assert spectral._scaled_step(p, zs, b) == dense
+            assert dds._scaled_step(p, zs, b) == dense
 
 
 @pytest.mark.parametrize("p", list(range(1, 31)) + [100, 1000])

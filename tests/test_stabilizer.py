@@ -714,7 +714,7 @@ def test_batch_sweeps_fit_int64_at_the_largest_admitted_pile(p):
     assert lo + p * stabilizer.check_work(p, lo) < 2**63
 
 
-@pytest.mark.parametrize("module", ["kspm", "kspm.stabilizer", "kspm.analyzer"])
+@pytest.mark.parametrize("module", ["kspm", "kspm.stabilizer", "kspm.analyzer", "kspm.dds"])
 def test_import_does_not_load_numpy(module):
     # only the batch engine, a scan and kspm.spectral need numpy, and load it late
     code = f"import sys, {module}; print('numpy' in sys.modules)"
