@@ -9,11 +9,12 @@ aggregates all of it into scan rows with logarithmic fits.  A scan's
 rows are columns, one list per field in the order the CLI writes them,
 and a fit is a dict keyed as the CLI writes it.  A scan grows one pile
 avalanche by avalanche, so every sample has its density column.  It
-copies the prefix of the pile's lists that each sample's settles touched
-into a row of a block of samples, computes the mass balance, the wave
-tails, the ambiguity counts and the first uniform windows of a whole
-block with numpy array operations, and checks the whole width once more
-at its last sample.
+copies the prefix of the pile's slopes and shot differences that each
+sample's settles touched into a row of a block of samples, sums the
+differences back into shots once per block, computes the mass balance,
+the wave tails, the ambiguity counts and the first uniform windows of a
+whole block with numpy array operations over the pile's live width, and
+checks the whole width once more at its last sample.
 The audits of the paper's lemmas along whole trajectories (plateaus in
 every intermediate state, the climbing interior zero) are test-side, in
 ``tests/lemma_audits.py``.
@@ -231,6 +232,21 @@ def row_statistics(p: int, n: int, slopes, shot) -> RowStatistics:
     )
 
 
+def _past_last(mask):
+    """One right of the last ``True`` of each row of ``mask``, or 0 for none.
+
+    The first ``True`` of a reversed row names it, unless the row has
+    none and the column it names holds ``False``.
+    """
+    import numpy as np
+
+    k, width = mask.shape
+    if not width:
+        return np.zeros(k, np.intp)
+    back = mask[:, ::-1].argmax(axis=1)
+    return np.where(mask[np.arange(k), width - 1 - back], width - back, 0)
+
+
 def _wave_tails(p: int, s):
     """Width, strict and loose wave starts, interior zeros and 0-or-``p`` flags.
 
@@ -242,38 +258,41 @@ def _wave_tails(p: int, s):
     k, width = s.shape
     rows = np.arange(k)
     zero = s == 0
-    w = (~zero * np.arange(1, width + 1)).max(axis=1)
+    w = _past_last(~zero)
     flags = zero | (s == p)
     # (a): ``after`` is one right of the last pair that is not allowed, or 0;
     # past the rows every slope is 0, so a last column over 1 makes it width
     bad = np.diff(s, axis=1) != -1
     bad &= (s[:, :-1] > 1) | ~flags[:, 1:]
-    after = (bad * np.arange(1, width)).max(axis=1, initial=0)
+    after = _past_last(bad)
     after[s[:, -1] > 1] = width
     head = s[rows, np.minimum(after, width - 1)] % p
     loose = np.where(after < width, after + head, width)
-    # (b): ``seen`` counts the zeros up to each column, and every column from
-    # w on holds one, so the zeros of the tail [loose, w) are zero blocks
-    seen = np.cumsum(zero, axis=1)
-    total = seen[:, -1] - (width - w)
-    tail = total - np.where(loose > 0, seen[rows, loose - 1], 0)
-    second = np.count_nonzero(seen < (total - 1)[:, None], axis=1)
-    strict = np.where(tail > 1, second + 1, loose)
-    return w, strict, loose, np.minimum(tail, 1), flags
+    # (b): ``last`` and ``second`` are one right of the rightmost zero left of
+    # w and of the zero before it, or 0; those right of loose are zero blocks
+    inside = zero & (np.arange(width) < w[:, None])
+    last = _past_last(inside)
+    some = last > 0
+    inside[rows[some], last[some] - 1] = False
+    second = _past_last(inside)
+    strict = np.where(second > loose, second, loose)
+    return w, strict, loose, (last > loose).astype(np.intp), flags
 
 
 class _SampleBlock:
     """A growing pile's lists at up to ``BLOCK_ROWS`` samples, checked together.
 
     Row ``r`` of ``slopes`` holds the slopes at the ``r``-th sample of the
-    block, and the same row of ``padded`` its shots as ``a_{j-p}``, after
-    the virtual ``n, 0, ..., 0``.  Row 0 repeats the last sample of the
-    block before.  A sample copies into its row only what its step may
-    have changed, the slopes of ``[0, touched)`` and the shots of ``[0,
-    touched - p)``; the rest of the row repeats the row before.  The rows
-    are as wide as the largest extent so far, and at least ``p + 1`` so
-    that the closing window fits; every column past them holds slope 0
-    and shot 0.  They widen geometrically, never past the pile's lists.
+    block, and the same row of ``diffs`` its shots' differences ``a_j -
+    a_{j+1}``.  Row 0 repeats the last sample of the block before.  A
+    sample copies into its row only what its step may have changed, the
+    slopes of ``[0, touched)`` and the differences of ``[0, touched -
+    p)``; the rest of the row repeats the row before.  ``live`` is the
+    largest extent so far, and at least ``p + 1`` so that the closing
+    window fits; every column from it on holds slope 0 and shot 0, so the
+    block's pass reads only the columns before it.  The slope rows are at
+    least that wide, and the difference rows ``p`` columns narrower; they
+    widen by about a quarter at a time, never past the pile's lists.
     """
 
     def __init__(self, p: int, cap: int):
@@ -282,42 +301,46 @@ class _SampleBlock:
         self.p = p
         self.cap = cap
         self.ns: list[int] = []  # the grain counts of the block's samples
-        self.slopes = self.padded = np.zeros((BLOCK_ROWS + 1, 0), np.int64)
+        self.live = p + 1
+        self.slopes = self.diffs = np.zeros((BLOCK_ROWS + 1, 0), np.int64)
         self._widen(p + 1)
 
-    def add(self, n: int, slopes: list, shot: list, touched: int) -> None:
+    def add(self, n: int, slopes: list, diff: list, touched: int) -> None:
         """Copy the pile's lists at ``n`` grains, changed only inside ``touched``."""
-        p = self.p
-        if touched > self.slopes.shape[1]:
-            self._widen(touched)
+        if touched > self.live:
+            self.live = touched
+            if touched > self.slopes.shape[1]:
+                self._widen(touched)
         r = len(self.ns) + 1
-        s, a = self.slopes, self.padded
+        s, d = self.slopes, self.diffs
         s[r] = s[r - 1]
-        a[r] = a[r - 1]
+        d[r] = d[r - 1]
         s[r, :touched] = slopes[:touched]
-        a[r, 0] = n
-        if touched > p:
-            a[r, p:touched] = shot[: touched - p]
+        if touched > self.p:
+            d[r, : touched - self.p] = diff[: touched - self.p]
         self.ns.append(n)
 
     def _widen(self, touched: int) -> None:
         """Widen the rows to at least ``touched`` columns, keeping their values."""
         import numpy as np
 
-        width = min(max(touched, 2 * self.slopes.shape[1]), self.cap)
+        width = min(touched + touched // 4 + 8, self.cap)
         slopes = np.zeros((BLOCK_ROWS + 1, width), np.int64)
-        padded = np.zeros((BLOCK_ROWS + 1, width + self.p + 1), np.int64)
+        diffs = np.zeros((BLOCK_ROWS + 1, width - self.p), np.int64)
         slopes[:, : self.slopes.shape[1]] = self.slopes
-        padded[:, : self.padded.shape[1]] = self.padded
-        self.slopes, self.padded = slopes, padded
+        diffs[:, : self.diffs.shape[1]] = self.diffs
+        self.slopes, self.diffs = slopes, diffs
 
     def flush(self) -> tuple[list[int], ...]:
         """Check the block's rows; return their ``_BLOCK_FIELDS``, as lists.
 
-        The mass balance is checked at every column of every row, which
-        also refuses slopes past a closing window, where every shot the
-        balance reads is 0; :class:`NonIntegral` names the grain count of
-        the first row it fails.  Row 0 then takes the block's last row.
+        The shots ``a`` of each row are its differences summed from the
+        right, one reverse cumulative sum for the block, and sit after the
+        virtual ``n, 0, ..., 0`` as ``a_{j-p}``.  The mass balance is
+        checked at every column of every row, which also refuses slopes
+        past a closing window, where every shot the balance reads is 0;
+        :class:`NonIntegral` names the grain count of the first row it
+        fails.  Row 0 then takes the block's last row.
 
         The wave tails rest on two facts about slopes ``s`` in ``[0, p]``
         with support ``[0, w)``.  The pair ``(j, j + 1)`` is allowed when
@@ -346,13 +369,19 @@ class _SampleBlock:
         """
         import numpy as np
 
-        p, k = self.p, len(self.ns)
-        s, a = self.slopes[1 : k + 1], self.padded[1 : k + 1]
-        width = s.shape[1]
+        p, k, width = self.p, len(self.ns), self.live
+        s = self.slopes[1 : k + 1, :width]
         pp1 = p + 1
+        a = np.zeros((k, width + pp1), np.int64)
+        a[:, 0] = self.ns
+        diffs = self.diffs[1 : k + 1, : width - p]
+        np.cumsum(diffs[:, ::-1], axis=1, out=a[:, p:width][:, ::-1])
         # as in the batch engine: a_{i-p} + p a_{i+1} is at most n plus p times
         # the firing bound, and (p+1) a_i no larger, since no slope is negative
-        bad = a[:, :width] + p * a[:, pp1:] - pp1 * a[:, p : p + width] != s
+        balance = a[:, pp1:] * p
+        balance += a[:, :width]
+        balance -= pp1 * a[:, p : p + width]
+        bad = balance != s
         if bad.any():
             r, i = divmod(int(bad.argmax()), width)
             raise NonIntegral(
@@ -367,12 +396,17 @@ class _SampleBlock:
         # flagged too and taken off
         ambiguous = np.count_nonzero(flags, axis=1) - (width - steps)
         # window i is uniform when its p differences, d[i .. i+p-1], are equal,
-        # that is when the p - 1 comparisons of neighbours from i on all hold;
-        # the closing window is all zero, so one is always found
+        # that is when the p - 1 comparisons of neighbours from i on all hold:
+        # ``same`` ANDs them over ever wider spans, doubling each time; the
+        # closing window is all zero, so one is always found
         d = np.diff(a, axis=1)
-        same = np.zeros(d.shape, np.int64)
-        np.cumsum(d[:, 1:] == d[:, :-1], axis=1, out=same[:, 1:])
-        uniform = (same[:, p - 1 :] - same[:, : same.shape[1] - p + 1] == p - 1).argmax(1)
+        same = d[:, 1:] == d[:, :-1]
+        span = 1
+        while span < p - 1:
+            step = min(span, p - 1 - span)
+            same = same[:, : same.shape[1] - step] & same[:, step:]
+            span += step
+        uniform = same.argmax(axis=1) if p > 1 else np.zeros(k, np.intp)
         wrong = loose != uniform
         if wrong.any():
             r = int(wrong.argmax())
@@ -380,7 +414,7 @@ class _SampleBlock:
                 f"N={self.ns[r]}: loose wave start {loose[r]}, first uniform window {uniform[r]}"
             )
         self.slopes[0] = self.slopes[k]
-        self.padded[0] = self.padded[k]
+        self.diffs[0] = self.diffs[k]
         self.ns.clear()
         return tuple(x.tolist() for x in (w, strict, loose, uniform, zeros, ambiguous))
 
@@ -393,11 +427,12 @@ def scan_rows(p: int, n_values, timing: bool = False) -> dict[str, list]:
     uniform_index, interior_zeros, density_column, ambiguous_count,
     elapsed_us`` as ``kspm scan`` writes them.  One growing pile replays
     every avalanche up to each sample, and ``density_column`` is the
-    largest density column of those avalanches.  The pile's lists go into
-    blocks of ``BLOCK_ROWS`` samples, and each block's mass balance, wave
-    tails, ``uniform_index`` and ``ambiguous_count`` come from one pass of
-    array operations.  The last sample is checked again over the whole
-    width by :func:`row_statistics`, and a difference raises
+    largest density column of those avalanches.  The pile's slopes and
+    shot differences go into blocks of ``BLOCK_ROWS`` samples, and each
+    block's shots, mass balance, wave tails, ``uniform_index`` and
+    ``ambiguous_count`` come from one pass of array operations.  The last
+    sample is checked again over the whole width by :func:`row_statistics`,
+    on the pile's slopes and summed shots, and a difference raises
     :class:`RecurrenceMismatch`.  ``elapsed_us`` is 0 unless ``timing`` is
     set, keeping default output reproducible; with it, a row's time is its
     settles and its copy, plus an equal share of its block's array pass.
@@ -446,7 +481,7 @@ def scan_rows(p: int, n_values, timing: bool = False) -> dict[str, list]:
     for n in targets:
         t0 = time.perf_counter() if timing else 0.0
         touched = inc.advance_to(n)
-        block.add(n, inc.slopes, inc.shot, touched)
+        block.add(n, inc.slopes, inc.diff, touched)
         rows["N"].append(n)
         rows["density_column"].append(inc.density_max)
         spent.append(time.perf_counter() - t0 if timing else 0.0)

@@ -23,9 +23,12 @@ Three engines reach the unique fixed point of ``N`` grains:
   structure and wave shape", Theor. Comput. Sci. 504, 2013).  So the
   walk stops where that regular block begins and jumps it: it finds
   the block's last column ``M`` by one comparison per ``p`` columns,
-  and applies the firings at the block's ends alone.  Each step returns
-  the extent of columns its avalanches touched, the prefix of the
-  pile's lists that a scan copies into its block of samples.
+  and applies the firings at the block's ends alone.  The pile keeps its
+  shots as differences ``d_j = a_j - a_{j+1}``, so a firing writes two
+  of them and the jump, which fires every column of a block once, two
+  as well.  Each step returns the extent of columns its avalanches
+  touched, the prefix of the pile's lists that a scan copies into its
+  block of samples.
 
 The reference walk, :func:`trace_leftmost`, drops all ``N`` grains at
 once and always fires the smallest fireable column, found by a pointer
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate, compress, count
 
 from .errors import CapacityError
 from .model import SlopeConfig, check_grains, check_p, support_bound, trimmed
@@ -168,7 +172,7 @@ def holes(fired) -> tuple[int, ...]:
     return tuple(sorted(i - 1 for i in s if i > 0 and i - 1 not in s))
 
 
-def _settle(p, slopes, shot, mark, serial, on_fire=None):
+def _settle(p, slopes, diff, mark, serial, on_fire=None):
     """Fire the leftmost fireable column until every column is stable.
 
     Only column 0 may start above ``p``.  Every column left of the
@@ -195,13 +199,17 @@ def _settle(p, slopes, shot, mark, serial, on_fire=None):
     ``j - p`` and ``p`` from ``j + 1``, so the jump applies the firings
     at the ends alone: ``c`` gains ``p``, the columns of ``(c, M)`` go
     back to their slopes before the avalanche, ``M`` drops to 0 and
-    ``(M, M + p]`` end one above theirs.
+    ``(M, M + p]`` end one above theirs.  Each shot of ``(c, M]`` gains 1,
+    which moves two differences: ``diff[c]`` loses 1 and ``diff[M]``
+    gains 1.
     Firing the chain's columns left to right, each followed by the
     columns between it and the last, is legal and ends stable, so by the
     least action principle the walk ends there too.
 
-    ``slopes``/``shot`` are plain lists sized by the support bound and
-    mutated in place; a kick past their end raises ``RuntimeError``.
+    ``slopes`` and ``diff``, the shots' differences ``a_j - a_{j+1}``,
+    are plain lists sized by the support bound and mutated in place; a
+    firing at ``i`` adds 1 to ``diff[i]`` and takes 1 from ``diff[i - 1]``.
+    A kick past their end raises ``RuntimeError``.
     ``on_fire(i)`` is called after each firing with the fired column.
     Returns ``(low, top, jumped)``.  Every firing was at a column
     ``<= top``, so no kick landed past ``top + p``.  After a one-grain
@@ -259,7 +267,8 @@ def _settle(p, slopes, shot, mark, serial, on_fire=None):
                     slopes[m] = 0
                     cut = max(m, base) + 1
                     slopes[cut : m + pp1] = [b + 1 for b in slopes[cut : m + pp1]]
-                    shot[c + 1 : m + 1] = [a + 1 for a in shot[c + 1 : m + 1]]
+                    diff[c] -= 1
+                    diff[m] += 1
                     return c - p + 1, m, m - c
             front = i
         k = i + p
@@ -267,10 +276,11 @@ def _settle(p, slopes, shot, mark, serial, on_fire=None):
             # firings conserve the grain count, the first moment of the slopes
             raise _overrun(p, sum(j * b for j, b in enumerate(slopes, 1)), k, size)
         slopes[i] = v - pp1
-        shot[i] += 1
+        diff[i] += 1
         mark[i] = serial
         left = 0
         if i:
+            diff[i - 1] -= 1
             left = slopes[i - 1] + p
             slopes[i - 1] = left
         v = slopes[k] + 1
@@ -282,6 +292,13 @@ def _settle(p, slopes, shot, mark, serial, on_fire=None):
         if left > p:
             i -= 1
     return (top if single else top + 1), top, 0
+
+
+def _shots(diff, end) -> list[int]:
+    """The shots ``a_0 .. a_{end-1}`` of differences ``diff`` that are 0 from ``end`` on."""
+    shot = list(accumulate(reversed(diff[:end])))
+    shot.reverse()
+    return shot
 
 
 def _fixed_point(p: int, n: int, slopes, shot, strategy: str) -> FixedPoint:
@@ -433,8 +450,11 @@ class IncrementalStabilizer:
     The running configuration is always the fixed point of the grains
     added so far, so the cumulative work over all avalanches equals one
     direct stabilization of the final grain count.  ``slopes`` and
-    ``shot`` are its live column lists, with trailing zeros, for callers
-    to read between steps.  They are sized once, for ``expect`` grains,
+    ``diff`` are its live column lists, with trailing zeros, for callers
+    to read between steps; ``diff[j]`` is ``a_j - a_{j+1}``, the drop of
+    the shot vector from column ``j`` to the next, and the read-only
+    ``shot`` sums it back up to the last nonzero shot; ``snapshot``
+    sums it up to the pile's reach.  They are sized once, for ``expect`` grains,
     and a target past ``expect`` is refused before any grain is added.
     ``jumps`` counts the settles that jumped their regular block and
     ``jumped`` the columns those jumps fired, each updated once per jump.
@@ -448,11 +468,11 @@ class IncrementalStabilizer:
         self.grains = 0
         self.density_max = 0
         self.slopes = [0] * _capacity(p, expect)
-        self.shot = [0] * len(self.slopes)
+        self.diff = [0] * len(self.slopes)
         # the grain count at the settle that last fired each column; a run
         # of one-column avalanches marks column 0 with its last tip's count
         self._mark = [0] * len(self.slopes)
-        # every column at or past ``_reach`` holds slope 0 and shot 0
+        # every column at or past ``_reach`` holds slope 0, shot 0 and diff 0
         self._reach = 1
         # settles that ended in a jump, and the columns those jumps fired
         self.jumps = self.jumped = 0
@@ -460,8 +480,9 @@ class IncrementalStabilizer:
     def _drop(self, k: int, on_fire=None) -> int:
         """Add ``k`` grains to column 0 and settle the pile if column 0 tips.
 
-        Returns the touched extent: slopes changed only left of it and
-        shots only left of it minus ``p``.  ``on_fire(i)``, if given, is
+        Returns the touched extent: slopes changed only left of it, and
+        shots and their differences only left of it minus ``p``.
+        ``on_fire(i)``, if given, is
         called after each firing.  A drop that tips column 0 by one grain
         settles one avalanche, whose fired block ends at ``top`` and runs
         left as far as the walk marked columns; the drop records the
@@ -473,7 +494,7 @@ class IncrementalStabilizer:
         slopes[0] += k
         if slopes[0] <= p:
             return 1
-        low, top, jumped = _settle(p, slopes, self.shot, self._mark, self.grains, on_fire)
+        low, top, jumped = _settle(p, slopes, self.diff, self._mark, self.grains, on_fire)
         if jumped:
             self.jumps += 1
             self.jumped += jumped
@@ -521,11 +542,12 @@ class IncrementalStabilizer:
         A tip while column ``p`` holds ``q < p`` fires column 0 alone, and
         so do the next ``p - q - 1`` tips, so such a run of up to ``p - q``
         avalanches costs no settle: column 0 ends at 0 and fires once per
-        tip, and column ``p`` gains one per tip.  Only the other tips go
-        through :meth:`_drop`.  Returns the touched extent of all the
-        avalanches: slopes changed only left of it and shots only left of
-        it minus ``p``.  Each settle is recorded as :meth:`_drop` says, and
-        a run's density columns are 0.
+        tip, and column ``p`` gains one per tip, so ``diff[0]`` gains one
+        per tip too.  Only the other tips go through :meth:`_drop`.
+        Returns the touched extent of all the avalanches: slopes changed
+        only left of it, and shots and their differences only left of it
+        minus ``p``.  Each settle is recorded as :meth:`_drop` says, and a
+        run's density columns are 0.
         """
         self._check_target(target)
         p = self.p
@@ -543,7 +565,7 @@ class IncrementalStabilizer:
                 self.grains += need + (t - 1) * edge
                 slopes[0] = 0
                 slopes[p] = q + t
-                self.shot[0] += t
+                self.diff[0] += t
                 self._mark[0] = self.grains
                 if edge > touched:
                     touched = edge
@@ -555,10 +577,17 @@ class IncrementalStabilizer:
                 touched = extent
         return touched
 
+    @property
+    def shot(self) -> list[int]:
+        """The shot vector without its trailing zeros: the suffix sums of ``diff``."""
+        # the last nonzero shot is the first nonzero difference from the right
+        end = len(self.diff) - next(compress(count(), reversed(self.diff)), len(self.diff))
+        return _shots(self.diff, end)
+
     def snapshot(self) -> FixedPoint:
         reach = self._reach
         return _fixed_point(
-            self.p, self.grains, self.slopes[:reach], self.shot[:reach], "incremental"
+            self.p, self.grains, self.slopes[:reach], _shots(self.diff, reach), "incremental"
         )
 
 
@@ -597,4 +626,4 @@ def trace_leftmost(p: int, n: int, on_fire=None) -> FixedPoint:
     pile._drop(n, on_fire)
     # not ``snapshot``, where benchmarks/tracing.py counts a grown pile's firings
     reach = pile._reach
-    return _fixed_point(p, n, pile.slopes[:reach], pile.shot[:reach], "leftmost")
+    return _fixed_point(p, n, pile.slopes[:reach], _shots(pile.diff, reach), "leftmost")

@@ -176,6 +176,12 @@ class AvalancheAuditReport:
     reason: str
 
 
+def shots(pile, width: int) -> list[int]:
+    """A pile's first ``width`` shots; its ``shot`` stops at the last nonzero one."""
+    shot = pile.shot[:width]
+    return shot + [0] * (width - len(shot))
+
+
 def fired_block(shot0, shot1) -> tuple[bytes, int, int]:
     """Which columns fired between two shot vectors, with ``(low, top)``.
 
@@ -236,11 +242,11 @@ def audit_avalanches(p: int, n: int, jump: bool = False):
             continue
         # no column at or past the reach fires, so kicks land before reach + p
         width = pile._reach + p
-        slopes0, shot0 = pile.slopes[:width], pile.shot[:width]
+        slopes0, shot0 = pile.slopes[:width], shots(pile, width)
         av = None if jump else pile.advance()
         if jump:
             pile.advance_to(k)
-        slopes1, shot1 = pile.slopes[:width], pile.shot[:width]
+        slopes1, shot1 = pile.slopes[:width], shots(pile, width)
         reason = avalanche_violation(p, slopes0, shot0, slopes1, shot1)
         rose, low, top = fired_block(shot0, shot1)
         if reason is None and av is not None:

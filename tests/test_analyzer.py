@@ -548,14 +548,29 @@ def avalanche_quiet(p, av):
     return pre, av.max_fired
 
 
+def nudge(pile, name, column, by=1):
+    """Add ``by`` to one slope of a pile, or to one shot through its differences.
+
+    A shot ``a_j`` is in two differences, ``a_{j-1} - a_j`` and ``a_j -
+    a_{j+1}``, so changing it alone changes both.
+    """
+    if name == "slopes":
+        pile.slopes[column] += by
+    else:
+        pile.diff[column] += by
+        if column:
+            pile.diff[column - 1] -= by
+
+
 def check_each_changed_value(p, n_max, changes, check):
     """Walk a pile through ``1..n_max`` grains, adding each sample to a block.
 
     At each sample, ``changes(touched)`` lists ``(list name, column)``
-    pairs.  Each is added, one at a time, to the pile's list; a copy of
-    the block holding the samples before takes the sample, and
-    ``check(n, column, trial, pile)`` runs before the change is undone.
-    Returns the number of samples with changes.
+    pairs.  Each is added, one at a time, to the pile's slope or shot at
+    that column, by :func:`nudge`; a copy of the block holding the samples
+    before takes the sample, and ``check(n, column, trial, pile)`` runs
+    before the change is undone.  Returns the number of samples with
+    changes.
     """
     inc = IncrementalStabilizer(p, expect=n_max)
     block = analyzer._SampleBlock(p, len(inc.slopes))
@@ -565,13 +580,12 @@ def check_each_changed_value(p, n_max, changes, check):
         todo = changes(touched)
         changed += bool(todo)
         for name, column in todo:
-            values = getattr(inc, name)
-            values[column] += 1
+            nudge(inc, name, column)
             trial = copy.deepcopy(block)
-            trial.add(n, inc.slopes, inc.shot, touched)
+            trial.add(n, inc.slopes, inc.diff, touched)
             check(n, column, trial, inc)
-            values[column] -= 1
-        block.add(n, inc.slopes, inc.shot, touched)
+            nudge(inc, name, column, -1)
+        block.add(n, inc.slopes, inc.diff, touched)
         if len(block.ns) == analyzer.BLOCK_ROWS:
             block.flush()
     return changed
@@ -666,7 +680,29 @@ def test_a_changed_value_inside_the_extent_fails_its_sample(monkeypatch, p, name
 
     def change(pile, target, touched):
         if target >= targets[B + B // 2] and not changed and touched > p + 1:
-            getattr(pile, name)[touched - p - 2] += 1
+            nudge(pile, name, touched - p - 2)
+            changed.append(target)
+
+    tampered_scan(monkeypatch, change)
+    with pytest.raises(NonIntegral, match=r"^N=(\d+): ") as err:
+        analyzer.scan_rows(p, targets)
+    assert int(err.value.args[0].split(":")[0][2:]) == changed[0]
+    assert targets.index(changed[0]) % B not in (0, B - 1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 30])
+@pytest.mark.parametrize("by", [1, -1])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_a_changed_difference_inside_the_extent_fails_its_sample(monkeypatch, p, by, where):
+    # one difference the block copies, changed by 1 in the middle of the
+    # second block of a scan of 3B + 5 samples, moves every shot left of it
+    # and names that sample
+    targets = range(7, 7 * (3 * B + 5) + 1, 7)
+    changed = []
+
+    def change(pile, target, touched):
+        if target >= targets[B + B // 2] and not changed and touched > p + 1:
+            pile.diff[0 if where == "first" else touched - p - 1] += by
             changed.append(target)
 
     tampered_scan(monkeypatch, change)
@@ -719,7 +755,7 @@ def test_a_balanced_change_outside_the_extent_fails_the_last_check(monkeypatch, 
     def change(pile, target, touched):
         if target == targets[-1]:
             j = touched + 1
-            pile.shot[j] += 1
+            nudge(pile, "shot", j)
             pile.slopes[j - 1] += p
             pile.slopes[j] -= p + 1
             pile.slopes[j + p] += 1

@@ -402,7 +402,7 @@ def full_state(pile):
     return (
         pile.grains,
         pile.slopes,
-        pile.shot,
+        pile.diff,
         pile._mark,
         pile._reach,
         pile.density_max,
@@ -495,6 +495,24 @@ def test_the_jump_fires_most_columns(p, n, least):
     fired = sum(pile.shot)
     assert pile.jumped / fired >= least
     assert 2 <= pile.jumped / pile.jumps <= fired / pile.jumps
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("p", [*range(1, 7), 30])
+def test_a_step_changes_differences_only_left_of_its_extent_minus_p(p, stride):
+    # a scan's block copies the differences of [0, touched - p) alone; the
+    # jump's write at its last column meets that bound
+    pile = IncrementalStabilizer(p, expect=2000)
+    tight = 0
+    for n in range(stride, 2001, stride):
+        before = list(pile.diff)
+        touched = pile.advance_to(n)
+        changed = [j for j, (u, v) in enumerate(zip(before, pile.diff)) if u != v]
+        if changed:
+            assert changed[-1] < touched - p, (n, changed[-1], touched)
+            tight += changed[-1] == touched - p - 1
+        assert tuple(pile.shot) == stabilize(p, n).shot, n
+    assert tight > 10
 
 
 @pytest.mark.parametrize("p,n", [(2, 40000), (3, 20000), (30, 100000)])
