@@ -8,13 +8,12 @@ exact integer arithmetic, measures plateaus of equal heights, and
 aggregates all of it into scan rows with logarithmic fits.  A scan's
 rows are columns, one list per field in the order the CLI writes them,
 and a fit is a dict keyed as the CLI writes it.  A scan grows one pile
-avalanche by avalanche, so every sample has its density column.  It
-copies the prefix of the pile's slopes and shot differences that each
-sample's settles touched into a row of a block of samples, sums the
-differences back into shots once per block, computes the mass balance,
-the wave tails, the ambiguity counts and the first uniform windows of a
-whole block with numpy array operations over the pile's live width, and
-checks the whole width once more at its last sample.
+avalanche by avalanche, so every sample has its density column, and
+copies what each sample's settles touched into a block of samples.  One
+numpy pass, :func:`_statistics`, checks the mass balance and reads the
+statistics of a whole block or, as :func:`row_statistics`, of one fixed
+point; :func:`parse_waves` and :func:`kspm.dds.trajectory_report` are
+its independent oracles.
 The audits of the paper's lemmas along whole trajectories (plateaus in
 every intermediate state, the climbing interior zero) are test-side, in
 ``tests/lemma_audits.py``.
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import pairwise, repeat
+from itertools import groupby
 from math import inf, log2
 
 from .errors import CapacityError, InsufficientData, NonIntegral, RecurrenceMismatch
@@ -70,23 +69,26 @@ class WaveDecomposition:
     interior_zero_count: int
 
 
-def _wave_chain(
-    p: int, seq: list[int], nodes: list[int], zeros: list[int], stop: int = 0
-):
-    """Extend the backward chain of wave blocks; return its strict and loose starts.
+def parse_waves(p, slopes, grammar: str = "strict") -> WaveDecomposition:
+    """Find the minimal suffix start where the slope tail is pure waves.
 
-    Only a 0 or a ``p`` begins a block, so every column from which the
-    tail of the trimmed slopes ``seq`` parses lies on one chain of
-    blocks, walked back from the support.  ``nodes`` holds the chain's
-    columns from the support leftwards and ``zeros`` its zero blocks,
-    right to left; the walk resumes at ``nodes[-1]`` and pauses at the
-    first node at or left of ``stop``.  The loose start is where the
-    chain ends.  Zero blocks only accumulate along it, so the strict
-    start is the node just right of its second zero.
+    Tokenization is deterministic: a zero block is a single 0 and a wave
+    block is the exact run ``p, p-1, ..., 1``, so each suffix parses in
+    at most one way.  The all-zero tail past the support always parses,
+    hence ``start <= support``.  This is the pure-Python oracle of
+    :func:`_statistics`' wave starts.
     """
+    check_p(p)
+    if grammar not in ("strict", "loose"):
+        raise ValueError(f"grammar must be 'strict' or 'loose', got {grammar!r}")
+    seq = list(trimmed(slopes))
+    # only a 0 or a p begins a block, so the columns from which the tail parses
+    # lie on one chain of blocks back from the support: the loose start ends
+    # it, and the strict one is just right of its second zero
     wave = list(range(p, 0, -1))
-    i = nodes[-1]
-    while i > stop:
+    zeros: list[int] = []
+    i = len(seq)
+    while i:
         if seq[i - 1] == 0:
             i -= 1
             zeros.append(i)
@@ -94,40 +96,15 @@ def _wave_chain(
             i -= p
         else:
             break
-        nodes.append(i)
-    return (zeros[1] + 1 if len(zeros) > 1 else i), i
-
-
-def parse_waves(p, slopes, grammar: str = "strict") -> WaveDecomposition:
-    """Find the minimal suffix start where the slope tail is pure waves.
-
-    Tokenization is deterministic: a zero block is a single 0 and a wave
-    block is the exact run ``p, p-1, ..., 1``, so each suffix parses in
-    at most one way.  The all-zero tail past the support always parses,
-    hence ``start <= support``.
-    """
-    check_p(p)
-    if grammar not in ("strict", "loose"):
-        raise ValueError(f"grammar must be 'strict' or 'loose', got {grammar!r}")
-    seq = list(trimmed(slopes))
-    zeros: list[int] = []
-    strict, loose = _wave_chain(p, seq, [len(seq)], zeros)
-    start = strict if grammar == "strict" else loose
+    strict = zeros[1] + 1 if len(zeros) > 1 else i
+    start = strict if grammar == "strict" else i
     zpos = tuple(z for z in reversed(zeros) if z >= start)
     blocks: list[str] = []
     i = start
     while i < len(seq):
         blocks.append(WAVE if seq[i] else ZERO)
         i += p if seq[i] else 1
-    return WaveDecomposition(
-        p=p,
-        grammar=grammar,
-        start=start,
-        prefix=tuple(seq[:start]),
-        blocks=tuple(blocks),
-        zero_positions=zpos,
-        interior_zero_count=len(zpos),
-    )
+    return WaveDecomposition(p, grammar, start, tuple(seq[:start]), tuple(blocks), zpos, len(zpos))
 
 
 def support_bounds(p: int, n: int, width: int) -> bool:
@@ -149,19 +126,7 @@ def support_bounds(p: int, n: int, width: int) -> bool:
 
 def max_plateau(heights) -> int:
     """Length of the longest run of equal nonzero heights (1 when none)."""
-    seq = tuple(heights)
-    best = 1
-    run = 0
-    prev = None
-    for v in seq:
-        if v != 0 and v == prev:
-            run += 1
-        else:
-            run = 1 if v != 0 else 0
-        if run > best:
-            best = run
-        prev = v
-    return best
+    return max((sum(1 for _ in run) for v, run in groupby(heights) if v), default=1)
 
 
 @dataclass(frozen=True)
@@ -169,9 +134,9 @@ class RowStatistics:
     """Pattern statistics of one fixed point, as a scan row reports them.
 
     ``n_strict``/``n_loose`` are the :func:`parse_waves` starts and
-    ``zero_positions`` the strict parse's interior zeros.
-    ``uniform_index`` and ``ambiguous_count`` are the fields of the same
-    name in :func:`kspm.dds.trajectory_report`.
+    ``zero_positions`` the strict parse's interior zeros, ``uniform_index``
+    and ``ambiguous_count`` the fields of the same name in
+    :func:`kspm.dds.trajectory_report`, all read off one statistics pass.
     """
 
     width: int
@@ -183,61 +148,33 @@ class RowStatistics:
 
 
 def row_statistics(p: int, n: int, slopes, shot) -> RowStatistics:
-    """Scan statistics of a fixed point, checked over its whole width.
+    """Scan statistics of a fixed point: one row of :func:`_statistics`.
 
-    Padding the shot vector with the virtual ``n, 0, ..., 0`` makes the
-    shot window at column ``i`` the slice ``a[i : i + p + 1]``, which
-    closes at column ``steps``.  The mass balance is checked at every
-    column before it, so the windows are exactly those
-    :func:`kspm.dds.trajectory_report` replays from ``a_0``; with
-    non-negative slopes it also rules out an all-zero window before
-    ``steps``.  Raises :class:`NonIntegral` when the balance fails or the
-    slopes run past the closing window.
+    The row reaches the slopes' end and the closing shot window, column
+    ``len(shot) + p`` and at least ``p + 1``, so with the balance checked
+    at every column the windows are those :func:`kspm.dds.trajectory_report`
+    replays from ``a_0``.  Raises :class:`NonIntegral` when the balance
+    fails or a count is negative, and :class:`CapacityError` past int64.
     """
+    import numpy as np
+
     check_p(p)
-    slopes, shot = list(trimmed(slopes)), list(trimmed(shot))
-    w = len(slopes)
-    steps = max(len(shot) + p, p + 1)
-    if w > steps:
-        raise NonIntegral(
-            f"shot window closes at column {steps} but slopes run to column {w - 1}"
-        )
-    a = [n, *repeat(0, p - 1), *shot, *repeat(0, p + 2)]
-    b = slopes + [0] * (steps - w)
-    pp1 = p + 1
-    balance = [x - pp1 * y + p * z for x, y, z in zip(a, a[p:], a[p + 1 :])]
-    if balance[:steps] != b:
-        i = next(i for i, (u, v) in enumerate(zip(balance, b)) if u != v)
-        raise NonIntegral(f"shot vector breaks the mass balance at column {i}")
-    # the balance makes shot[i - p] - shot[i] congruent to b[i] mod p
-    ambiguous = sum(v % p == 0 for v in b)
-    # window i is uniform when its p differences, d[i .. i+p-1], are equal;
-    # the closing window is all zero, so one is always found
-    run = 0
-    prev = None
-    for uniform, (x, y) in enumerate(pairwise(a), 1 - p):
-        run = run + 1 if y - x == prev else 1
-        prev = y - x
-        if run == p:
-            break
-    zeros: list[int] = []
-    strict, loose = _wave_chain(p, slopes, [w], zeros)
-    return RowStatistics(
-        width=w,
-        n_strict=strict,
-        n_loose=loose,
-        zero_positions=tuple(zeros[:1]),
-        uniform_index=uniform,
-        ambiguous_count=ambiguous,
-    )
+    slopes, shot = trimmed(slopes), trimmed(shot)
+    if min((n, *shot)) < 0:
+        raise NonIntegral(f"N={n}: a negative grain or shot count")
+    if (p + 1) * max((n, *shot)) >= 2**63 or max(map(abs, slopes), default=0) >= 2**63:
+        raise CapacityError(f"N={n}: shots or slopes past what int64 holds at p={p}")
+    width = max(len(slopes), len(shot) + p, p + 1)
+    s = np.array([[*slopes, *[0] * (width - len(slopes))]], np.int64)
+    a = np.array([[n, *[0] * (p - 1), *shot, *[0] * (width + 1 - len(shot))]], np.int64)
+    w, strict, loose, last, uniform, ambiguous = (int(x[0]) for x in _statistics(p, [n], s, a))
+    zeros = (last - 1,) if last > loose else ()
+    return RowStatistics(w, strict, loose, zeros, uniform, ambiguous)
 
 
 def _past_last(mask):
-    """One right of the last ``True`` of each row of ``mask``, or 0 for none.
-
-    The first ``True`` of a reversed row names it, unless the row has
-    none and the column it names holds ``False``.
-    """
+    """One right of the last ``True`` of each row of ``mask``, or 0 for none:
+    the first ``True`` of the reversed row, if the column it names holds one."""
     import numpy as np
 
     k, width = mask.shape
@@ -248,11 +185,8 @@ def _past_last(mask):
 
 
 def _wave_tails(p: int, s):
-    """Width, strict and loose wave starts, interior zeros and 0-or-``p`` flags.
-
-    One per row of ``s``, slopes in ``[0, p]`` with slope 0 past the rows,
-    by facts (a) and (b) of :meth:`_SampleBlock.flush`.
-    """
+    """Width, strict and loose wave starts, ``last`` and 0-or-``p`` flags of
+    each row of ``s``, by facts (a) and (b) of :func:`_statistics`."""
     import numpy as np
 
     k, width = s.shape
@@ -276,7 +210,75 @@ def _wave_tails(p: int, s):
     inside[rows[some], last[some] - 1] = False
     second = _past_last(inside)
     strict = np.where(second > loose, second, loose)
-    return w, strict, loose, (last > loose).astype(np.intp), flags
+    return w, strict, loose, last, flags
+
+
+def _statistics(p: int, ns, s, a):
+    """Check rows of slopes against their shots; return the rows' statistics.
+
+    Row ``r`` of ``s``, at least ``p + 1`` columns wide, holds the slopes
+    of ``ns[r]`` grains (0 past the row), and the same row of ``a``, ``p +
+    1`` columns wider, its shots ``a_{j-p}`` after the virtual ``ns[r], 0,
+    ..., 0``.  The mass balance at every column also refuses slopes past a
+    closing window, where every shot it reads is 0; :class:`NonIntegral`
+    names the first failing row's grain count and column.  Returns arrays
+    of ``w``, ``n_strict``, ``n_loose``, ``last`` (one right of the
+    rightmost 0 left of ``w``, or 0; that 0 is the strict tail's interior
+    zero when ``last > n_loose``), ``uniform_index`` and ``ambiguous_count``.
+
+    The wave tails rest on two facts about slopes ``s`` in ``[0, p]``
+    with support ``[0, w)``.  The pair ``(j, j + 1)`` is allowed when
+    ``s_{j+1} = s_j - 1``, or when ``s_j`` is 0 or 1 and ``s_{j+1}`` is
+    0 or ``p``.  (a) ``[u, w)`` parses as waves iff ``s_u`` is 0 or
+    ``p`` (or ``u = w``) and every pair in ``[u, w]`` is allowed.  A
+    parse allows every pair: a block steps down by one and ends on 0 or
+    1, and the next block, or the zero tail at ``w``, begins on 0 or
+    ``p``.  Conversely, from a column holding 0 or ``p``, allowed pairs
+    force a zero block or the run ``p, ..., 1``, nonzero and so left of
+    ``w``, and the column after it holds 0 or ``p`` or is ``w``.  So
+    ``n_loose`` is the first column holding 0 or ``p`` right of the
+    last pair not allowed; from there a slope ``v`` in ``[1, p)`` steps
+    down to 1, so that column lies ``v`` further on.  (b) A wave block
+    holds no 0, so every 0 in ``[n_loose, w)`` is a zero block, and the
+    parse from a later start is a suffix of the one from ``n_loose``.
+    So ``n_strict`` is one right of the second-rightmost 0 there, or
+    ``n_loose`` with fewer than two, and the strict tail holds
+    ``min(1, #zeros)`` interior zeros.
+    """
+    import numpy as np
+
+    k, width = s.shape
+    pp1 = p + 1
+    # a_{i-p} + p a_{i+1} and (p + 1) a_i are at most p + 1 times the largest
+    # shot or grain count, which every caller keeps under 2**63
+    balance = a[:, pp1:] * p
+    balance += a[:, :width]
+    balance -= pp1 * a[:, p : p + width]
+    bad = balance != s
+    if bad.any():
+        r, i = divmod(int(bad.argmax()), width)
+        raise NonIntegral(f"N={ns[r]}: shot vector breaks the mass balance at column {i}")
+    w, strict, loose, last, flags = _wave_tails(p, s)
+    # with the balance, the slopes end where the window closes, p columns
+    # right of the last nonzero shot, unless no column fired
+    steps = np.maximum(w, pp1)
+    # the balance makes shot[i - p] - shot[i] congruent to slope i mod p, and
+    # a pile's slopes lie in [0, p]; the columns from steps on, all 0, are
+    # flagged too and taken off
+    ambiguous = np.count_nonzero(flags, axis=1) - (width - steps)
+    # window i is uniform when its p differences, d[i .. i+p-1], are equal,
+    # that is when the p - 1 comparisons of neighbours from i on all hold:
+    # ``same`` ANDs them over ever wider spans, doubling each time; the
+    # closing window is all zero, so one is always found
+    d = np.diff(a, axis=1)
+    same = d[:, 1:] == d[:, :-1]
+    span = 1
+    while span < p - 1:
+        step = min(span, p - 1 - span)
+        same = same[:, : same.shape[1] - step] & same[:, step:]
+        span += step
+    uniform = same.argmax(axis=1) if p > 1 else np.zeros(k, np.intp)
+    return w, strict, loose, last, uniform, ambiguous
 
 
 class _SampleBlock:
@@ -284,15 +286,13 @@ class _SampleBlock:
 
     Row ``r`` of ``slopes`` holds the slopes at the ``r``-th sample of the
     block, and the same row of ``diffs`` its shots' differences ``a_j -
-    a_{j+1}``.  Row 0 repeats the last sample of the block before.  A
-    sample copies into its row only what its step may have changed, the
-    slopes of ``[0, touched)`` and the differences of ``[0, touched -
-    p)``; the rest of the row repeats the row before.  ``live`` is the
-    largest extent so far, and at least ``p + 1`` so that the closing
-    window fits; every column from it on holds slope 0 and shot 0, so the
-    block's pass reads only the columns before it.  The slope rows are at
-    least that wide, and the difference rows ``p`` columns narrower; they
-    widen by about a quarter at a time, never past the pile's lists.
+    a_{j+1}``; row 0 repeats the last sample of the block before.  A sample
+    copies only what its step may have changed, the slopes of ``[0,
+    touched)`` and the differences of ``[0, touched - p)``.  ``live``, the
+    largest extent so far and at least ``p + 1``, bounds the columns the
+    pass reads: every column from it on holds slope 0 and shot 0.  The
+    rows, the difference rows ``p`` columns narrower, widen by about a
+    quarter at a time, never past the pile's lists.
     """
 
     def __init__(self, p: int, cap: int):
@@ -334,32 +334,11 @@ class _SampleBlock:
     def flush(self) -> tuple[list[int], ...]:
         """Check the block's rows; return their ``_BLOCK_FIELDS``, as lists.
 
-        The shots ``a`` of each row are its differences summed from the
-        right, one reverse cumulative sum for the block, and sit after the
-        virtual ``n, 0, ..., 0`` as ``a_{j-p}``.  The mass balance is
-        checked at every column of every row, which also refuses slopes
-        past a closing window, where every shot the balance reads is 0;
-        :class:`NonIntegral` names the grain count of the first row it
-        fails.  Row 0 then takes the block's last row.
-
-        The wave tails rest on two facts about slopes ``s`` in ``[0, p]``
-        with support ``[0, w)``.  The pair ``(j, j + 1)`` is allowed when
-        ``s_{j+1} = s_j - 1``, or when ``s_j`` is 0 or 1 and ``s_{j+1}`` is
-        0 or ``p``.  (a) ``[u, w)`` parses as waves iff ``s_u`` is 0 or
-        ``p`` (or ``u = w``) and every pair in ``[u, w]`` is allowed.  A
-        parse allows every pair: a block steps down by one and ends on 0 or
-        1, and the next block, or the zero tail at ``w``, begins on 0 or
-        ``p``.  Conversely, from a column holding 0 or ``p``, allowed pairs
-        force a zero block or the run ``p, ..., 1``, nonzero and so left of
-        ``w``, and the column after it holds 0 or ``p`` or is ``w``.  So
-        ``n_loose`` is the first column holding 0 or ``p`` right of the
-        last pair not allowed; from there a slope ``v`` in ``[1, p)`` steps
-        down to 1, so that column lies ``v`` further on.  (b) A wave block
-        holds no 0, so every 0 in ``[n_loose, w)`` is a zero block, and the
-        parse from a later start is a suffix of the one from ``n_loose``.
-        So ``n_strict`` is one right of the second-rightmost 0 there, or
-        ``n_loose`` with fewer than two, and the strict tail holds
-        ``min(1, #zeros)`` interior zeros.
+        The shots of each row are its differences summed from the right,
+        one reverse cumulative sum for the block, and sit after the
+        virtual ``n, 0, ..., 0`` as ``a_{j-p}``; :func:`_statistics` checks
+        every row's mass balance and reads its statistics.  Row 0 then
+        takes the block's last row.
 
         A row's ``n_loose`` must equal its ``uniform_index``, the identity
         ``verify`` checks as ``wave_tail``: a fault in the wave passes that
@@ -370,43 +349,13 @@ class _SampleBlock:
         import numpy as np
 
         p, k, width = self.p, len(self.ns), self.live
-        s = self.slopes[1 : k + 1, :width]
-        pp1 = p + 1
-        a = np.zeros((k, width + pp1), np.int64)
+        a = np.zeros((k, width + p + 1), np.int64)
         a[:, 0] = self.ns
         diffs = self.diffs[1 : k + 1, : width - p]
         np.cumsum(diffs[:, ::-1], axis=1, out=a[:, p:width][:, ::-1])
-        # as in the batch engine: a_{i-p} + p a_{i+1} is at most n plus p times
-        # the firing bound, and (p+1) a_i no larger, since no slope is negative
-        balance = a[:, pp1:] * p
-        balance += a[:, :width]
-        balance -= pp1 * a[:, p : p + width]
-        bad = balance != s
-        if bad.any():
-            r, i = divmod(int(bad.argmax()), width)
-            raise NonIntegral(
-                f"N={self.ns[r]}: shot vector breaks the mass balance at column {i}"
-            )
-        w, strict, loose, zeros, flags = _wave_tails(p, s)
-        # with the balance, the slopes end where the window closes, p columns
-        # right of the last nonzero shot, unless no column fired
-        steps = np.maximum(w, pp1)
-        # the balance makes shot[i - p] - shot[i] congruent to slope i mod p, and
-        # a pile's slopes lie in [0, p]; the columns from steps on, all 0, are
-        # flagged too and taken off
-        ambiguous = np.count_nonzero(flags, axis=1) - (width - steps)
-        # window i is uniform when its p differences, d[i .. i+p-1], are equal,
-        # that is when the p - 1 comparisons of neighbours from i on all hold:
-        # ``same`` ANDs them over ever wider spans, doubling each time; the
-        # closing window is all zero, so one is always found
-        d = np.diff(a, axis=1)
-        same = d[:, 1:] == d[:, :-1]
-        span = 1
-        while span < p - 1:
-            step = min(span, p - 1 - span)
-            same = same[:, : same.shape[1] - step] & same[:, step:]
-            span += step
-        uniform = same.argmax(axis=1) if p > 1 else np.zeros(k, np.intp)
+        w, strict, loose, last, uniform, ambiguous = _statistics(
+            p, self.ns, self.slopes[1 : k + 1, :width], a
+        )
         wrong = loose != uniform
         if wrong.any():
             r = int(wrong.argmax())
@@ -416,6 +365,7 @@ class _SampleBlock:
         self.slopes[0] = self.slopes[k]
         self.diffs[0] = self.diffs[k]
         self.ns.clear()
+        zeros = (last > loose).astype(np.intp)
         return tuple(x.tolist() for x in (w, strict, loose, uniform, zeros, ambiguous))
 
 
@@ -429,13 +379,13 @@ def scan_rows(p: int, n_values, timing: bool = False) -> dict[str, list]:
     every avalanche up to each sample, and ``density_column`` is the
     largest density column of those avalanches.  The pile's slopes and
     shot differences go into blocks of ``BLOCK_ROWS`` samples, and each
-    block's shots, mass balance, wave tails, ``uniform_index`` and
-    ``ambiguous_count`` come from one pass of array operations.  The last
-    sample is checked again over the whole width by :func:`row_statistics`,
-    on the pile's slopes and summed shots, and a difference raises
-    :class:`RecurrenceMismatch`.  ``elapsed_us`` is 0 unless ``timing`` is
-    set, keeping default output reproducible; with it, a row's time is its
-    settles and its copy, plus an equal share of its block's array pass.
+    block's statistics come from :func:`_statistics`.  The last sample is
+    checked again by :func:`row_statistics`, the same pass on the pile's
+    live lists, so a value the blocks missed or copied wrong raises
+    :class:`NonIntegral` or :class:`RecurrenceMismatch`.  ``elapsed_us`` is
+    0 unless ``timing`` is set, keeping default output reproducible; with
+    it, a row's time is its settles and its copy, plus an equal share of
+    its block's array pass.
     A scan of more than ``MAX_SAMPLES`` samples raises
     :class:`CapacityError` before its pile is built, after the pile's own
     firing preflight.
@@ -456,9 +406,9 @@ def scan_rows(p: int, n_values, timing: bool = False) -> dict[str, list]:
         raise CapacityError(
             f"{len(targets)} samples exceed the {MAX_SAMPLES}-sample limit of one scan"
         )
-    # every shot is at most the firing bound, so a balance term of the blocks,
-    # a_{i-p} + p a_{i+1}, is at most N plus p times it: int64 never wraps
-    assert targets[-1] + p * work < 2**63
+    # every shot is at most the firing bound, so the blocks' int64 arrays hold
+    # the balance terms, which row_statistics refuses past the same bound
+    assert (p + 1) * max(targets[-1], work) < 2**63
     inc = IncrementalStabilizer(p, expect=targets[-1])
     block = _SampleBlock(p, len(inc.slopes))
     rows: dict[str, list] = {
@@ -490,7 +440,8 @@ def scan_rows(p: int, n_values, timing: bool = False) -> dict[str, list]:
     if spent:
         flush()
     rows["p"] = [p] * len(rows["N"])
-    # the whole width once more, on the live lists: a change the extents missed fails
+    # the same pass on one row of the live lists checks what the blocks copied:
+    # a change the extents missed fails
     full = row_statistics(p, n, inc.slopes, inc.shot)
     want = full.width, full.n_strict, full.n_loose, full.uniform_index, len(full.zero_positions)
     if tuple(rows[k][-1] for k in _BLOCK_FIELDS) != (*want, full.ambiguous_count):

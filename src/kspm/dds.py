@@ -202,9 +202,9 @@ def trajectory_report(p, slopes, a0, n) -> TrajectoryReport:
     the old open/closed envelope, and the envelope width strictly shrinks
     within ``p`` steps.  Each centered vector, scaled into integers, must
     be :func:`_scaled_step` of the one before; the first column where it
-    is not is recorded, not raised.  Scans read the same statistics off
-    the engine's shot vector instead (:func:`kspm.analyzer.row_statistics`);
-    this walk is their independent audit.
+    is not is recorded, not raised.  The statistics pass behind scans and
+    :func:`kspm.analyzer.row_statistics` reads the same statistics off the
+    engine's shot vector instead; this walk is its independent audit.
     """
     violations: list[str] = []
     spreads: list[int] = []

@@ -14,7 +14,7 @@ exchange immutable configurations at their boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from math import isqrt
 
 from .errors import CapacityError, NotFireable
@@ -42,11 +42,10 @@ def support_bound(p: int, n: int) -> int:
 
 def trimmed(values) -> tuple[int, ...]:
     """``values`` as a tuple without its trailing zeros."""
-    seq = tuple(values)
-    w = len(seq)
-    while w and seq[w - 1] == 0:
-        w -= 1
-    return seq[:w]
+    seq = values if isinstance(values, (list, tuple)) else tuple(values)
+    # the last nonzero entry is the first nonzero one from the right, found in C
+    w = len(seq) - next(compress(count(), reversed(seq)), len(seq))
+    return tuple(seq[:w])
 
 
 def check_p(p: int) -> int:

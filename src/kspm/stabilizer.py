@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate, compress, count
+from itertools import accumulate
 
 from .errors import CapacityError
 from .model import SlopeConfig, check_grains, check_p, support_bound, trimmed
@@ -579,10 +579,9 @@ class IncrementalStabilizer:
 
     @property
     def shot(self) -> list[int]:
-        """The shot vector without its trailing zeros: the suffix sums of ``diff``."""
-        # the last nonzero shot is the first nonzero difference from the right
-        end = len(self.diff) - next(compress(count(), reversed(self.diff)), len(self.diff))
-        return _shots(self.diff, end)
+        """The shot vector without its trailing zeros: the suffix sums of ``diff``,
+        whose last nonzero entry is the last nonzero shot's."""
+        return _shots(self.diff, len(trimmed(self.diff)))
 
     def snapshot(self) -> FixedPoint:
         reach = self._reach

@@ -43,7 +43,8 @@ def regex_oracle(p, slopes, grammar):
     while w and seq[w - 1] == 0:
         w -= 1
     text = "".join(chr(97 + v) for v in seq[:w])
-    wave = "".join(chr(97 + p - d) for d in range(p))
+    # from p = 26 on the letters run into '{', '|' and '}', so they are escaped
+    wave = re.escape("".join(chr(97 + p - d) for d in range(p)))
     if grammar == "strict":
         pat = re.compile(f"(?:{wave})*a?(?:{wave})*")
     else:
@@ -383,6 +384,8 @@ def from_scratch_rows(p, targets):
 @example(p=1, n=1)
 @example(p=4, n=3)
 @example(p=8, n=8)
+@example(p=12, n=5000)
+@example(p=30, n=100100)
 @settings(max_examples=80, deadline=None)
 def test_row_statistics_match_the_replay(p, n):
     fp = stabilize(p, n)
@@ -408,6 +411,36 @@ def test_row_statistics_refuse_tampered_fixed_points(p, n):
         bad[j] = (bad[j] + 1) % (p + 1)
         with pytest.raises(NonIntegral):
             analyzer.row_statistics(p, n, trimmed(bad), shot)
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 30, 1000])
+def test_row_statistics_refuse_values_past_int64(p):
+    # the balance's terms reach p + 1 times the largest grain or shot count;
+    # from there on, or at a slope int64 cannot hold, the one-row pass
+    # refuses before it builds an array
+    top = (2**63 - 1) // (p + 1)
+    for n, slopes, shot in [
+        (top + 1, [], []),
+        (1, [], [top + 1]),
+        (1, [], [7, top + 1]),
+        (1, [2**63], []),
+        (1, [-(2**63) - 1], []),
+    ]:
+        with pytest.raises(CapacityError):
+            analyzer.row_statistics(p, n, slopes, shot)
+    # just under the bound it balances exactly: the slopes exact integers
+    # read off the largest shots pass, and each one changed by 1 fails at
+    # its own column
+    shot = [top, 1, top, 5]
+    a = [top, *[0] * (p - 1), *shot, *[0] * (p + 2)]
+    exact = [a[i] - (p + 1) * a[i + p] + p * a[i + p + 1] for i in range(len(shot) + p)]
+    assert max(map(abs, exact)) > 2**62
+    analyzer.row_statistics(p, top, exact, shot)
+    for i in range(len(exact)):
+        bad = exact[:]
+        bad[i] += 1
+        with pytest.raises(NonIntegral, match=f"at column {i}$"):
+            analyzer.row_statistics(p, top, bad, shot)
 
 
 @pytest.mark.parametrize("p", range(1, 7))
@@ -439,7 +472,13 @@ def row_fields(stats):
 
 
 def check_tracked_statistics(p, targets):
-    """Check the scan's row against a full-width check, at every sample."""
+    """Check the rows a scan's blocks copied against the pile's live lists.
+
+    At every sample, the scan's row must equal :func:`row_statistics` on a
+    snapshot of the pile.  Both run the one statistics pass, so this checks
+    the data path, what the blocks copied and summed; the regex and replay
+    oracles of ``test_row_statistics_match_the_replay`` check the pass.
+    """
     rows = analyzer.scan_rows(p, targets)
     inc = IncrementalStabilizer(p, expect=max(targets))
     for n, row in zip(targets, zip(*[rows[f] for f in ROW_FIELDS]), strict=True):
@@ -525,19 +564,19 @@ def test_the_block_reads_the_wave_tails_of_any_rows(case):
     p, rows, pad = case
     width = max(map(len, rows)) + pad
     s = np.array([row + [0] * (width - len(row)) for row in rows], np.int64)
-    w, strict, loose, zeros, flags = analyzer._wave_tails(p, s)
+    w, strict, loose, last, flags = analyzer._wave_tails(p, s)
     assert p > 1 or not loose.any()
     assert flags.tolist() == [[v in (0, p) for v in row] for row in s.tolist()]
     for r, row in enumerate(rows):
         seq = list(trimmed(row))
         n_strict, zero_positions = regex_oracle(p, seq, "strict")
         n_loose, _ = regex_oracle(p, seq, "loose")
-        chain_zeros = []
-        chain = analyzer._wave_chain(p, seq, [len(seq)], chain_zeros)
-        assert chain == (n_strict, n_loose)
-        assert len(zero_positions) == len(chain_zeros[:1])
-        got = (w[r], strict[r], loose[r], zeros[r])
-        assert got == (len(seq), n_strict, n_loose, len(zero_positions)), row
+        # ``last`` is one right of the rightmost 0 left of w, and that 0 is
+        # the strict tail's interior zero when it lies right of the loose start
+        rightmost = max((j + 1 for j, v in enumerate(seq) if v == 0), default=0)
+        interior = (last[r] - 1,) if last[r] > loose[r] else ()
+        got = (w[r], strict[r], loose[r], last[r], interior)
+        assert got == (len(seq), n_strict, n_loose, rightmost, zero_positions), row
 
 
 def avalanche_quiet(p, av):

@@ -818,6 +818,24 @@ def test_verify_wave_tail_needs_the_loose_start_at_the_uniform_window(
     assert bad == ["wave_tail"]
 
 
+def test_verify_wave_tail_sees_a_fault_in_the_statistics_pass(monkeypatch, capsys):
+    # row_statistics returns the loose start and the first uniform window as
+    # the statistics pass reads them, so a fault that moves the loose start
+    # fails the wave_tail check instead of raising first
+    wave_tails = analyzer._wave_tails
+
+    def shifted(p, s):
+        w, strict, loose, last, flags = wave_tails(p, s)
+        return w, strict, loose + 1, last, flags
+
+    monkeypatch.setattr(analyzer, "_wave_tails", shifted)
+    rc, out, err = run_cli(capsys, "verify", "--p", "4", "--n", "2000")
+    assert rc == 5
+    assert err == "verification violated: wave_tail\n"
+    bad = [c["name"] for c in json.loads(out)["result"]["checks"] if not c["ok"]]
+    assert bad == ["wave_tail"]
+
+
 @pytest.mark.parametrize(
     "tamper",
     [

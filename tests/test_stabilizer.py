@@ -730,6 +730,9 @@ def test_batch_sweeps_fit_int64_at_the_largest_admitted_pile(p):
         except CapacityError:
             hi = mid
     assert lo + p * stabilizer.check_work(p, lo) < 2**63
+    # no shot is over the firing bound, so the statistics pass, which refuses
+    # p + 1 times the largest grain or shot count from 2**63 on, admits it too
+    assert (p + 1) * max(lo, stabilizer.check_work(p, lo)) < 2**63
 
 
 @pytest.mark.parametrize("module", ["kspm", "kspm.stabilizer", "kspm.analyzer", "kspm.dds"])
